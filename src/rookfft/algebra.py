@@ -10,6 +10,7 @@ mixing bases is an error, never a silent coercion.
 
 from __future__ import annotations
 
+import cmath
 import random
 from typing import Iterator, Mapping
 
@@ -216,7 +217,13 @@ def from_json_dict(data: dict) -> AlgebraElement:
         raise ParseError(f"bad algebra element JSON: {exc}") from None
     coeffs: dict[PartialPermutation, complex] = {}
     for term in terms:
-        s = PartialPermutation.from_flat(n, term["elem"])
-        c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+        try:
+            flat = term["elem"]
+            c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
+        if not cmath.isfinite(c):
+            raise ParseError(f"non-finite coefficient {c} for {flat!r}")
+        s = PartialPermutation.from_flat(n, flat)
         coeffs[s] = coeffs.get(s, 0j) + c
     return AlgebraElement(n, basis, coeffs)

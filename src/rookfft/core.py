@@ -232,14 +232,6 @@ def compose(g: PartialPermutation, f: PartialPermutation) -> PartialPermutation:
     return PartialPermutation(f.n, img)
 
 
-def inverse(s: PartialPermutation) -> PartialPermutation:
-    return s.inverse()
-
-
-def rank(s: PartialPermutation) -> int:
-    return s.rank
-
-
 def idempotent_on(n: int, points: Iterable[int]) -> PartialPermutation:
     """The identity map restricted to the given points."""
     pts = set(points)

@@ -160,10 +160,6 @@ class SteinRep:
     def dim(self) -> int:
         return len(self.subsets) * self.base.dim
 
-    def cell(self, M: np.ndarray, a: int, b: int) -> np.ndarray:
-        d = self.base.dim
-        return M[a * d : (a + 1) * d, b * d : (b + 1) * d]
-
     def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
         """Image of the groupoid basis element for s: zero unless rk(s) = k,
         otherwise ρ(y) in the (ran(s), dom(s)) cell."""

@@ -144,6 +144,36 @@ def seminormal_rep(shape: Shape) -> GroupRep:
     )
 
 
+@cache
+def invariant_form(shape: Shape) -> np.ndarray:
+    """Diagonal W of the invariant form Σ_w ρ(w)ᵀρ(w) of seminormal_rep(shape).
+
+    The form is diagonal in the seminormal basis, and ρ(t_i)ᵀ·W·ρ(t_i) = W
+    fixes the ratio of the two weights each generator mixes:
+    w(t_i·L) = w(L)·(r-1)/(r+1) with r = ct(L(i)) - ct(L(i-1)).  A walk over
+    adjacent swaps from the first tableau therefore reaches every weight
+    without summing over S_k.  Scaled so that w(basis[0]) = 1; every weight
+    is positive, since a swap that stays standard has |r| ≥ 2.
+    """
+    k = sum(shape)
+    basis = nstandard_tableaux(shape, k)
+    index = {L: j for j, L in enumerate(basis)}
+    w = np.zeros(len(basis))
+    w[0] = 1.0
+    stack = [0]
+    while stack:
+        j = stack.pop()
+        L = basis[j]
+        for i in range(2, k + 1):
+            s = index.get(swap_adjacent(L, i))
+            if s is not None and w[s] == 0.0:
+                r = content(*find_entry(L, i)) - content(*find_entry(L, i - 1))
+                w[s] = w[j] * (r - 1) / (r + 1)
+                stack.append(s)
+    w.flags.writeable = False
+    return w
+
+
 def branch_sn(shape: Shape) -> tuple[Shape, ...]:
     """Restriction of λ ⊢ k to S_{k-1}: remove each corner, top corner first.
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, to_groupoid
 from .core import (
+    ParseError,
     PartialPermutation,
     enumerate_rn,
     factorize,
@@ -390,10 +391,13 @@ def _matrix_json(M: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array(
-        [[complex(e.get("re", 0.0), e.get("im", 0.0)) for e in row] for row in rows],
+    M = np.array(
+        [[complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))) for e in row] for row in rows],
         dtype=complex,
     )
+    if not np.isfinite(M).all():
+        raise ParseError("non-finite matrix entry in block JSON")
+    return M
 
 
 def to_json_dict(F: FourierCoefficients) -> dict:
@@ -423,12 +427,16 @@ def to_json_dict(F: FourierCoefficients) -> dict:
 
 
 def from_json_dict(data: dict) -> FourierCoefficients:
-    n = int(data["n"])
-    family = data["family"]
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    blocks: dict[Shape, np.ndarray] = {}
-    for entry in data["blocks"]:
-        shape = tuple(int(a) for a in entry["lambda"])
-        blocks[shape] = _matrix_from_json(entry["rows"])
-    return FourierCoefficients(n, family, blocks, OpCounter(int(data.get("ops", 0))))
+    try:
+        n = int(data["n"])
+        family = data["family"]
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        blocks: dict[Shape, np.ndarray] = {}
+        for entry in data["blocks"]:
+            shape = tuple(int(a) for a in entry["lambda"])
+            blocks[shape] = _matrix_from_json(entry["rows"])
+        ops = int(data.get("ops", 0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"bad block JSON: {exc!r}") from None
+    return FourierCoefficients(n, family, blocks, OpCounter(ops))

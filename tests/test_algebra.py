@@ -20,6 +20,7 @@ from rookfft.algebra import (
 )
 from rookfft.core import (
     DimensionMismatch,
+    ParseError,
     PartialPermutation,
     compose,
     enumerate_rn,
@@ -205,6 +206,16 @@ class TestElementPlumbing:
     def test_json_round_trip(self):
         f = rand_elem(3, GROUPOID, 41, support="sparse")
         assert from_json_dict(to_json_dict(f)).allclose(f, 1e-15)
+
+    @pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (1.0, float("inf")), (float("-inf"), 0.0)])
+    def test_json_rejects_non_finite_coefficients(self, re, im):
+        data = {"n": 2, "basis": SEMIGROUP, "terms": [{"elem": "1->1", "re": re, "im": im}]}
+        with pytest.raises(ParseError, match="non-finite"):
+            from_json_dict(data)
+
+    def test_json_rejects_term_without_element(self):
+        with pytest.raises(ParseError):
+            from_json_dict({"n": 2, "basis": SEMIGROUP, "terms": [{"re": 1.0}]})
 
     def test_arithmetic(self):
         f = rand_elem(2, SEMIGROUP, 51)

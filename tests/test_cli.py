@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import rand_elem
 from rookfft.algebra import (
     GROUPOID,
@@ -162,12 +164,68 @@ class TestAnalyze:
         assert code == 0
         assert out.splitlines()[0] == "lambda,k,energy,fraction"
 
+    def test_json_carries_parseval_residual(self, capsys, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n1->2,3\n1->1;2->2,5\n", encoding="utf-8")
+        for association in ("groupoid", "semigroup"):
+            code, out, _ = run(capsys, "analyze", "--input", str(path), "--n", "2",
+                               "--association", association)
+            data = json.loads(out)
+            assert code == 0
+            assert 0.0 <= data["parseval_residual"] <= 1e-9 * data["total"]
+
     def test_parse_error_code(self, capsys, tmp_path):
         path = tmp_path / "ballots.csv"
         path.write_text("ballot,count\n1->1;2->1,1\n", encoding="utf-8")
         code, _, err = run(capsys, "analyze", "--input", str(path), "--n", "2")
         assert code == 3
         assert err.startswith("ERR:PARSE:")
+
+
+def assert_one_parse_error(code, err):
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERR:PARSE:")
+    assert "Traceback" not in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("rows", ["1->1,nan\n2->2,inf\n", "1->1,-inf\n", "9->1,inf\n"])
+    def test_analyze_refuses_non_finite_counts(self, capsys, tmp_path, rows):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert out == ""
+
+    def test_transform_refuses_nan_coefficient(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 2, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->1", "re": NaN, "im": 0.0}]}', encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path),
+                             "--algorithm", "stein", "--convert")
+        assert_one_parse_error(code, err)
+        assert out == ""
+
+    def test_invert_refuses_infinite_entry(self, capsys, tmp_path):
+        f = rand_elem(2, GROUPOID, 8)
+        code, out, _ = run(capsys, "transform", "--input", write_element(tmp_path, "f.json", f),
+                           "--algorithm", "stein")
+        assert code == 0
+        data = json.loads(out)
+        data["blocks"][0]["rows"][0][0]["im"] = float("inf")
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "invert", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert out == ""
+
+    def test_invert_refuses_block_json_without_blocks(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text('{"n": 1, "family": "stein"}', encoding="utf-8")
+        code, out, err = run(capsys, "invert", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert out == ""
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 import io
+import random
 
+import numpy as np
 import pytest
 
 from conftest import rand_elem
@@ -9,6 +11,7 @@ from rookfft.algebra import (
     AlgebraElement,
     BasisMismatch,
     inner2,
+    random_element,
     to_groupoid,
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn
@@ -24,6 +27,7 @@ from rookfft.spectral import (
     spectrum,
     to_function,
 )
+from rookfft.transforms import FourierCoefficients, fourier_invert, stein_fft
 
 PP = PartialPermutation
 
@@ -34,6 +38,15 @@ def pp(n, flat):
 
 def ingest_text(text, n=None):
     return _ingest_lines(io.StringIO(text), n)
+
+
+def projection_energy(f, shape):
+    """⟨p,p⟩₂ by the projection route: transform, keep one block, invert."""
+    g = f if f.basis == GROUPOID else to_groupoid(f)
+    F = stein_fft(g)
+    kept = {sh: (M if sh == shape else np.zeros_like(M)) for sh, M in F.blocks.items()}
+    p = fourier_invert(FourierCoefficients(f.n, F.family, kept))
+    return inner2(p, p).real
 
 
 class TestIngest:
@@ -57,6 +70,11 @@ class TestIngest:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             ingest_text("a,b\n1->1,3\n")
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_count_reports_line(self, count):
+        with pytest.raises(ParseError, match="line 3: non-finite count"):
+            ingest_text(f"ballot,count\n1->1,2\n2->2,{count}\n", n=2)
 
     def test_bad_count(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -153,6 +171,25 @@ class TestSpectrum:
         assert rep.total == pytest.approx(parseval, rel=1e-6)
         assert all(e >= -1e-12 for e in rep.energies.values())
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("basis", [GROUPOID, SEMIGROUP])
+    def test_plancherel_matches_projection_route(self, n, basis):
+        f = rand_elem(n, basis, 60 + n, support="sparse")
+        rep = spectrum(f)
+        for sh in labels(n):
+            want = projection_energy(f, sh)
+            assert rep.energies[sh] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_parseval_residual_and_nonnegativity_at_n6(self):
+        f = random_element(6, SEMIGROUP, random.Random(6), "sparse")
+        g = to_groupoid(f)
+        norm = inner2(g, g).real
+        rep = spectrum(f)
+        assert rep.parseval_residual <= 1e-9 * norm
+        assert rep.total == sum(rep.energies.values())
+        assert all(e >= 0.0 for e in rep.energies.values())
+        assert set(rep.energies) == set(labels(6))
+
     def test_association_models_differ_below_full_rank(self):
         d = Dataset(2, [(pp(2, "1->1"), 1.0)])
         semi = analyze(d, SEMIGROUP).energies
@@ -172,6 +209,7 @@ class TestReports:
         data = report_to_json_dict(rep)
         assert data["n"] == 2 and data["association"] == GROUPOID
         assert data["total"] == pytest.approx(4.0)
+        assert 0.0 <= data["parseval_residual"] <= 1e-12
         by_label = {tuple(e["lambda"]): e for e in data["labels"]}
         assert by_label[()]["energy"] == pytest.approx(4.0)
         assert by_label[()]["fraction"] == pytest.approx(1.0)

@@ -9,6 +9,7 @@ from rookfft.symmetric import (
     all_perms,
     adjacent_word,
     branch_sn,
+    invariant_form,
     perm_compose,
     perm_inverse,
     seminormal_rep,
@@ -194,3 +195,14 @@ class TestSnFFT:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             sn_fft({(1, 1): 1.0}, 2)
+
+
+class TestInvariantForm:
+    @pytest.mark.parametrize("shape", [sh for k in range(6) for sh in partitions(k)])
+    def test_generator_walk_matches_group_sum(self, shape):
+        rep = seminormal_rep(shape)
+        S = sum(rep.evaluate(w).T @ rep.evaluate(w) for w in all_perms(sum(shape)))
+        assert np.allclose(S, np.diag(np.diag(S)), rtol=0.0, atol=1e-9 * np.abs(S).max())
+        W = invariant_form(shape)
+        assert W[0] == 1.0 and np.all(W > 0)
+        assert np.allclose(np.diag(S) / S[0, 0], W, rtol=1e-12, atol=0.0)

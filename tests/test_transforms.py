@@ -13,7 +13,7 @@ from rookfft.algebra import (
     convolve_semigroup,
     to_groupoid,
 )
-from rookfft.core import PartialPermutation, enumerate_rn, size
+from rookfft.core import ParseError, PartialPermutation, enumerate_rn, size
 from rookfft.rook_reps import dim, labels
 from rookfft.transforms import (
     FourierCoefficients,
@@ -374,6 +374,24 @@ class TestSerialization:
         cells = {(tuple(c["A"]), tuple(c["B"])): c["matrix"] for c in block["cells"]}
         assert cells[((1,), (2,))] == [[{"re": 1.0, "im": 0.0}]]
         assert cells[((1,), (1,))] == [[{"re": 0.0, "im": 0.0}]]
+
+    def test_rejects_non_finite_entry(self):
+        data = to_json_dict(stein_fft(rand_elem(2, GROUPOID, 15)))
+        data["blocks"][-1]["rows"][0][0]["re"] = float("nan")
+        with pytest.raises(ParseError, match="non-finite"):
+            from_json_dict(data)
+
+    @pytest.mark.parametrize("damage", ["no_blocks", "no_rows", "entry_not_object"])
+    def test_rejects_malformed_layout(self, damage):
+        data = to_json_dict(stein_fft(rand_elem(2, GROUPOID, 16)))
+        if damage == "no_blocks":
+            del data["blocks"]
+        elif damage == "no_rows":
+            del data["blocks"][0]["rows"]
+        else:
+            data["blocks"][0]["rows"][0][0] = 1.0
+        with pytest.raises(ParseError, match="bad block JSON"):
+            from_json_dict(data)
 
     def test_halverson_has_no_cells(self):
         F = recursive_fft(rand_elem(2, SEMIGROUP, 14))
