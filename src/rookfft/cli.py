@@ -4,7 +4,6 @@ spectral analysis, and bound-checking benchmarks.
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 math-consistency
 failure (an oracle or bound check failed, treated as a bug signal).
 Every error path prints a single line "ERR:<KIND>: message" to stderr.
-The environment variable ROOKFFT_THREADS caps parallelism (0 = auto).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -38,7 +36,7 @@ from .core import (
     size,
     size_recursive,
 )
-from .spectral import analyze, ingest, report_to_csv, report_to_json_dict, to_function
+from .spectral import Dataset, analyze, ingest, report_to_csv, report_to_json_dict, to_function
 from .transforms import (
     HALVERSON,
     STEIN,
@@ -55,31 +53,8 @@ from .transforms import (
     to_json_dict as fc_to_json,
 )
 
-ENUMERATE_GUARD = 8
+MAX_N = 8  # largest n that enumerate, transform, invert and analyze accept
 BENCH_GUARD = 6
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation; one flat record regardless of subcommand."""
-
-    subcommand: str
-    n: int | None = None
-    algorithm: str = "naive"
-    basis: str | None = None
-    association: str = GROUPOID
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    format: str = "json"
-    convert: bool = False
-    seed: int = 0
-
-    @property
-    def input(self) -> str:
-        if len(self.inputs) != 1:
-            raise CliError(2, "USAGE",
-                           f"{self.subcommand} takes exactly one --input, got {len(self.inputs)}")
-        return self.inputs[0]
 
 
 class CliError(Exception):
@@ -112,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", required=True,
                    help="AlgebraElement JSON or ballot CSV")
     p.add_argument("--algorithm", choices=("naive", "stein", "recursive"), default="naive")
-    p.add_argument("--basis", choices=(SEMIGROUP, GROUPOID),
-                   help="expected basis of the input (validated against the file)")
     p.add_argument("--association", choices=(SEMIGROUP, GROUPOID), default=GROUPOID,
                    help="basis for ballot-CSV input")
     p.add_argument("--convert", action="store_true",
@@ -152,31 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    raw_input = getattr(args, "input", None)
-    if raw_input is None:
-        inputs: tuple[str, ...] = ()
-    elif isinstance(raw_input, list):
-        inputs = tuple(raw_input)
-    else:
-        inputs = (raw_input,)
-    return CliConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        algorithm=getattr(args, "algorithm", "naive"),
-        basis=getattr(args, "basis", None),
-        association=getattr(args, "association", GROUPOID),
-        inputs=inputs,
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-        convert=getattr(args, "convert", False),
-        seed=getattr(args, "seed", 0),
-    )
+def _one_input(args: argparse.Namespace) -> str:
+    if len(args.input) != 1:
+        raise CliError(2, "USAGE",
+                       f"{args.subcommand} takes exactly one --input, got {len(args.input)}")
+    return args.input[0]
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise CliError(2, "USAGE", f"n = {n} refused: |R_n| is too large (limit: n <= {MAX_N})")
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -189,20 +152,16 @@ def _dump_json(data) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(config: CliConfig) -> int:
-    n = config.n
-    if n is None or n < 0:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    n = args.n
+    if n < 0:
         raise CliError(2, "USAGE", "n must be nonnegative")
-    if n > ENUMERATE_GUARD:
-        raise CliError(
-            2, "USAGE",
-            f"n = {n} refused: |R_n| is too large to print (guard: n <= {ENUMERATE_GUARD})",
-        )
+    _check_n(n)
     elems = enumerate_rn(n)
     total = size(n)
     recursive_ok = total == size_recursive(n)
-    if config.format == "json":
-        _emit(config, _dump_json({
+    if args.format == "json":
+        _emit(args, _dump_json({
             "n": n,
             "size": total,
             "recursive_check": recursive_ok,
@@ -212,30 +171,35 @@ def cmd_enumerate(config: CliConfig) -> int:
         lines = ["cycle_link,flat"]
         lines += [f"{print_cycle_link(s)},{s.to_flat()}" for s in elems]
         lines.append(f"# size={total} recursive={size_recursive(n)} ok={str(recursive_ok).lower()}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _load_element(config: CliConfig) -> AlgebraElement:
-    path = config.input
+def _load_dataset(args: argparse.Namespace) -> Dataset:
+    if args.n is not None:  # refuse a given n before any ballot is built at that size
+        _check_n(args.n)
+    dataset = ingest(_one_input(args), args.n)
+    _check_n(dataset.n)
+    return dataset
+
+
+def _load_element(args: argparse.Namespace) -> AlgebraElement:
+    path = _one_input(args)
     if path.endswith(".csv"):
-        dataset = ingest(path, config.n)
-        return to_function(dataset, config.association)
+        return to_function(_load_dataset(args), args.association)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     f = element_from_json(data)
-    if config.basis and config.basis != f.basis:
-        raise CliError(2, "USAGE",
-                       f"input is tagged {f.basis} but --basis {config.basis} was given")
+    _check_n(f.n)
     return f
 
 
-def cmd_transform(config: CliConfig) -> int:
-    f = _load_element(config)
-    algorithm = config.algorithm
+def cmd_transform(args: argparse.Namespace) -> int:
+    f = _load_element(args)
+    algorithm = args.algorithm
     if algorithm == "naive":
         family = HALVERSON if f.basis == SEMIGROUP else STEIN
         F = naive_transform(f, family)
@@ -243,7 +207,7 @@ def cmd_transform(config: CliConfig) -> int:
         bound_name = "naive"
     elif algorithm == "stein":
         if f.basis == SEMIGROUP:
-            if not config.convert:
+            if not args.convert:
                 raise CliError(2, "USAGE",
                                "stein needs the groupoid basis; pass --convert to change basis")
             F = stein_fft_semigroup(f)
@@ -255,7 +219,7 @@ def cmd_transform(config: CliConfig) -> int:
             bound_name = "stein"
     else:
         if f.basis == GROUPOID:
-            if not config.convert:
+            if not args.convert:
                 raise CliError(2, "USAGE",
                                "recursive needs the semigroup basis; pass --convert to change basis")
             f = to_semigroup(f)
@@ -268,30 +232,32 @@ def cmd_transform(config: CliConfig) -> int:
     data["bound"] = float(bound)
     data["bound_name"] = bound_name
     data["within_bound"] = ok
-    _emit(config, _dump_json(data))
+    _emit(args, _dump_json(data))
     if not ok:
         print(f"ERR:MATH: measured ops {F.ops.multiply_adds} exceed bound {bound}", file=sys.stderr)
         return 4
     return 0
 
 
-def cmd_invert(config: CliConfig) -> int:
+def cmd_invert(args: argparse.Namespace) -> int:
+    path = _one_input(args)
     try:
-        with open(config.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{config.input}: {exc}") from None
+        raise ParseError(f"{path}: {exc}") from None
     F = fc_from_json(data)
+    _check_n(F.n)
     f = fourier_invert(F)
-    _emit(config, _dump_json(element_to_json(f)))
+    _emit(args, _dump_json(element_to_json(f)))
     return 0
 
 
-def cmd_convolve(config: CliConfig) -> int:
-    if len(config.inputs) != 2:
+def cmd_convolve(args: argparse.Namespace) -> int:
+    if len(args.input) != 2:
         raise CliError(2, "USAGE", "convolve needs exactly two --input files")
     elems = []
-    for path in config.inputs:
+    for path in args.input:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 elems.append(element_from_json(json.load(fh)))
@@ -301,27 +267,26 @@ def cmd_convolve(config: CliConfig) -> int:
     if f.basis != g.basis:
         raise CliError(2, "USAGE", f"cannot convolve {f.basis} with {g.basis}")
     h = convolve_semigroup(f, g) if f.basis == SEMIGROUP else convolve_groupoid(f, g)
-    _emit(config, _dump_json(element_to_json(h)))
+    _emit(args, _dump_json(element_to_json(h)))
     return 0
 
 
-def cmd_analyze(config: CliConfig) -> int:
-    dataset = ingest(config.input, config.n)
-    report = analyze(dataset, config.association)
-    if config.format == "csv":
-        _emit(config, report_to_csv(report))
+def cmd_analyze(args: argparse.Namespace) -> int:
+    report = analyze(_load_dataset(args), args.association)
+    if args.format == "csv":
+        _emit(args, report_to_csv(report))
     else:
-        _emit(config, _dump_json(report_to_json_dict(report)))
+        _emit(args, _dump_json(report_to_json_dict(report)))
     return 0
 
 
-def cmd_bench(config: CliConfig) -> int:
-    top = config.n if config.n is not None else 4
+def cmd_bench(args: argparse.Namespace) -> int:
+    top = args.n
     if top < 1:
         raise CliError(2, "USAGE", "bench needs n >= 1")
     if top > BENCH_GUARD:
         raise CliError(2, "USAGE", f"bench refused for n > {BENCH_GUARD}")
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     rows = []
     all_agree = True
     for n in range(1, top + 1):
@@ -343,8 +308,8 @@ def cmd_bench(config: CliConfig) -> int:
             "bound_recursive": recursive_bound(n),
             "agree": agree,
         })
-    if config.format == "json":
-        _emit(config, _dump_json(rows))
+    if args.format == "json":
+        _emit(args, _dump_json(rows))
     else:
         header = ["n", "size", "ops_naive", "ops_stein", "ops_recursive",
                   "bound_naive", "bound_stein", "bound_recursive", "agree"]
@@ -354,7 +319,7 @@ def cmd_bench(config: CliConfig) -> int:
                 str(row[h]).lower() if h == "agree" else repr(row[h]) if isinstance(row[h], float) else str(row[h])
                 for h in header
             ))
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     if not all_agree:
         print("ERR:MATH: fast transforms disagree with the naive oracle", file=sys.stderr)
         return 4
@@ -368,7 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(_config(args))
+        return args.func(args)
     except CliError as exc:
         print(f"ERR:{exc.kind}: {exc}", file=sys.stderr)
         return exc.code

@@ -183,10 +183,6 @@ def branch_sn(shape: Shape) -> tuple[Shape, ...]:
     return tuple(remove_corner(shape, r) for r, _ in corners(shape))
 
 
-def restrict_sn(rep: GroupRep) -> tuple[Shape, ...]:
-    return branch_sn(rep.shape)
-
-
 def sn_fft(
     f: Mapping[Perm, complex], n: int, counter: OpCounter | None = None
 ) -> dict[Shape, np.ndarray]:

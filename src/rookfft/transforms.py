@@ -17,7 +17,6 @@ block set of either family via f(x) = (1/k!) Σ_{λ⊢k} f^λ tr(f̂(λ)·ρ(⌊
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -88,17 +87,6 @@ def _require_basis(f: AlgebraElement, basis: str, what: str) -> None:
         raise BasisMismatch(f"{what} takes the {basis} basis, got {f.basis}")
 
 
-def max_workers() -> int:
-    """Parallelism cap from ROOKFFT_THREADS (unset/invalid = 1, 0 = auto)."""
-    raw = os.environ.get("ROOKFFT_THREADS", "").strip()
-    if not raw or not raw.isdigit():
-        return 1
-    val = int(raw)
-    if val == 0:
-        return os.cpu_count() or 1
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Naive oracle
 # ---------------------------------------------------------------------------
@@ -157,24 +145,8 @@ def stein_fft(f: AlgebraElement, counter: OpCounter | None = None) -> FourierCoe
     blocks = {
         shape: np.zeros((dim(shape, n), dim(shape, n)), dtype=complex) for shape in labels(n)
     }
-    tasks = sorted(buckets.items())
-
-    def run(task):
-        (A, B), fab = task
-        local = OpCounter()
-        return (A, B), _sn_fft(fab, len(A), local), local
-
-    workers = max_workers()
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    for (A, B), sub, local in results:
-        counter.add(local.multiply_adds)
+    for (A, B), fab in sorted(buckets.items()):
+        sub = _sn_fft(fab, len(A), counter)
         a, b = ksubset_index(A), ksubset_index(B)
         for shape, cell in sub.items():
             d = num_standard(shape)
@@ -215,25 +187,13 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     return FourierCoefficients(f.n, HALVERSON, blocks, counter)
 
 
-def _naive_halverson(
-    fd: dict[PartialPermutation, complex], m: int, counter: OpCounter
-) -> dict[Shape, np.ndarray]:
-    terms = sorted(fd.items(), key=lambda kv: kv[0].image)
-    out: dict[Shape, np.ndarray] = {}
-    for shape in labels(m):
-        rep = halverson_rep(shape, m)
-        acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for s, c in terms:
-            scaled_accumulate(acc, c, rep.evaluate(s), counter)
-        out[shape] = acc
-    return out
-
-
 def _recursive(
     fd: dict[PartialPermutation, complex], m: int, counter: OpCounter
 ) -> dict[Shape, np.ndarray]:
     if m <= 2:
-        return _naive_halverson(fd, m, counter)
+        base = naive_transform(AlgebraElement(m, SEMIGROUP, fd), HALVERSON)
+        counter.add(base.ops.multiply_adds)
+        return base.blocks
 
     t_buckets: dict[int, dict[PartialPermutation, complex]] = {}
     up_buckets: dict[int, dict[PartialPermutation, complex]] = {}
@@ -404,25 +364,12 @@ def to_json_dict(F: FourierCoefficients) -> dict:
     data: dict = {"n": F.n, "family": F.family, "ops": F.ops.multiply_adds, "blocks": []}
     for shape in labels(F.n):
         M = F.blocks[shape]
-        entry: dict = {
+        data["blocks"].append({
             "lambda": list(shape),
             "k": sum(shape),
             "dim": int(M.shape[0]),
             "rows": _matrix_json(M),
-        }
-        if F.family == STEIN:
-            rep = stein_rep(shape, F.n)
-            d = rep.base.dim
-            entry["cells"] = [
-                {
-                    "A": list(A),
-                    "B": list(B),
-                    "matrix": _matrix_json(M[a * d : (a + 1) * d, b * d : (b + 1) * d]),
-                }
-                for a, A in enumerate(rep.subsets)
-                for b, B in enumerate(rep.subsets)
-            ]
-        data["blocks"].append(entry)
+        })
     return data
 
 

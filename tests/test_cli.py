@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,15 @@ class TestInvertAndConvolve:
         pf = write_element(tmp_path, "f.json", rand_elem(2, SEMIGROUP, 7))
         code, _, err = run(capsys, "convolve", "--input", pf)
         assert code == 2
+        assert err.startswith("ERR:USAGE:") and "exactly two --input" in err
+
+    @pytest.mark.parametrize("command", ["transform", "invert", "analyze"])
+    def test_single_input_commands_refuse_two(self, capsys, tmp_path, command):
+        pf = write_element(tmp_path, "f.json", rand_elem(2, SEMIGROUP, 7))
+        code, out, err = run(capsys, command, "--input", pf, "--input", pf)
+        assert code == 2
+        assert err.startswith("ERR:USAGE:") and "exactly one --input" in err
+        assert out == ""
 
 
 class TestAnalyze:
@@ -226,6 +236,56 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, "invert", "--input", str(path))
         assert_one_parse_error(code, err)
         assert out == ""
+
+
+def assert_one_usage_error(code, err):
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERR:USAGE:")
+    assert "n <= 8" in lines[0]
+    assert "Traceback" not in err
+
+
+class TestSizeGuard:
+    """n > 8 is refused after parsing, before any transform-sized allocation."""
+
+    def refused_at_once(self, capsys, *argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert_one_usage_error(code, err)
+        assert out == ""
+
+    def test_transform_refuses_n9_element(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 9, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->1", "re": 1.0, "im": 0.0}]}', encoding="utf-8")
+        self.refused_at_once(capsys, "transform", "--input", str(path))
+
+    @pytest.mark.parametrize("command", ["transform", "analyze"])
+    def test_refuses_inferred_n9_ballots(self, capsys, tmp_path, command):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n9->1,5\n", encoding="utf-8")
+        self.refused_at_once(capsys, command, "--input", str(path))
+
+    def test_analyze_refuses_given_n9(self, capsys, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n1->1,5\n", encoding="utf-8")
+        self.refused_at_once(capsys, "analyze", "--input", str(path), "--n", "9")
+
+    def test_invert_refuses_n9_block_set(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text('{"n": 9, "family": "stein", "blocks": []}', encoding="utf-8")
+        self.refused_at_once(capsys, "invert", "--input", str(path))
+
+    def test_n8_element_passes_the_guard(self, capsys, tmp_path):
+        # the guard refuses only n > 8; an empty n=8 element in the wrong basis
+        # for stein gets past it to the basis check
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 8, "basis": "semigroup", "terms": []}', encoding="utf-8")
+        code, _, err = run(capsys, "transform", "--input", str(path), "--algorithm", "stein")
+        assert code == 2
+        assert "--convert" in err and "n <= 8" not in err
 
 
 class TestBench:

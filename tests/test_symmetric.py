@@ -96,11 +96,6 @@ class TestBranching:
         assert branch_sn((4,)) == ((3,),)
         assert branch_sn((1, 1, 1, 1)) == ((1, 1, 1),)
 
-    def test_restrict_sn_reads_the_representation(self):
-        from rookfft.symmetric import restrict_sn
-
-        assert restrict_sn(seminormal_rep((3, 1))) == ((2, 1), (3,))
-
     @pytest.mark.parametrize("n", range(2, 6))
     def test_chain_adapted_equality(self, n):
         # evaluating λ ⊢ n on w ∈ S_{n-1} gives exactly the block diagonal of
