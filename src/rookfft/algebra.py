@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import cmath
 import random
+from itertools import chain
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .core import (
     DimensionMismatch,
     ParseError,
     PartialPermutation,
+    check_n,
     enumerate_rn,
-    restrictions,
+    size,
 )
 from .counting import OpCounter
+from .indexing import cell_index, element_index, elements_at, restriction_targets
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -130,34 +135,68 @@ def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.n, GROUPOID, out)
 
 
+def to_dense(f: AlgebraElement) -> np.ndarray:
+    """The coefficients of f as a complex vector indexed like enumerate_rn(f.n)."""
+    terms = len(f.coeffs)
+    images = chain.from_iterable(s.image for s in f.coeffs)
+    images = np.fromiter(images, dtype=np.int64, count=terms * f.n).reshape(terms, f.n)
+    out = np.zeros(size(f.n), dtype=complex)
+    out[element_index(f.n, images)] = np.fromiter(f.coeffs.values(), dtype=complex, count=terms)
+    return out
+
+
+def from_dense(n: int, basis: str, values: np.ndarray) -> AlgebraElement:
+    """The element with coefficient vector ``values`` (enumerate_rn(n) order);
+    entries below DROP_EPS in modulus are dropped, as by the constructor."""
+    keep = np.flatnonzero(np.abs(values) >= DROP_EPS)
+    return AlgebraElement(n, basis, dict(zip(elements_at(n, keep), values[keep].tolist())))
+
+
+_SCATTER_CHUNK = 1 << 16  # least pairs per bincount; bounds its temporaries near |R_n|
+
+
+def _spread(f: AlgebraElement, signed: bool) -> tuple[np.ndarray, int]:
+    """Σ_{x ≥ t} f(x) into slot t, times μ(t,x) = (−1)^(rk x − rk t) when
+    signed, as a scatter-add over the restriction table, a few rows of one
+    rank at a time; also returns Σ_{x ∈ support} 2^rk(x), the number of
+    terms added."""
+    values = to_dense(f)
+    length = size(f.n)
+    out = np.zeros(length, dtype=complex)
+    terms = 0
+    for k in range(f.n + 1):
+        source = values[cell_index(f.n, k).ravel()]
+        terms += int(np.count_nonzero(source)) << k
+        signs = np.ones(2**k)
+        if signed:
+            signs[[(k - j.bit_count()) % 2 == 1 for j in range(2**k)]] = -1.0
+        table = restriction_targets(f.n, k)
+        rows = max(1, max(length, _SCATTER_CHUNK) // len(source))
+        for j in range(0, 2**k, rows):
+            targets = table[j : j + rows].ravel()
+            for part, into in ((source.real, out.real), (source.imag, out.imag)):
+                into += np.bincount(targets, np.outer(signs[j : j + rows], part).ravel(), length)
+    return out, terms
+
+
 def to_groupoid(f: AlgebraElement, counter: OpCounter | None = None) -> AlgebraElement:
     """Zeta transform: the ⌊s⌋-coefficient is Σ_{x≥s} f(x).
 
     Each support element of rank k spreads over its 2^k restrictions, so a
-    full-support input costs Σ_k C(n,k)² k! 2^k ≤ 2^n |R_n| additions.
+    full-support input costs Σ_k C(n,k)² k! 2^k ≤ 2^n |R_n| additions.  Runs
+    as a scatter-add over the restriction table of R_n.
     """
     _require(f, SEMIGROUP)
-    out: dict[PartialPermutation, complex] = {}
-    ops = 0
-    for x, c in f.items():
-        for s in restrictions(x):
-            out[s] = out.get(s, 0j) + c
-            ops += 1
+    out, terms = _spread(f, signed=False)
     if counter is not None:
-        counter.add(ops)
-    return AlgebraElement(f.n, GROUPOID, out)
+        counter.add(terms)
+    return from_dense(f.n, GROUPOID, out)
 
 
 def to_semigroup(g: AlgebraElement) -> AlgebraElement:
     """Möbius inversion of the zeta transform: coefficient of t is Σ_{s≥t} μ(t,s)g(s)."""
     _require(g, GROUPOID)
-    out: dict[PartialPermutation, complex] = {}
-    for x, c in g.items():
-        k = x.rank
-        for t in restrictions(x):
-            sign = -1 if (k - t.rank) % 2 else 1
-            out[t] = out.get(t, 0j) + sign * c
-    return AlgebraElement(g.n, SEMIGROUP, out)
+    return from_dense(g.n, SEMIGROUP, _spread(g, signed=True)[0])
 
 
 def inner1(f: AlgebraElement, g: AlgebraElement) -> complex:
@@ -215,6 +254,7 @@ def from_json_dict(data: dict) -> AlgebraElement:
         terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad algebra element JSON: {exc}") from None
+    check_n(n)
     coeffs: dict[PartialPermutation, complex] = {}
     for term in terms:
         try:

@@ -31,6 +31,7 @@ from .algebra import (
 from .core import (
     DimensionMismatch,
     ParseError,
+    check_n,
     enumerate_rn,
     print_cycle_link,
     size,
@@ -53,7 +54,6 @@ from .transforms import (
     to_json_dict as fc_to_json,
 )
 
-MAX_N = 8  # largest n that enumerate, transform, invert and analyze accept
 BENCH_GUARD = 6
 
 
@@ -132,11 +132,6 @@ def _one_input(args: argparse.Namespace) -> str:
     return args.input[0]
 
 
-def _check_n(n: int) -> None:
-    if n > MAX_N:
-        raise CliError(2, "USAGE", f"n = {n} refused: |R_n| is too large (limit: n <= {MAX_N})")
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -156,7 +151,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(2, "USAGE", "n must be nonnegative")
-    _check_n(n)
+    check_n(n)
     elems = enumerate_rn(n)
     total = size(n)
     recursive_ok = total == size_recursive(n)
@@ -176,11 +171,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
-    if args.n is not None:  # refuse a given n before any ballot is built at that size
-        _check_n(args.n)
-    dataset = ingest(_one_input(args), args.n)
-    _check_n(dataset.n)
-    return dataset
+    if args.n is not None:  # refuse a given n before the file is opened
+        check_n(args.n)
+    return ingest(_one_input(args), args.n)
 
 
 def _load_element(args: argparse.Namespace) -> AlgebraElement:
@@ -192,9 +185,7 @@ def _load_element(args: argparse.Namespace) -> AlgebraElement:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    f = element_from_json(data)
-    _check_n(f.n)
-    return f
+    return element_from_json(data)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -247,7 +238,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     F = fc_from_json(data)
-    _check_n(F.n)
+    check_n(F.n)
     f = fourier_invert(F)
     _emit(args, _dump_json(element_to_json(f)))
     return 0

@@ -22,8 +22,12 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 
+MAX_N = 8  # largest ambient size accepted from outside the program
+
+
 class DimensionMismatch(ValueError):
-    """Operands belong to rook monoids of different ambient size."""
+    """Operands belong to rook monoids of different ambient size, or an
+    ambient size is refused."""
 
 
 class ParseError(ValueError):
@@ -54,6 +58,17 @@ class PartialPermutation:
         self.n = n
         self.image = img
         self._hash = hash((n, img))
+
+    @classmethod
+    def _unchecked(cls, n: int, images: Iterable[tuple[int, ...]]) -> list["PartialPermutation"]:
+        """Elements from image tuples the caller guarantees are valid
+        (generated, never parsed), without the checks of __init__."""
+        out = []
+        for image in images:
+            s = object.__new__(cls)
+            s.n, s.image, s._hash = n, image, hash((n, image))
+            out.append(s)
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "PartialPermutation":
@@ -261,6 +276,12 @@ def restrictions(s: PartialPermutation) -> Iterator[PartialPermutation]:
     for r in range(len(d) + 1):
         for sub in combinations(d, r):
             yield s.restrict(sub)
+
+
+def check_n(n: int) -> None:
+    """Refuse n > MAX_N, before anything n-long or |R_n|-long is built."""
+    if n > MAX_N:
+        raise DimensionMismatch(f"n = {n} refused: |R_n| is too large (limit: n <= {MAX_N})")
 
 
 def size(n: int) -> int:

@@ -83,6 +83,7 @@ class HalversonRep:
     transpositions: dict[int, np.ndarray]
     sparse: dict[int, Triplets]
     _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _link_triplets: dict[int, Triplets] = field(default_factory=dict, repr=False)
     _eval_cache: dict = field(default_factory=dict, repr=False)
     _groupoid_cache: dict = field(default_factory=dict, repr=False)
 
@@ -95,7 +96,12 @@ class HalversonRep:
         return hit
 
     def link_sparse(self, m: int) -> Triplets:
-        return sparse_triplets(self.link_image(m))
+        """Nonzero triplets of link_image(m), built once per m."""
+        hit = self._link_triplets.get(m)
+        if hit is None:
+            hit = sparse_triplets(self.link_image(m))
+            self._link_triplets[m] = hit
+        return hit
 
     def evaluate(self, s: PartialPermutation) -> np.ndarray:
         """ρ(s) via a generator word; at most 2 nonzeros per factor row."""

@@ -27,7 +27,7 @@ from .algebra import (
     BasisMismatch,
     to_groupoid,
 )
-from .core import ParseError, PartialPermutation
+from .core import ParseError, PartialPermutation, check_n
 from .rook_reps import labels
 from .symmetric import invariant_form
 from .tableaux import Shape, num_standard
@@ -50,7 +50,8 @@ def ingest(path, n: int | None = None) -> Dataset:
 
     The ballot field is the flat mapping form "a->b;c->d" ("" for the
     all-blank ballot).  When n is not given it is inferred from the largest
-    symbol mentioned.
+    symbol mentioned.  An n above MAX_N is refused (``DimensionMismatch``)
+    before any ballot is built.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _ingest_lines(fh, n)
@@ -82,6 +83,7 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
         raw.append((lineno, text, count))
     if n is None:
         n = biggest
+    check_n(n)
     merged: dict[PartialPermutation, float] = {}
     for lineno, text, count in raw:
         try:

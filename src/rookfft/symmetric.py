@@ -7,7 +7,10 @@ transforms for free and pay only for sparse multiplications by images of
 the coset representatives T_i = t_{i+1}···t_k.  The resulting multiply-add
 count is at most (2/3)k(k+1)²k!.
 
-Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).
+Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).  The
+FFT reads a function on S_k as a vector in Clausen order (``clausen_perms``),
+in which every coset of S_{m-1} in S_m is a contiguous run, so each level
+of the recursion is one reshape of a batch of such vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .counting import OpCounter, Triplets, accumulate, block_diag, left_apply, sparse_triplets
+from .counting import OpCounter
 from .tableaux import (
     Shape,
     Tableau,
@@ -110,7 +113,6 @@ class GroupRep:
     dim: int
     basis: tuple[Tableau, ...]
     transpositions: dict[int, np.ndarray]
-    sparse: dict[int, Triplets]
     _eval_cache: dict[Perm, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -135,13 +137,7 @@ def seminormal_rep(shape: Shape) -> GroupRep:
     k = sum(shape)
     basis = nstandard_tableaux(shape, k)
     images = {j: transposition_image(basis, j) for j in range(2, k + 1)}
-    return GroupRep(
-        shape=shape,
-        dim=len(basis),
-        basis=basis,
-        transpositions=images,
-        sparse={j: sparse_triplets(M) for j, M in images.items()},
-    )
+    return GroupRep(shape=shape, dim=len(basis), basis=basis, transpositions=images)
 
 
 @cache
@@ -183,6 +179,112 @@ def branch_sn(shape: Shape) -> tuple[Shape, ...]:
     return tuple(remove_corner(shape, r) for r, _ in corners(shape))
 
 
+@cache
+def clausen_perms(k: int) -> np.ndarray:
+    """Every w ∈ S_k in one-line notation, one row per Clausen column.
+
+    Row s is T_{i_k}···T_{i_2} with s = Σ_m (i_m − 1)·(m−1)!, where T_i at
+    level m is the cycle i → i+1 → … → m → i (so w(m) = i_m once the higher
+    levels are undone).  The last-level digit varies slowest, so the cosets
+    T_i·S_{m-1} are contiguous runs of (m−1)! columns.
+    """
+    table = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, k + 1):
+        ext = np.hstack([table, np.full((len(table), 1), m)])
+        runs = []
+        for i in range(1, m + 1):
+            values = np.arange(m + 1)
+            values[i:m] += 1
+            values[m] = i
+            runs.append(values[ext])
+        table = np.concatenate(runs)
+    table.flags.writeable = False
+    return table
+
+
+@cache
+def _clausen_column(k: int) -> dict[Perm, int]:
+    return {tuple(int(v) for v in w): s for s, w in enumerate(clausen_perms(k))}
+
+
+@cache
+def _coset_images(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray], ...]:
+    """For λ ⊢ m: (offset, d_μ, μ, Q) per μ in branch_sn(λ), with
+    Q[:, i·d_μ + s] = ρ_λ(T_{i+1})[:, offset + s] for i = 0..m−1: the columns
+    of the coset representative images that meet the μ block of the
+    subgroup transform, side by side."""
+    rep = seminormal_rep(shape)
+    m = rep.k
+    images = []
+    for i in range(1, m + 1):
+        P = np.eye(rep.dim)
+        for j in range(i + 1, m + 1):
+            P = P @ rep.transpositions[j]
+        images.append(P)
+    parts, offset = [], 0
+    for mu in branch_sn(shape):
+        d = num_standard(mu)
+        Q = np.concatenate([P[:, offset : offset + d] for P in images], axis=1)
+        parts.append((offset, d, mu, Q.astype(complex)))
+        offset += d
+    return tuple(parts)
+
+
+@cache
+def _coset_costs(m: int) -> np.ndarray:
+    """Multiply-adds of the coset T_i at level m, summed over λ ⊢ m: the
+    sparse left-multiplications by ρ_λ(t_m), …, ρ_λ(t_{i+1}), each costing
+    nnz·d_λ; entry i−1 for i = 1..m."""
+    costs = np.zeros(m, dtype=np.int64)
+    for shape in partitions(m):
+        rep = seminormal_rep(shape)
+        nnz = [np.count_nonzero(rep.transpositions[j]) for j in range(2, m + 1)]
+        for i in range(1, m + 1):
+            costs[i - 1] += rep.dim * sum(nnz[i - 1 :])
+    return costs
+
+
+def sn_fft_batch(
+    batch: np.ndarray, k: int, counter: OpCounter | None = None
+) -> dict[Shape, np.ndarray]:
+    """Transforms on S_k of a batch of functions, one row each in Clausen order.
+
+    Clausen's recursion run level by level over the whole batch: at level m
+    the m subgroup transforms of every coset node are reassembled
+    block-diagonally and multiplied by the dense images of the coset
+    representatives, one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)).  Returns a
+    (rows, d_λ, d_λ) stack per λ ⊢ k, in ``partitions(k)`` order.
+
+    The counter is charged what a sparse recursion over the nonzero entries
+    costs: a node of level m is visited only when its coset holds a nonzero
+    value, each visited child coset T_i pays its sparse left-multiplications
+    (``_coset_costs``), and each child after the first pays one addition per
+    block entry (Σ_λ d_λ² = m!).
+    """
+    if counter is None:
+        counter = OpCounter()
+    batch = np.asarray(batch, dtype=complex)
+    if batch.ndim != 2 or batch.shape[1] != factorial(k):
+        raise ValueError(f"batch must have {factorial(k)} columns, got shape {batch.shape}")
+    occupied = (batch != 0).ravel()
+    level = {shape: batch.reshape(-1, 1, 1).copy() for shape in partitions(min(k, 1))}
+    for m in range(2, k + 1):
+        children = occupied.reshape(-1, m)
+        occupied = children.any(axis=1)
+        visits = int(children.sum(axis=0) @ _coset_costs(m))
+        counter.add(visits + (int(children.sum()) - int(occupied.sum())) * factorial(m))
+        nodes = len(occupied)
+        nxt = {}
+        for shape in partitions(m):
+            d = num_standard(shape)
+            out = np.empty((nodes, d, d), dtype=complex)
+            for offset, dm, mu, Q in _coset_images(shape):
+                out[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
+            nxt[shape] = out
+        level = nxt
+    return level
+
+
 def sn_fft(
     f: Mapping[Perm, complex], n: int, counter: OpCounter | None = None
 ) -> dict[Shape, np.ndarray]:
@@ -190,43 +292,18 @@ def sn_fft(
 
     Recursive over the coset decomposition by w(n): the n subgroup
     transforms are reassembled block-diagonally for free and multiplied by
-    the sparse images of T_i = t_{i+1}···t_n.  Returns one d_λ×d_λ block per
-    λ ⊢ n; multiply-adds are charged to the counter.
+    the images of T_i = t_{i+1}···t_n.  Runs ``sn_fft_batch`` on a batch of
+    one.  Returns one d_λ×d_λ block per λ ⊢ n; multiply-adds are charged to
+    the counter.
     """
-    if counter is None:
-        counter = OpCounter()
-    cleaned = {tuple(w): complex(c) for w, c in f.items() if c != 0}
-    for w in cleaned:
-        if len(w) != n or sorted(w) != list(range(1, n + 1)):
-            raise ValueError(f"{w} is not a permutation of 1..{n}")
-    return _sn_fft(cleaned, n, counter)
-
-
-def _sn_fft(f: dict[Perm, complex], m: int, counter: OpCounter) -> dict[Shape, np.ndarray]:
-    if m <= 1:
-        # a single 1x1 identity block per representation: assignment only
-        key = tuple(range(1, m + 1))
-        return {shape: np.array([[f.get(key, 0j)]]) for shape in partitions(m)}
-
-    buckets: dict[int, dict[Perm, complex]] = {}
+    column = _clausen_column(n)
+    batch = np.zeros((1, factorial(n)), dtype=complex)
     for w, c in f.items():
-        i = w[m - 1]
-        vt = _descend_map(i, m)
-        buckets.setdefault(i, {})[tuple(vt[x] for x in w[: m - 1])] = c
-
-    subs = {i: _sn_fft(g, m - 1, counter) for i, g in sorted(buckets.items())}
-
-    out: dict[Shape, np.ndarray] = {}
-    for shape in partitions(m):
-        rep = seminormal_rep(shape)
-        acc = None
-        for i, sub in subs.items():
-            D = block_diag([sub[mu] for mu in branch_sn(shape)], rep.dim)
-            for j in range(m, i, -1):
-                D = left_apply(rep.sparse[j], D, counter)
-            acc = accumulate(acc, D, counter)
-        out[shape] = acc if acc is not None else np.zeros((rep.dim, rep.dim), dtype=complex)
-    return out
+        s = column.get(tuple(w))
+        if s is None:
+            raise ValueError(f"{w} is not a permutation of 1..{n}")
+        batch[0, s] = c
+    return {shape: blocks[0] for shape, blocks in sn_fft_batch(batch, n, counter).items()}
 
 
 def sn_naive(f: Mapping[Perm, complex], n: int) -> dict[Shape, np.ndarray]:

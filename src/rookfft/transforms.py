@@ -6,7 +6,8 @@ multiply-add counter:
 * ``naive_transform`` evaluates Σ f(s)ρ(s) directly and costs exactly
   support × Σ_λ dim(λ)² operations (≤ |R_n|² on full support);
 * ``stein_fft`` consumes the groupoid basis and runs one symmetric-group
-  FFT per (range, domain) cell, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops;
+  FFT per (range, domain) cell, batched per rank over a dense coefficient
+  vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops;
 * ``recursive_fft`` consumes the semigroup basis directly, splitting R_n
   into 2n translated copies of R_{n-1} plus a rank-dropping slice, with
   cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49.
@@ -23,7 +24,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, to_groupoid
+from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, to_dense, to_groupoid
 from .core import (
     ParseError,
     PartialPermutation,
@@ -40,8 +41,9 @@ from .counting import (
     right_apply,
     scaled_accumulate,
 )
+from .indexing import cell_index
 from .rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
-from .symmetric import _descend_map, _sn_fft, perm_inverse
+from .symmetric import _descend_map, perm_inverse, sn_fft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -128,29 +130,24 @@ def naive_transform(f: AlgebraElement, family: str) -> FourierCoefficients:
 
 
 def stein_fft(f: AlgebraElement, counter: OpCounter | None = None) -> FourierCoefficients:
-    """FFT of a groupoid-basis element: one S_k FFT per nonempty cell.
+    """FFT of a groupoid-basis element: one batched S_k FFT per rank k.
 
     The (A,B) cell of the λ-block (λ ⊢ k) is the S_k transform of
     s ↦ f(p_({1..k}→A)·s·p_(B→{1..k})), so the whole transform is
-    C(n,k)² independent symmetric-group FFTs for each k.
+    C(n,k)² independent symmetric-group FFTs for each k, run together as the
+    rows of one batch gathered from the dense coefficient vector.
     """
     _require_basis(f, GROUPOID, "stein_fft")
     if counter is None:
         counter = OpCounter()
     n = f.n
-    buckets: dict[tuple, dict[tuple, complex]] = {}
-    for s, c in f.coeffs.items():
-        ran, y, dom = factorize(s)
-        buckets.setdefault((ran, dom), {})[y.image] = c
-    blocks = {
-        shape: np.zeros((dim(shape, n), dim(shape, n)), dtype=complex) for shape in labels(n)
-    }
-    for (A, B), fab in sorted(buckets.items()):
-        sub = _sn_fft(fab, len(A), counter)
-        a, b = ksubset_index(A), ksubset_index(B)
-        for shape, cell in sub.items():
-            d = num_standard(shape)
-            blocks[shape][a * d : (a + 1) * d, b * d : (b + 1) * d] = cell
+    coeffs = to_dense(f)
+    blocks: dict[Shape, np.ndarray] = {}
+    for k in range(n + 1):
+        c = comb(n, k)
+        for shape, cells in sn_fft_batch(coeffs[cell_index(n, k)], k, counter).items():
+            d = cells.shape[-1]
+            blocks[shape] = cells.reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(c * d, c * d)
     return FourierCoefficients(n, STEIN, blocks, counter)
 
 

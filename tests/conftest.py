@@ -2,12 +2,26 @@ import random
 
 from hypothesis import strategies as st
 
-from rookfft.algebra import AlgebraElement, random_element
+from rookfft.algebra import GROUPOID, AlgebraElement, random_element
 from rookfft.core import PartialPermutation
 
 
 def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraElement:
     return random_element(n, basis, random.Random(seed), support)
+
+
+def sparse_element(n: int, terms: int, seed: int) -> AlgebraElement:
+    """A seeded groupoid-basis element with the given number of terms,
+    drawn without enumerating R_n."""
+    rng = random.Random(seed)
+    coeffs = {}
+    while len(coeffs) < terms:
+        k = rng.randint(0, n)
+        pairs = zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k))
+        coeffs[PartialPermutation.from_pairs(n, pairs)] = complex(
+            rng.uniform(-1, 1), rng.uniform(-1, 1)
+        )
+    return AlgebraElement(n, GROUPOID, coeffs)
 
 
 @st.composite

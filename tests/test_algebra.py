@@ -5,15 +5,18 @@ from hypothesis import given, settings
 
 from conftest import partial_perms, rand_elem
 from rookfft.algebra import (
+    DROP_EPS,
     GROUPOID,
     SEMIGROUP,
     AlgebraElement,
     BasisMismatch,
     convolve_groupoid,
     convolve_semigroup,
+    from_dense,
     from_json_dict,
     inner1,
     inner2,
+    to_dense,
     to_groupoid,
     to_json_dict,
     to_semigroup,
@@ -25,6 +28,7 @@ from rookfft.core import (
     compose,
     enumerate_rn,
     idempotent_on,
+    restrictions,
     size,
 )
 from rookfft.counting import OpCounter
@@ -185,6 +189,43 @@ class TestInnerProducts:
         f = rand_elem(2, GROUPOID, 31)
         g = rand_elem(2, GROUPOID, 32)
         assert abs(inner2(f, g) - inner2(g, f).conjugate()) < 1e-12
+
+
+def restriction_loop(f, signed):
+    """The basis change as a loop over restrictions(x) per support element x:
+    the reference for the dense scatter-add."""
+    out = {}
+    for x, c in f.items():
+        for t in restrictions(x):
+            sign = -1 if signed and (x.rank - t.rank) % 2 else 1
+            out[t] = out.get(t, 0j) + sign * c
+    return {t: c for t, c in out.items() if abs(c) >= DROP_EPS}
+
+
+class TestDenseBasisChange:
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("support", ["full", "sparse"])
+    def test_matches_restriction_loop(self, n, support):
+        f = rand_elem(n, SEMIGROUP, 300 + n, support)
+        g = rand_elem(n, GROUPOID, 310 + n, support)
+        counter = OpCounter()
+        for got, want in (
+            (to_groupoid(f, counter), restriction_loop(f, signed=False)),
+            (to_semigroup(g), restriction_loop(g, signed=True)),
+        ):
+            assert set(got.coeffs) == set(want)
+            assert all(abs(got[t] - c) <= 1e-12 for t, c in want.items())
+        assert counter.multiply_adds == sum(1 << x.rank for x in f.coeffs)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_dense_round_trip(self, n):
+        f = rand_elem(n, GROUPOID, 320 + n, support="sparse")
+        values = to_dense(f)
+        assert [values[i] for i, s in enumerate(enumerate_rn(n))] == [
+            f[s] for s in enumerate_rn(n)
+        ]
+        back = from_dense(n, GROUPOID, values)
+        assert back.basis == GROUPOID and back.coeffs == f.coeffs
 
 
 @pytest.mark.parametrize("n", range(9))

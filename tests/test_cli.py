@@ -13,7 +13,7 @@ from rookfft.algebra import (
     to_json_dict as element_to_json,
 )
 from rookfft.cli import main
-from rookfft.core import size
+from rookfft.core import PartialPermutation, size
 from rookfft.transforms import from_json_dict as fc_from_json, naive_transform
 
 
@@ -286,6 +286,38 @@ class TestSizeGuard:
         code, _, err = run(capsys, "transform", "--input", str(path), "--algorithm", "stein")
         assert code == 2
         assert "--convert" in err and "n <= 8" not in err
+
+
+class TestHugeN:
+    """A declared or inferred n above MAX_N is refused while parsing, before
+    any element (and its n-long image tuple) is built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def refuse(cls, n, pairs):
+            calls.append(n)
+            raise AssertionError(f"an element of R_{n} was built")
+
+        monkeypatch.setattr(PartialPermutation, "from_pairs", classmethod(refuse))
+        return calls
+
+    def test_element_json(self, capsys, tmp_path, built):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 100000000, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->1", "re": 1.0, "im": 0.0}]}', encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path))
+        assert_one_usage_error(code, err)
+        assert out == "" and built == []
+
+    @pytest.mark.parametrize("command", ["transform", "analyze"])
+    def test_ballot_file(self, capsys, tmp_path, built, command):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n100000000->1,5\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert_one_usage_error(code, err)
+        assert out == "" and built == []
 
 
 class TestBench:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import rand_elem
+from conftest import rand_elem, sparse_element
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -189,6 +189,12 @@ class TestSpectrum:
         assert rep.total == sum(rep.energies.values())
         assert all(e >= 0.0 for e in rep.energies.values())
         assert set(rep.energies) == set(labels(6))
+
+    def test_parseval_residual_at_n7(self):
+        g = sparse_element(7, 2000, seed=77)
+        rep = spectrum(g)
+        assert rep.parseval_residual <= 1e-9 * inner2(g, g).real
+        assert set(rep.energies) == set(labels(7))
 
     def test_association_models_differ_below_full_rank(self):
         d = Dataset(2, [(pp(2, "1->1"), 1.0)])

@@ -9,11 +9,13 @@ from rookfft.symmetric import (
     all_perms,
     adjacent_word,
     branch_sn,
+    clausen_perms,
     invariant_form,
     perm_compose,
     perm_inverse,
     seminormal_rep,
     sn_fft,
+    sn_fft_batch,
     sn_ifft,
     sn_naive,
 )
@@ -190,6 +192,48 @@ class TestSnFFT:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             sn_fft({(1, 1): 1.0}, 2)
+
+    def test_op_counts_of_the_sparse_recursion(self):
+        # the counts the per-coset recursion charged before the batched kernel
+        counts = []
+        for n in range(1, 6):
+            counter = OpCounter()
+            sn_fft(rand_fn(n, seed=n), n, counter)
+            counts.append(counter.multiply_adds)
+        assert counts == [0, 4, 50, 484, 4760]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("k", range(6))
+    def test_clausen_order(self, k):
+        perms = clausen_perms(k)
+        assert sorted(map(tuple, perms.tolist())) == sorted(all_perms(k))
+        if k:
+            # the top-level coset T_i·S_(k-1) is the i-th run of (k-1)! columns
+            runs = np.arange(factorial(k)) // factorial(k - 1) + 1
+            assert np.array_equal(perms[:, k - 1], runs)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_rows_match_naive_and_single_runs(self, k):
+        rng = random.Random(70 + k)
+        perms = [tuple(w) for w in clausen_perms(k).tolist()]
+        rows = []
+        for keep in (1.0, 0.5, 0.2, 0.0):  # full, sparse, sparser and empty rows
+            rows.append([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                         if rng.random() < keep else 0j for _ in perms])
+        counter = OpCounter()
+        blocks = sn_fft_batch(np.array(rows), k, counter)
+        assert list(blocks) == list(partitions(k))
+        single_total = 0
+        for r, row in enumerate(rows):
+            f = {w: c for w, c in zip(perms, row) if c != 0}
+            want = sn_naive(f, k)
+            for shape in partitions(k):
+                assert np.allclose(blocks[shape][r], want[shape], atol=1e-9)
+            single = OpCounter()
+            sn_fft(f, k, single)
+            single_total += single.multiply_adds
+        assert counter.multiply_adds == single_total
 
 
 class TestInvariantForm:

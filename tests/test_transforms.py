@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from rookfft.algebra import (
     to_groupoid,
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
-from rookfft.rook_reps import dim, labels
+from rookfft.counting import sparse_triplets
+from rookfft.rook_reps import HalversonRep, dim, labels, stein_rep
 from rookfft.transforms import (
     FourierCoefficients,
     blockwise_product,
@@ -344,9 +346,53 @@ class TestSparseSupport:
         assert stein_fft_semigroup(f).allclose(oracle, 1e-9)
         assert recursive_fft(f).allclose(naive_transform(f, "halverson"), 1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_recursive_blocks_unchanged_by_link_cache(self, n, monkeypatch):
+        f = rand_elem(n, SEMIGROUP, 120 + n)
+        cached = recursive_fft(f)
+        monkeypatch.setattr(HalversonRep, "link_sparse",
+                            lambda self, m: sparse_triplets(self.link_image(m)))
+        rebuilt = recursive_fft(f)
+        assert all(np.array_equal(cached.blocks[sh], rebuilt.blocks[sh]) for sh in labels(n))
+        assert cached.ops.multiply_adds == rebuilt.ops.multiply_adds
+
     def test_halverson_family_inversion_at_n4(self):
         g = rand_elem(4, SEMIGROUP, 207)
         assert fourier_invert(recursive_fft(g)).allclose(to_groupoid(g), 1e-9)
+
+
+class TestPinnedOpCounts:
+    """multiply_adds of the per-cell S_k recursion, pinned: the batched
+    kernel charges exactly what that recursion charged, sparse inputs too."""
+
+    def test_full_support_at_n6(self):
+        assert stein_fft(rand_elem(6, GROUPOID, 206)).ops.multiply_adds == 350_600
+        assert stein_fft_semigroup(rand_elem(6, SEMIGROUP, 106)).ops.multiply_adds == 642_393
+
+    @pytest.mark.parametrize("n, stein, semigroup", [
+        (1, 0, 3), (2, 2, 12), (3, 48, 121), (4, 1034, 2019), (5, 17530, 30207),
+        (6, 309_840, 490_109),
+    ])
+    def test_sparse_support(self, n, stein, semigroup):
+        g = rand_elem(n, GROUPOID, 200 + n, support="sparse")
+        f = rand_elem(n, SEMIGROUP, 100 + n, support="sparse")
+        assert stein_fft(g).ops.multiply_adds == stein
+        assert stein_fft_semigroup(f).ops.multiply_adds == semigroup
+
+
+class TestScalableOracles:
+    def test_deltas_at_n7_match_stein_rep(self):
+        # beyond the naive oracle: the transform of ⌊x⌋ is the image of x
+        n = 7
+        rng = random.Random(7)
+        for k in range(n + 1):
+            for _ in range(2):
+                pairs = zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k))
+                x = PP.from_pairs(n, pairs)
+                F = stein_fft(delta(n, x, GROUPOID))
+                for sh in labels(n):
+                    assert np.allclose(F.blocks[sh], stein_rep(sh, n).eval_groupoid(x),
+                                       rtol=0.0, atol=1e-9)
 
 
 class TestSerialization:
