@@ -1,17 +1,16 @@
 """Wall time and multiply-adds of the stein path on full-support inputs.
 
-    PYTHONPATH=src python3 scripts/bench_stein.py --max-n 7 --repeats 3
+    PYTHONPATH=src python3 scripts/bench_stein.py
 
-For each n, one seeded full-support element of R_n per basis goes through
-``to_groupoid``, ``stein_fft`` and ``stein_fft_semigroup``.  Each call runs
-once untimed, so caches and tables are built, then ``--repeats`` times
+For each n ≤ MAX_N, one seeded full-support element of R_n per basis goes
+through ``to_groupoid``, ``stein_fft`` and ``stein_fft_semigroup``.  Each
+call runs once untimed, so caches and tables are built, then REPEATS times
 timed; the minimum wall time is reported with the call's multiply-adds.
 Prints one JSON object.  Run it against two checkouts to compare them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -25,11 +24,15 @@ from rookfft.core import size
 from rookfft.counting import OpCounter
 from rookfft.transforms import stein_fft, stein_fft_semigroup
 
+MAX_N = 7
+REPEATS = 3
+SEED = 0
 
-def _min_time(fn, arg, repeats: int) -> float:
+
+def _min_time(fn, arg) -> float:
     fn(arg)
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn(arg)
         best = min(best, time.perf_counter() - t0)
@@ -54,22 +57,17 @@ def _cpu_model() -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
     rows = []
-    for n in range(1, args.max_n + 1):
-        f = random_element(n, SEMIGROUP, random.Random(args.seed + n))
-        g = random_element(n, GROUPOID, random.Random(args.seed + 100 + n))
+    for n in range(1, MAX_N + 1):
+        f = random_element(n, SEMIGROUP, random.Random(SEED + n))
+        g = random_element(n, GROUPOID, random.Random(SEED + 100 + n))
         rows.append({
             "n": n,
             "size": size(n),
             "seconds": {
-                "to_groupoid": _min_time(to_groupoid, f, args.repeats),
-                "stein_fft": _min_time(stein_fft, g, args.repeats),
-                "stein_fft_semigroup": _min_time(stein_fft_semigroup, f, args.repeats),
+                "to_groupoid": _min_time(to_groupoid, f),
+                "stein_fft": _min_time(stein_fft, g),
+                "stein_fft_semigroup": _min_time(stein_fft_semigroup, f),
             },
             "multiply_adds": {
                 "to_groupoid": _zeta_ops(f),
@@ -83,7 +81,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    print(json.dumps({"repeats": args.repeats, "seed": args.seed, "machine": machine,
+    print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
                       "rows": rows}, indent=2))
 
 

@@ -26,7 +26,7 @@ from .core import (
     size,
 )
 from .counting import OpCounter
-from .indexing import cell_index, element_index, elements_at, restriction_targets
+from .indexing import element_index, elements_at, without_point
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -135,13 +135,19 @@ def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.n, GROUPOID, out)
 
 
-def to_dense(f: AlgebraElement) -> np.ndarray:
-    """The coefficients of f as a complex vector indexed like enumerate_rn(f.n)."""
+def _support(f: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """(terms, n) int64 image rows and the complex coefficients of f's support."""
     terms = len(f.coeffs)
     images = chain.from_iterable(s.image for s in f.coeffs)
     images = np.fromiter(images, dtype=np.int64, count=terms * f.n).reshape(terms, f.n)
+    return images, np.fromiter(f.coeffs.values(), dtype=complex, count=terms)
+
+
+def to_dense(f: AlgebraElement) -> np.ndarray:
+    """The coefficients of f as a complex vector indexed like enumerate_rn(f.n)."""
+    images, values = _support(f)
     out = np.zeros(size(f.n), dtype=complex)
-    out[element_index(f.n, images)] = np.fromiter(f.coeffs.values(), dtype=complex, count=terms)
+    out[element_index(f.n, images)] = values
     return out
 
 
@@ -152,31 +158,23 @@ def from_dense(n: int, basis: str, values: np.ndarray) -> AlgebraElement:
     return AlgebraElement(n, basis, dict(zip(elements_at(n, keep), values[keep].tolist())))
 
 
-_SCATTER_CHUNK = 1 << 16  # least pairs per bincount; bounds its temporaries near |R_n|
-
-
 def _spread(f: AlgebraElement, signed: bool) -> tuple[np.ndarray, int]:
     """Σ_{x ≥ t} f(x) into slot t, times μ(t,x) = (−1)^(rk x − rk t) when
-    signed, as a scatter-add over the restriction table, a few rows of one
-    rank at a time; also returns Σ_{x ∈ support} 2^rk(x), the number of
-    terms added."""
-    values = to_dense(f)
-    length = size(f.n)
-    out = np.zeros(length, dtype=complex)
-    terms = 0
-    for k in range(f.n + 1):
-        source = values[cell_index(f.n, k).ravel()]
-        terms += int(np.count_nonzero(source)) << k
-        signs = np.ones(2**k)
-        if signed:
-            signs[[(k - j.bit_count()) % 2 == 1 for j in range(2**k)]] = -1.0
-        table = restriction_targets(f.n, k)
-        rows = max(1, max(length, _SCATTER_CHUNK) // len(source))
-        for j in range(0, 2**k, rows):
-            targets = table[j : j + rows].ravel()
-            for part, into in ((source.real, out.real), (source.imag, out.imag)):
-                into += np.bincount(targets, np.outer(signs[j : j + rows], part).ravel(), length)
-    return out, terms
+    signed; also returns Σ_{x ∈ support} 2^rk(x), the terms the direct sum
+    adds.  Runs as a Yates pass over the domain points: t ≤ x exactly when t
+    is x with some of its pairs removed, and μ is −1 per pair removed, so
+    pushing every nonzero value at an x with p in its domain onto x without
+    p, for p = 1..n in turn, sums each f(x) into each t ≤ x once.  Each step
+    touches only nonzero slots; the work is at most n·|R_n| lookups and
+    needs no table over the pairs t ≤ x."""
+    images, values = _support(f)
+    out = np.zeros(size(f.n), dtype=complex)
+    out[element_index(f.n, images)] = values
+    sign = -1.0 if signed else 1.0
+    for p in range(f.n):
+        sources, targets = without_point(f.n, np.flatnonzero(out), p)
+        np.add.at(out, targets, sign * out[sources])
+    return out, int((1 << np.count_nonzero(images, axis=1)).sum())
 
 
 def to_groupoid(f: AlgebraElement, counter: OpCounter | None = None) -> AlgebraElement:
@@ -184,7 +182,7 @@ def to_groupoid(f: AlgebraElement, counter: OpCounter | None = None) -> AlgebraE
 
     Each support element of rank k spreads over its 2^k restrictions, so a
     full-support input costs Σ_k C(n,k)² k! 2^k ≤ 2^n |R_n| additions.  Runs
-    as a scatter-add over the restriction table of R_n.
+    as a Yates pass that removes one domain point at a time.
     """
     _require(f, SEMIGROUP)
     out, terms = _spread(f, signed=False)

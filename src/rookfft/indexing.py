@@ -9,7 +9,8 @@ range subsets A, domain subsets B (colex order) and y ∈ S_k (Clausen
 order), which is the (cell, column) layout the groupoid FFT consumes.
 
 Every table is built once per n (and rank) with numpy, is read-only and
-holds int32 positions.
+holds int32 positions.  Restrictions are located per call, one domain
+point at a time, so no table over all pairs t ≤ x exists.
 """
 
 from __future__ import annotations
@@ -74,18 +75,12 @@ def cell_index(n: int, k: int) -> np.ndarray:
     return _frozen(np.searchsorted(image_codes(n), codes).astype(np.int32))
 
 
-@cache
-def restriction_targets(n: int, k: int) -> np.ndarray:
-    """(2^k, C(n,k)²·k!) int32: column r lists the positions of the
-    restrictions of the rank-k element at ``cell_index(n, k).flat[r]``; row j
-    keeps the domain pairs B[i] → A[y(i)] whose bit i is set in j, so its
-    restrictions have rank popcount(j).  Together the ranks hold all
-    Σ_k C(n,k)²k!2^k pairs t ≤ x.  Built one range subset at a time, so the
-    int64 codes never exist for the whole rank at once."""
-    keep = (np.arange(2**k)[None, :] >> np.arange(k)[:, None]) & 1  # (k, 2^k)
-    terms = _terms(n, k)
-    out = np.empty((2**k, terms.shape[0], terms.shape[1] * terms.shape[2]), dtype=np.int32)
-    for a, rows in enumerate(terms):
-        codes = (rows @ keep).reshape(-1, 2**k)
-        out[:, a, :] = np.searchsorted(image_codes(n), codes).T
-    return _frozen(out.reshape(2**k, -1))
+def without_point(n: int, positions: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of these positions, the ones whose element has p in its domain
+    (p counted from 0), and the positions of those elements with the pair at
+    p removed; the work is one searchsorted per element kept."""
+    codes = image_codes(n)
+    weight = (n + 1) ** (n - 1 - p)
+    digit = codes[positions] // weight % (n + 1)
+    kept = np.flatnonzero(digit)
+    return positions[kept], np.searchsorted(codes, codes[positions[kept]] - digit[kept] * weight)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -193,7 +194,7 @@ class TestInnerProducts:
 
 def restriction_loop(f, signed):
     """The basis change as a loop over restrictions(x) per support element x:
-    the reference for the dense scatter-add."""
+    the reference for the dense Yates pass."""
     out = {}
     for x, c in f.items():
         for t in restrictions(x):
@@ -226,6 +227,24 @@ class TestDenseBasisChange:
         ]
         back = from_dense(n, GROUPOID, values)
         assert back.basis == GROUPOID and back.coeffs == f.coeffs
+
+    def test_one_term_at_n8_builds_no_pair_table(self):
+        # a table of every pair t <= x in R_8 holds 101.8 M positions (407 MB
+        # as int32); the basis changes of one term must stay far below that
+        x = PP.from_pairs(8, [(1, 3), (2, 5), (7, 7)])
+        f = AlgebraElement(8, SEMIGROUP, {x: 1.5 - 2j})
+        counter = OpCounter()
+        tracemalloc.start()
+        try:
+            g = to_groupoid(f, counter)
+            back = to_semigroup(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert g.coeffs == {t: 1.5 - 2j for t in restrictions(x)}
+        assert counter.multiply_adds == 8
+        assert back.coeffs == f.coeffs
 
 
 @pytest.mark.parametrize("n", range(9))

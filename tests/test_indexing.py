@@ -3,8 +3,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from rookfft.core import enumerate_rn, factorize, ksubset_index, restrictions
-from rookfft.indexing import cell_index, element_index, elements_at, restriction_targets
+from rookfft.core import enumerate_rn, factorize, ksubset_index
+from rookfft.indexing import cell_index, element_index, elements_at, without_point
 from rookfft.symmetric import clausen_perms
 
 
@@ -32,15 +32,13 @@ def test_cells_hold_the_canonical_factorization(n):
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_restriction_targets_list_every_restriction(n):
+def test_without_point_removes_one_pair(n):
     elems = enumerate_rn(n)
-    for k in range(n + 1):
-        targets = restriction_targets(n, k)
-        assert targets.dtype == np.int32 and targets.shape[0] == 2**k
-        for column, at in enumerate(cell_index(n, k).ravel()):
-            x = elems[at]
-            found = [elems[t] for t in targets[:, column]]
-            assert sorted(found, key=lambda s: s.image) == sorted(
-                restrictions(x), key=lambda s: s.image
-            )
-            assert [t.rank for t in found] == [j.bit_count() for j in range(2**k)]
+    everything = np.arange(len(elems))
+    for p in range(n):
+        sources, targets = without_point(n, everything, p)
+        assert [elems[i] for i in sources] == [x for x in elems if x.image[p]]
+        for i, t in zip(sources, targets):
+            image = list(elems[i].image)
+            image[p] = 0
+            assert elems[t].image == tuple(image)
