@@ -252,6 +252,8 @@ def from_json_dict(data: dict) -> AlgebraElement:
         terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad algebra element JSON: {exc}") from None
+    if not isinstance(terms, list):
+        raise ParseError(f"bad algebra element JSON: terms must be a list, not {type(terms).__name__}")
     check_n(n)
     coeffs: dict[PartialPermutation, complex] = {}
     for term in terms:
@@ -260,6 +262,8 @@ def from_json_dict(data: dict) -> AlgebraElement:
             c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
+        if not isinstance(flat, str):
+            raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
         if not cmath.isfinite(c):
             raise ParseError(f"non-finite coefficient {c} for {flat!r}")
         s = PartialPermutation.from_flat(n, flat)

@@ -149,8 +149,6 @@ def _dump_json(data) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 0:
-        raise CliError(2, "USAGE", "n must be nonnegative")
     check_n(n)
     elems = enumerate_rn(n)
     total = size(n)

@@ -279,9 +279,10 @@ def restrictions(s: PartialPermutation) -> Iterator[PartialPermutation]:
 
 
 def check_n(n: int) -> None:
-    """Refuse n > MAX_N, before anything n-long or |R_n|-long is built."""
-    if n > MAX_N:
-        raise DimensionMismatch(f"n = {n} refused: |R_n| is too large (limit: n <= {MAX_N})")
+    """Refuse n outside 0..MAX_N, before anything n-long or |R_n|-long is built."""
+    if not 0 <= n <= MAX_N:
+        why = "n is negative" if n < 0 else "|R_n| is too large"
+        raise DimensionMismatch(f"n = {n} refused: {why} (limit: 0 <= n <= {MAX_N})")
 
 
 def size(n: int) -> int:

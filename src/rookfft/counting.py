@@ -2,9 +2,12 @@
 
 One operation is a single complex multiplication followed by a complex
 addition; a plain addition also counts as one.  Multiplication by a
-structurally-known identity matrix is free, and the sparse-apply helpers
-charge exactly one operation per stored nonzero per vector entry, which is
-what makes the divide-and-conquer bounds hold with their stated constants.
+structurally-known identity matrix is free.  A product with a sparse
+matrix costs nnz × columns: one operation per stored nonzero per column of
+the other factor, whatever dense kernel carries it out.  Summing t
+matrices of size s costs (t - 1)·s, the first term being an assignment.
+These rules are what make the divide-and-conquer bounds hold with their
+stated constants.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Triplets = tuple[tuple[int, int, float], ...]
-
 
 @dataclass
 class OpCounter:
@@ -22,39 +23,6 @@ class OpCounter:
 
     def add(self, k: int) -> None:
         self.multiply_adds += k
-
-
-def sparse_triplets(M: np.ndarray) -> Triplets:
-    """(row, col, value) triplets of the nonzero entries of M."""
-    rows, cols = np.nonzero(M)
-    return tuple((int(r), int(c), float(M[r, c])) for r, c in zip(rows, cols))
-
-
-def left_apply(sp: Triplets, A: np.ndarray, counter: OpCounter) -> np.ndarray:
-    """sp @ A for a square sparse matrix; costs nnz·(columns of A)."""
-    out = np.zeros(A.shape, dtype=complex)
-    for r, c, v in sp:
-        out[r] += v * A[c]
-    counter.add(len(sp) * A.shape[1])
-    return out
-
-
-def right_apply(A: np.ndarray, sp: Triplets, counter: OpCounter) -> np.ndarray:
-    """A @ sp for a square sparse matrix; costs nnz·(rows of A)."""
-    out = np.zeros(A.shape, dtype=complex)
-    for r, c, v in sp:
-        out[:, c] += v * A[:, r]
-    counter.add(len(sp) * A.shape[0])
-    return out
-
-
-def accumulate(acc: np.ndarray | None, B: np.ndarray, counter: OpCounter) -> np.ndarray:
-    """Running matrix sum; the first term is an assignment and costs nothing."""
-    if acc is None:
-        return B.astype(complex, copy=True)
-    counter.add(B.size)
-    acc += B
-    return acc
 
 
 def scaled_accumulate(acc: np.ndarray, c: complex, M: np.ndarray, counter: OpCounter) -> None:

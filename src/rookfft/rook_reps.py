@@ -30,7 +30,6 @@ from .core import (
     ksubsets,
     restrictions,
 )
-from .counting import Triplets, sparse_triplets
 from .symmetric import GroupRep, seminormal_rep, transposition_image
 from .tableaux import (
     Shape,
@@ -81,9 +80,7 @@ class HalversonRep:
     dim: int
     basis: tuple
     transpositions: dict[int, np.ndarray]
-    sparse: dict[int, Triplets]
     _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _link_triplets: dict[int, Triplets] = field(default_factory=dict, repr=False)
     _eval_cache: dict = field(default_factory=dict, repr=False)
     _groupoid_cache: dict = field(default_factory=dict, repr=False)
 
@@ -93,14 +90,6 @@ class HalversonRep:
         if hit is None:
             hit = np.diag([0.0 if m in entries(L) else 1.0 for L in self.basis])
             self._links[m] = hit
-        return hit
-
-    def link_sparse(self, m: int) -> Triplets:
-        """Nonzero triplets of link_image(m), built once per m."""
-        hit = self._link_triplets.get(m)
-        if hit is None:
-            hit = sparse_triplets(self.link_image(m))
-            self._link_triplets[m] = hit
         return hit
 
     def evaluate(self, s: PartialPermutation) -> np.ndarray:
@@ -138,14 +127,7 @@ def halverson_rep(shape: Shape, n: int) -> HalversonRep:
         raise ValueError(f"weight of {shape} exceeds n = {n}")
     basis = nstandard_tableaux(shape, n)
     images = {j: transposition_image(basis, j) for j in range(2, n + 1)}
-    return HalversonRep(
-        shape=shape,
-        n=n,
-        dim=len(basis),
-        basis=basis,
-        transpositions=images,
-        sparse={j: sparse_triplets(M) for j, M in images.items()},
-    )
+    return HalversonRep(shape=shape, n=n, dim=len(basis), basis=basis, transpositions=images)
 
 
 @dataclass

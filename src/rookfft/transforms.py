@@ -33,14 +33,7 @@ from .core import (
     ksubset_index,
     size,
 )
-from .counting import (
-    OpCounter,
-    accumulate,
-    block_diag,
-    left_apply,
-    right_apply,
-    scaled_accumulate,
-)
+from .counting import OpCounter, block_diag, scaled_accumulate
 from .indexing import cell_index
 from .rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
 from .symmetric import _descend_map, perm_inverse, sn_fft_batch
@@ -175,8 +168,9 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     x = s·T^i when x sends i to n without using n itself, and x = [n]·s
     when n touches neither side; each slice is a translated copy of
     R_{n-1}.  The 2n subtransforms are reassembled block-diagonally for
-    free thanks to chain adaptation, then multiplied by sparse generator
-    images.  Base case n ≤ 2 is naive.
+    free thanks to chain adaptation, then multiplied by the dense images of
+    the generators t_j and [n], each product charged nnz × columns.  Base
+    case n ≤ 2 is naive.
     """
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
@@ -216,26 +210,32 @@ def _recursive(
     sub_up = {i: _recursive(g, m - 1, counter) for i, g in sorted(up_buckets.items())}
     sub_link = _recursive(link_bucket, m - 1, counter) if link_bucket else None
 
+    slices = len(sub_t) + len(sub_up) + (sub_link is not None)
     out: dict[Shape, np.ndarray] = {}
     for shape in labels(m):
         rep = halverson_rep(shape, m)
         order = branch_rn(shape, m)
-        acc = None
+        d = rep.dim
+        images = rep.transpositions
+        acc = np.zeros((d, d), dtype=complex)
         for i, sub in sub_t.items():
-            D = block_diag([sub[mu] for mu in order], rep.dim)
+            D = block_diag([sub[mu] for mu in order], d)
             for j in range(m, i, -1):
-                D = left_apply(rep.sparse[j], D, counter)
-            acc = accumulate(acc, D, counter)
+                D = images[j] @ D
+                counter.add(int(np.count_nonzero(images[j])) * d)
+            acc += D
         if sub_link is not None:
-            D = block_diag([sub_link[mu] for mu in order], rep.dim)
-            D = left_apply(rep.link_sparse(m), D, counter)
-            acc = accumulate(acc, D, counter)
+            keep = np.diag(rep.link_image(m))
+            acc += keep[:, None] * block_diag([sub_link[mu] for mu in order], d)
+            counter.add(int(np.count_nonzero(keep)) * d)
         for i, sub in sub_up.items():
-            D = block_diag([sub[mu] for mu in order], rep.dim)
+            D = block_diag([sub[mu] for mu in order], d)
             for j in range(m, i, -1):
-                D = right_apply(D, rep.sparse[j], counter)
-            acc = accumulate(acc, D, counter)
-        out[shape] = acc if acc is not None else np.zeros((rep.dim, rep.dim), dtype=complex)
+                D = D @ images[j]
+                counter.add(int(np.count_nonzero(images[j])) * d)
+            acc += D
+        counter.add(max(slices - 1, 0) * d * d)
+        out[shape] = acc
     return out
 
 

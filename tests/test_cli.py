@@ -46,9 +46,10 @@ class TestEnumerate:
         assert len(data["elements"]) == 1
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--n", "9")
-        assert code == 2
-        assert err.startswith("ERR:USAGE:")
+        for n in ("9", "-1"):
+            code, _, err = run(capsys, "enumerate", "--n", n)
+            assert code == 2
+            assert err.startswith("ERR:USAGE:")
 
 
 class TestTransform:
@@ -108,10 +109,13 @@ class TestTransform:
 
     def test_malformed_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "transform", "--input", str(path))
-        assert code == 3
-        assert err.startswith("ERR:PARSE:")
+        for text in ("{not json",
+                     '{"n": 2, "basis": "semigroup", "terms": [{"elem": 5, "re": 1.0}]}',
+                     '{"n": 2, "basis": "semigroup", "terms": 7}'):
+            path.write_text(text)
+            code, out, err = run(capsys, "transform", "--input", str(path))
+            assert_one_parse_error(code, err)
+            assert out == ""
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "transform", "--input", str(tmp_path / "nope.json"))
@@ -247,7 +251,8 @@ def assert_one_usage_error(code, err):
 
 
 class TestSizeGuard:
-    """n > 8 is refused after parsing, before any transform-sized allocation."""
+    """n < 0 and n > 8 are refused after parsing, before any transform-sized
+    allocation."""
 
     def refused_at_once(self, capsys, *argv):
         t0 = time.perf_counter()
@@ -277,6 +282,28 @@ class TestSizeGuard:
         path = tmp_path / "coeffs.json"
         path.write_text('{"n": 9, "family": "stein", "blocks": []}', encoding="utf-8")
         self.refused_at_once(capsys, "invert", "--input", str(path))
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--algorithm", "naive"),
+        ("transform", "--algorithm", "stein", "--convert"),
+        ("transform", "--algorithm", "recursive"),
+        ("convolve",),
+    ])
+    def test_refuses_negative_n_element(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": -2, "basis": "semigroup", "terms": []}', encoding="utf-8")
+        inputs = ["--input", str(path)] * (2 if argv[0] == "convolve" else 1)
+        self.refused_at_once(capsys, argv[0], *inputs, *argv[1:])
+
+    def test_invert_refuses_negative_n_block_set(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text('{"n": -1, "family": "stein", "blocks": []}', encoding="utf-8")
+        self.refused_at_once(capsys, "invert", "--input", str(path))
+
+    def test_analyze_refuses_given_negative_n(self, capsys, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n1->1,5\n", encoding="utf-8")
+        self.refused_at_once(capsys, "analyze", "--input", str(path), "--n", "-1")
 
     def test_n8_element_passes_the_guard(self, capsys, tmp_path):
         # the guard refuses only n > 8; an empty n=8 element in the wrong basis

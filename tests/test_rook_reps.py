@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rookfft.core import PartialPermutation, compose, enumerate_rn, size
-from rookfft.counting import block_diag, sparse_triplets
+from rookfft.counting import block_diag
 from rookfft.rook_reps import (
     branch_rn,
     dim,
@@ -115,11 +115,6 @@ class TestHalverson:
                 assert nz.sum(axis=1).max() <= 2
             link = np.abs(rep.link_image(n)) > 1e-12
             assert link.sum(axis=1).max() <= 1
-
-    def test_link_triplets_are_built_once(self):
-        rep = halverson_rep((2, 1), 4)
-        assert rep.link_sparse(4) is rep.link_sparse(4)
-        assert rep.link_sparse(4) == sparse_triplets(rep.link_image(4))
 
 
 class TestStein:

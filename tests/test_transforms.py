@@ -15,8 +15,7 @@ from rookfft.algebra import (
     to_groupoid,
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
-from rookfft.counting import sparse_triplets
-from rookfft.rook_reps import HalversonRep, dim, labels, stein_rep
+from rookfft.rook_reps import dim, labels, stein_rep
 from rookfft.transforms import (
     FourierCoefficients,
     blockwise_product,
@@ -346,38 +345,37 @@ class TestSparseSupport:
         assert stein_fft_semigroup(f).allclose(oracle, 1e-9)
         assert recursive_fft(f).allclose(naive_transform(f, "halverson"), 1e-9)
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_recursive_blocks_unchanged_by_link_cache(self, n, monkeypatch):
-        f = rand_elem(n, SEMIGROUP, 120 + n)
-        cached = recursive_fft(f)
-        monkeypatch.setattr(HalversonRep, "link_sparse",
-                            lambda self, m: sparse_triplets(self.link_image(m)))
-        rebuilt = recursive_fft(f)
-        assert all(np.array_equal(cached.blocks[sh], rebuilt.blocks[sh]) for sh in labels(n))
-        assert cached.ops.multiply_adds == rebuilt.ops.multiply_adds
-
     def test_halverson_family_inversion_at_n4(self):
         g = rand_elem(4, SEMIGROUP, 207)
         assert fourier_invert(recursive_fft(g)).allclose(to_groupoid(g), 1e-9)
 
 
+SPARSE_PINS = [
+    # n, stein, semigroup, recursive
+    (1, 0, 3, 4), (2, 2, 12, 35), (3, 48, 121, 522), (4, 1034, 2019, 7529),
+    (5, 17530, 30207, 110_357), (6, 309_840, 490_109, 1_649_821),
+]
+
+
 class TestPinnedOpCounts:
-    """multiply_adds of the per-cell S_k recursion, pinned: the batched
-    kernel charges exactly what that recursion charged, sparse inputs too."""
+    """multiply_adds pinned: the batched S_k kernel charges exactly what the
+    per-cell S_k recursion charged, and recursive_fft's dense products
+    exactly what sparse applies charged, sparse inputs too."""
 
     def test_full_support_at_n6(self):
         assert stein_fft(rand_elem(6, GROUPOID, 206)).ops.multiply_adds == 350_600
         assert stein_fft_semigroup(rand_elem(6, SEMIGROUP, 106)).ops.multiply_adds == 642_393
+        assert recursive_fft(rand_elem(6, SEMIGROUP, 106)).ops.multiply_adds == 1_709_513
 
-    @pytest.mark.parametrize("n, stein, semigroup", [
-        (1, 0, 3), (2, 2, 12), (3, 48, 121), (4, 1034, 2019), (5, 17530, 30207),
-        (6, 309_840, 490_109),
-    ])
-    def test_sparse_support(self, n, stein, semigroup):
+    # case ids name (n, stein, semigroup) only, so they stay stable as columns are added
+    @pytest.mark.parametrize("n, stein, semigroup, recursive", SPARSE_PINS,
+                             ids=["-".join(map(str, row[:3])) for row in SPARSE_PINS])
+    def test_sparse_support(self, n, stein, semigroup, recursive):
         g = rand_elem(n, GROUPOID, 200 + n, support="sparse")
         f = rand_elem(n, SEMIGROUP, 100 + n, support="sparse")
         assert stein_fft(g).ops.multiply_adds == stein
         assert stein_fft_semigroup(f).ops.multiply_adds == semigroup
+        assert recursive_fft(f).ops.multiply_adds == recursive
 
 
 class TestScalableOracles:
@@ -393,6 +391,19 @@ class TestScalableOracles:
                 for sh in labels(n):
                     assert np.allclose(F.blocks[sh], stein_rep(sh, n).eval_groupoid(x),
                                        rtol=0.0, atol=1e-9)
+
+    def test_delta_characters_at_n7_agree_across_families(self):
+        # the two families are equivalent, so every block has the same trace
+        n = 7
+        rng = random.Random(17)
+        for k in range(n + 1):
+            for _ in range(2):
+                pairs = zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k))
+                f = delta(n, PP.from_pairs(n, pairs), SEMIGROUP)
+                H = recursive_fft(f)
+                S = stein_fft(to_groupoid(f))
+                for sh in labels(n):
+                    assert abs(np.trace(H.blocks[sh]) - np.trace(S.blocks[sh])) <= 1e-9
 
 
 class TestSerialization:
