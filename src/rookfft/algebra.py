@@ -23,6 +23,7 @@ from .core import (
     PartialPermutation,
     check_n,
     enumerate_rn,
+    json_int,
     size,
 )
 from .counting import OpCounter
@@ -247,7 +248,7 @@ def to_json_dict(f: AlgebraElement) -> dict:
 
 def from_json_dict(data: dict) -> AlgebraElement:
     try:
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         basis = data["basis"]
         terms = data["terms"]
     except (KeyError, TypeError) as exc:

@@ -2,8 +2,9 @@
 spectral analysis, and bound-checking benchmarks.
 
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 math-consistency
-failure (an oracle or bound check failed, treated as a bug signal).
-Every error path prints a single line "ERR:<KIND>: message" to stderr.
+failure (an oracle or bound check failed, treated as a bug signal), 5 out
+of memory.  Every error path prints a single line "ERR:<KIND>: message" to
+stderr.
 """
 
 from __future__ import annotations
@@ -338,6 +339,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ERR:PARSE: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "an allocation failed"
+        print(f"ERR:RESOURCE: out of memory: {detail}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

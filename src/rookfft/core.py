@@ -150,24 +150,6 @@ class PartialPermutation:
             raise ValueError("extended_fixed() cannot shrink the ambient set")
         return PartialPermutation(n, self.image + tuple(range(self.n + 1, n + 1)))
 
-    def truncated(self, m: int) -> "PartialPermutation":
-        """Drop ambient points above m; they must be outside dom and ran."""
-        if m > self.n:
-            raise ValueError("truncated() cannot grow the ambient set")
-        if any(v != 0 for v in self.image[m:]) or any(v > m for v in self.image[:m]):
-            raise ValueError(f"element does not live inside R_{m}")
-        return PartialPermutation(m, self.image[:m])
-
-    def truncated_fixed(self, m: int) -> "PartialPermutation":
-        """Drop ambient points above m; they must all be fixed points."""
-        if m > self.n:
-            raise ValueError("truncated_fixed() cannot grow the ambient set")
-        if any(self.image[j] != j + 1 for j in range(m, self.n)):
-            raise ValueError(f"points above {m} are not all fixed")
-        if any(v > m for v in self.image[:m]):
-            raise ValueError(f"element does not live inside R_{m}")
-        return PartialPermutation(m, self.image[:m])
-
     def with_point_fixed(self, p: int) -> "PartialPermutation":
         """Adjoin the fixed point p; p must lie outside dom and ran."""
         if self.image[p - 1] != 0 or p in self.image:
@@ -276,6 +258,14 @@ def restrictions(s: PartialPermutation) -> Iterator[PartialPermutation]:
     for r in range(len(d) + 1):
         for sub in combinations(d, r):
             yield s.restrict(sub)
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer field: refuses floats, strings and booleans (bool is
+    an int subclass in Python) instead of truncating or coercing them."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def check_n(n: int) -> None:

@@ -30,15 +30,3 @@ def scaled_accumulate(acc: np.ndarray, c: complex, M: np.ndarray, counter: OpCou
     counter.add(M.size)
     acc += c * M
 
-
-def block_diag(mats: list[np.ndarray], dim: int) -> np.ndarray:
-    """Assemble sub-blocks down the diagonal; pure data movement, zero cost."""
-    out = np.zeros((dim, dim), dtype=complex)
-    at = 0
-    for M in mats:
-        d = M.shape[0]
-        out[at : at + d, at : at + d] = M
-        at += d
-    if at != dim:
-        raise ValueError(f"blocks fill {at} of {dim} dimensions")
-    return out

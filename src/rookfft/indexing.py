@@ -8,6 +8,10 @@ its position.  The rank-k elements are generated as x = p_A·y·p_B⁻¹ over
 range subsets A, domain subsets B (colex order) and y ∈ S_k (Clausen
 order), which is the (cell, column) layout the groupoid FFT consumes.
 
+The recursive FFT splits R_m into 2m translated copies of R_{m-1}
+(``slice_index``); composing those tables down the chain places every
+element at one base node.
+
 Every table is built once per n (and rank) with numpy, is read-only and
 holds int32 positions.  Restrictions are located per call, one domain
 point at a time, so no table over all pairs t ≤ x exists.
@@ -84,3 +88,28 @@ def without_point(n: int, positions: np.ndarray, p: int) -> tuple[np.ndarray, np
     digit = codes[positions] // weight % (n + 1)
     kept = np.flatnonzero(digit)
     return positions[kept], np.searchsorted(codes, codes[positions[kept]] - digit[kept] * weight)
+
+
+@cache
+def slice_index(m: int) -> np.ndarray:
+    """(|R_m|, 2) int32 for m ≥ 2: row i holds the slice of
+    x = enumerate_rn(m)[i] in the recursive FFT's split of R_m, and the
+    position in enumerate_rn(m-1) of the s ∈ R_{m-1} that x translates.
+
+    Slice 2i-2 (i = 1..m) holds x = T_i·s, when x(m) = i; slice 2i-1
+    (i = 1..m-1) holds x = s·T^i, when x(i) = m and x(m) is undefined; slice
+    2m-1 holds x = [m]·s, when m is in neither the domain nor the range.
+    Both slices of an i take the generators t_m, …, t_{i+1}.
+    """
+    codes = image_codes(m)
+    img = np.stack([(codes // w % (m + 1)).astype(np.int8) for w in _powers(m)], axis=1)
+    last = img[:, -1]
+    hits = (img[:, :-1] == m) & (last == 0)[:, None]
+    up = hits.any(axis=1)
+    i_up = hits.argmax(axis=1)
+    slices = np.where(last > 0, 2 * last - 2, np.where(up, 2 * i_up + 1, 2 * m - 1))
+    # T_i: drop x(m), lower the values above i; up: delete the slot i; link: drop x(m)
+    skip = up[:, None] & (np.arange(m - 1) >= i_up[:, None])
+    s = np.where(skip, img[:, 1:], img[:, :-1])
+    s -= (s > last[:, None]) & (last > 0)[:, None]
+    return _frozen(np.stack([slices, element_index(m - 1, s)], axis=1).astype(np.int32))

@@ -9,8 +9,10 @@ multiply-add counter:
   FFT per (range, domain) cell, batched per rank over a dense coefficient
   vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops;
 * ``recursive_fft`` consumes the semigroup basis directly, splitting R_n
-  into 2n translated copies of R_{n-1} plus a rank-dropping slice, with
-  cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49.
+  into 2n-1 translated copies of R_{n-1} plus a rank-dropping slice, with
+  cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49; the recursion runs
+  level by level over a dense coefficient vector, every visited node of a
+  level at once, and is charged from which nodes the support occupies.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set of either family via f(x) = (1/k!) Σ_{λ⊢k} f^λ tr(f̂(λ)·ρ(⌊x⁻¹⌋)).
@@ -19,6 +21,7 @@ block set of either family via f(x) = (1/k!) Σ_{λ⊢k} f^λ tr(f̂(λ)·ρ(⌊
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial
 
@@ -30,13 +33,14 @@ from .core import (
     PartialPermutation,
     enumerate_rn,
     factorize,
+    json_int,
     ksubset_index,
     size,
 )
-from .counting import OpCounter, block_diag, scaled_accumulate
-from .indexing import cell_index
+from .counting import OpCounter, scaled_accumulate
+from .indexing import cell_index, slice_index
 from .rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
-from .symmetric import _descend_map, perm_inverse, sn_fft_batch
+from .symmetric import perm_inverse, sn_fft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -164,79 +168,158 @@ def stein_fft_semigroup(f: AlgebraElement) -> FourierCoefficients:
 def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     """Divide-and-conquer FFT on the semigroup basis, halverson family.
 
-    Every x in R_n falls in exactly one slice: x = T_i·s when x(n) = i,
-    x = s·T^i when x sends i to n without using n itself, and x = [n]·s
-    when n touches neither side; each slice is a translated copy of
-    R_{n-1}.  The 2n subtransforms are reassembled block-diagonally for
-    free thanks to chain adaptation, then multiplied by the dense images of
-    the generators t_j and [n], each product charged nnz × columns.  Base
-    case n ≤ 2 is naive.
+    Every x in R_m falls in exactly one of 2m slices: x = T_i·s when
+    x(m) = i, x = s·T^i when x sends i to m without using m itself, and
+    x = [m]·s when m touches neither side; each slice is a translated copy
+    of R_{m-1} (``indexing.slice_index``).  The recursion runs level by
+    level over all its nodes at once.  The base nodes are the copies of
+    R_2 (R_n itself when n ≤ 2), transformed by one product with the
+    stacked images of R_2.  At each level m ≥ 3 the 2m subtransforms of
+    every node are reassembled block-diagonally for free thanks to chain
+    adaptation and multiplied by the images of the generators t_j and [m],
+    one generator at a time over the stack of every node's subtransform in
+    a slice.  Only nodes whose part of f holds a nonzero are visited.
+
+    Ops are charged from that occupancy, as a recursion over the visited
+    nodes alone would spend them: nnz(f)·|R_2| for the base cases, nnz ×
+    columns for every generator product of a visited slice, and one
+    addition per block entry for every visited slice after a node's first;
+    on full support T(n) ≤ 2n·T(n-1) + 2n²|R_n|.
     """
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
-    blocks = _recursive(dict(f.coeffs), f.n, counter)
-    return FourierCoefficients(f.n, HALVERSON, blocks, counter)
+    n = f.n
+    values = to_dense(f)
+    support = np.flatnonzero(values)
+    # walk each term down the chain: its node at every level, its point of R_2
+    nodes, points = np.zeros(len(support), dtype=np.int64), support
+    for m in range(n, 2, -1):
+        slices, points = slice_index(m)[points].T
+        nodes = nodes * (2 * m) + slices
+    base = min(n, 2)
+    nodes, row = np.unique(nodes, return_inverse=True)
+    functions = np.zeros((len(nodes), size(base)), dtype=complex)
+    functions[row, points] = values[support]
+    counter.add(len(support) * size(base))
+    level = _split(functions @ _base_images(base), base)
+    for m in range(3, n + 1):
+        nodes, level = _level(level, nodes, m, counter)
+    # the root is the one node left, or none when f = 0
+    blocks = {shape: stack.sum(axis=0) for shape, stack in level.items()}
+    return FourierCoefficients(n, HALVERSON, blocks, counter)
 
 
-def _recursive(
-    fd: dict[PartialPermutation, complex], m: int, counter: OpCounter
-) -> dict[Shape, np.ndarray]:
-    if m <= 2:
-        base = naive_transform(AlgebraElement(m, SEMIGROUP, fd), HALVERSON)
-        counter.add(base.ops.multiply_adds)
-        return base.blocks
+@cache
+def _base_images(m: int) -> np.ndarray:
+    """(|R_m|, |R_m|): row x holds ρ_λ(x) for every λ ∈ Λ_m, flattened side
+    by side (Σ_λ d_λ² = |R_m|)."""
+    rows = [
+        np.concatenate([halverson_rep(shape, m).evaluate(x).ravel() for shape in labels(m)])
+        for x in enumerate_rn(m)
+    ]
+    out = np.array(rows, dtype=complex).reshape(size(m), size(m))
+    out.flags.writeable = False
+    return out
 
-    t_buckets: dict[int, dict[PartialPermutation, complex]] = {}
-    up_buckets: dict[int, dict[PartialPermutation, complex]] = {}
-    link_bucket: dict[PartialPermutation, complex] = {}
-    for x, c in fd.items():
-        img = x.image
-        i = img[m - 1]
-        if i != 0:
-            # x = T_i·s: undo the row rotation and drop the fixed point m
-            vt = _descend_map(i, m)
-            key = PartialPermutation(m - 1, tuple(vt[v] if v else 0 for v in img[: m - 1]))
-            t_buckets.setdefault(i, {})[key] = c
-        elif m in img:
-            # x = s·T^i: undo the column rotation (delete the slot hitting n)
-            i = img.index(m) + 1
-            key = PartialPermutation(m - 1, img[: i - 1] + img[i:m])
-            up_buckets.setdefault(i, {})[key] = c
-        else:
-            # x = [m]·s: m untouched on both sides
-            link_bucket[PartialPermutation(m - 1, img[: m - 1])] = c
 
-    sub_t = {i: _recursive(g, m - 1, counter) for i, g in sorted(t_buckets.items())}
-    sub_up = {i: _recursive(g, m - 1, counter) for i, g in sorted(up_buckets.items())}
-    sub_link = _recursive(link_bucket, m - 1, counter) if link_bucket else None
+def _split(flat: np.ndarray, m: int) -> dict[Shape, np.ndarray]:
+    """(nodes, |R_m|) rows of flattened blocks → a (nodes, d_λ, d_λ) view per λ ∈ Λ_m."""
+    out, at = {}, 0
+    for shape in labels(m):
+        d = dim(shape, m)
+        out[shape] = flat[:, at : at + d * d].reshape(-1, d, d)
+        at += d * d
+    return out
 
-    slices = len(sub_t) + len(sub_up) + (sub_link is not None)
-    out: dict[Shape, np.ndarray] = {}
+
+@cache
+def _slice_costs(m: int) -> np.ndarray:
+    """Multiply-adds of one visited slice at level m, summed over λ ∈ Λ_m:
+    T_i and up_i (entries 2i-2 and 2i-1) pay nnz·d_λ for each of
+    ρ_λ(t_m), …, ρ_λ(t_{i+1}); the link (entry 2m-1) pays nnz·d_λ for [m]."""
+    costs = np.zeros(2 * m, dtype=np.int64)
     for shape in labels(m):
         rep = halverson_rep(shape, m)
-        order = branch_rn(shape, m)
-        d = rep.dim
-        images = rep.transpositions
-        acc = np.zeros((d, d), dtype=complex)
-        for i, sub in sub_t.items():
-            D = block_diag([sub[mu] for mu in order], d)
-            for j in range(m, i, -1):
-                D = images[j] @ D
-                counter.add(int(np.count_nonzero(images[j])) * d)
-            acc += D
-        if sub_link is not None:
-            keep = np.diag(rep.link_image(m))
-            acc += keep[:, None] * block_diag([sub_link[mu] for mu in order], d)
-            counter.add(int(np.count_nonzero(keep)) * d)
-        for i, sub in sub_up.items():
-            D = block_diag([sub[mu] for mu in order], d)
-            for j in range(m, i, -1):
-                D = D @ images[j]
-                counter.add(int(np.count_nonzero(images[j])) * d)
-            acc += D
-        counter.add(max(slices - 1, 0) * d * d)
-        out[shape] = acc
+        nnz = [np.count_nonzero(rep.transpositions[j]) for j in range(2, m + 1)]
+        for i in range(1, m + 1):
+            costs[2 * i - 2] += rep.dim * sum(nnz[i - 1 :])
+        costs[-1] += rep.dim * np.count_nonzero(rep.link_image(m))
+    costs[1:-1:2] = costs[:-2:2]  # up_i takes the generators of T_i
+    costs.flags.writeable = False
+    return costs
+
+
+@cache
+def _pairing(shape: Shape, m: int, j: int) -> tuple[np.ndarray, ...]:
+    """ρ_λ(t_j) on R_m as a diagonal plus one partner per index: t_j mixes a
+    tableau only with the one that swaps j-1 and j, so each row and column
+    holds the diagonal entry and at most one more, at the partner.  Returns
+    the partners p, the diagonal, M[r, p(r)] and M[p(r), r] (0 where an
+    index has no partner)."""
+    M = halverson_rep(shape, m).transpositions[j]
+    at = np.arange(len(M))
+    diagonal = np.diag(M).copy()
+    off = M - np.diag(diagonal)
+    partner = at.copy()
+    rows, cols = np.nonzero(off)
+    partner[cols] = rows
+    out = (partner, diagonal, off[at, partner], off[partner, at])
+    for a in out:
+        a.flags.writeable = False
     return out
+
+
+def _level(
+    below: dict[Shape, np.ndarray], nodes: np.ndarray, m: int, counter: OpCounter
+) -> tuple[np.ndarray, dict[Shape, np.ndarray]]:
+    """One level of recursive_fft: the visited nodes of level m-1 (ids
+    node·2m + slice) and their R_{m-1} blocks → the visited nodes of level m
+    and their R_m blocks.
+
+    The children are stacked in slice order, and each slice takes all its
+    generators t_m, …, t_{i+1} before the next slice starts, which keeps a
+    slice of the top levels in cache while it is worked on.
+    """
+    order = np.argsort(nodes % (2 * m), kind="stable")
+    parent, slices = np.divmod(nodes[order], 2 * m)
+    nodes, row = np.unique(parent, return_inverse=True)
+    counter.add(int(_slice_costs(m)[slices].sum()) + (len(slices) - len(nodes)) * size(m))
+    starts = np.searchsorted(slices, np.arange(2 * m + 1))
+    out = {}
+    for shape in labels(m):
+        rep = halverson_rep(shape, m)
+        d = rep.dim
+        stack = np.zeros((len(slices), d, d), dtype=complex)
+        at = 0
+        for mu in branch_rn(shape, m):
+            dm = below[mu].shape[-1]
+            stack[:, at : at + dm, at : at + dm] = below[mu][order]
+            at += dm
+        for k in range(2 * m - 2):  # T_m and the link take no generator
+            part = stack[starts[k] : starts[k + 1]]
+            for j in range(m, k // 2 + 1, -1):
+                _times(part, _pairing(shape, m, j), right=k % 2 == 1)
+        stack[starts[-2] :] *= np.diag(rep.link_image(m))[:, None]
+        acc = np.zeros((len(nodes), d, d), dtype=complex)
+        for k in range(2 * m):  # one child per node in a slice
+            acc[row[starts[k] : starts[k + 1]]] += stack[starts[k] : starts[k + 1]]
+        out[shape] = acc
+    return nodes, out
+
+
+def _times(stack: np.ndarray, pairing: tuple[np.ndarray, ...], right: bool) -> None:
+    """stack ← ρ(t_j)·stack, or stack·ρ(t_j) when right, in place, for each
+    matrix of the stack, through the pairing of ρ(t_j)."""
+    partner, diagonal, row_off, col_off = pairing
+    if right:
+        swapped = np.take(stack, partner, axis=2)
+        swapped *= col_off
+        stack *= diagonal
+    else:
+        swapped = np.take(stack, partner, axis=1)
+        swapped *= row_off[:, None]
+        stack *= diagonal[:, None]
+    stack += swapped
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +455,7 @@ def to_json_dict(F: FourierCoefficients) -> dict:
 
 def from_json_dict(data: dict) -> FourierCoefficients:
     try:
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         family = data["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")

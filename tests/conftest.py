@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from rookfft.algebra import GROUPOID, AlgebraElement, random_element
@@ -22,6 +23,19 @@ def sparse_element(n: int, terms: int, seed: int) -> AlgebraElement:
             rng.uniform(-1, 1), rng.uniform(-1, 1)
         )
     return AlgebraElement(n, GROUPOID, coeffs)
+
+
+def block_diag(mats: list[np.ndarray], dim: int) -> np.ndarray:
+    """Sub-blocks down the diagonal of a dim × dim complex matrix."""
+    out = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for M in mats:
+        d = M.shape[0]
+        out[at : at + d, at : at + d] = M
+        at += d
+    if at != dim:
+        raise ValueError(f"blocks fill {at} of {dim} dimensions")
+    return out
 
 
 @st.composite

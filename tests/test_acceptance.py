@@ -14,6 +14,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from conftest import block_diag
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -28,7 +29,6 @@ from rookfft.algebra import (
 )
 from rookfft.cli import main as cli_main
 from rookfft.core import PartialPermutation, enumerate_rn, size, size_recursive
-from rookfft.counting import block_diag
 from rookfft.rook_reps import branch_rn, dim, halverson_rep, labels
 from rookfft.symmetric import all_perms, branch_sn, seminormal_rep
 from rookfft.tableaux import partitions

@@ -242,6 +242,69 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+class TestIntegerN:
+    """"n" must be a JSON integer: a float, boolean or string is refused,
+    never truncated or coerced."""
+
+    @pytest.mark.parametrize("n", ["2.7", "true", '"6"'])
+    def test_transform_refuses_non_integer_n(self, capsys, tmp_path, n):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": %s, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->1", "re": 1.0, "im": 0.0}]}' % n, encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path),
+                             "--algorithm", "recursive")
+        assert_one_parse_error(code, err)
+        assert "JSON integer" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["2.7", "true", '"6"'])
+    def test_invert_refuses_non_integer_n(self, capsys, tmp_path, n):
+        f = rand_elem(1, GROUPOID, 9)
+        code, out, _ = run(capsys, "transform", "--input", write_element(tmp_path, "f.json", f),
+                           "--algorithm", "stein")
+        assert code == 0
+        text = out.replace('"n": 1,', '"n": %s,' % n, 1)
+        assert text != out
+        path = tmp_path / "coeffs.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "invert", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert "JSON integer" in err
+        assert out == ""
+
+
+class TestOutOfMemory:
+    """MemoryError anywhere in a command is exit 5 and one ERR:RESOURCE line."""
+
+    @staticmethod
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.1 GiB for an array\nwith shape (1, 2)")
+
+    def test_transform(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("rookfft.cli.recursive_fft", self.exhausted)
+        path = write_element(tmp_path, "f.json", rand_elem(2, SEMIGROUP, 3))
+        code, out, err = run(capsys, "transform", "--input", path, "--algorithm", "recursive")
+        assert code == 5
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERR:RESOURCE:")
+        assert "9.1 GiB" in lines[0] and "Traceback" not in err
+        assert out == ""
+
+    def test_invert_without_detail(self, capsys, tmp_path, monkeypatch):
+        def bare(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("rookfft.cli.fourier_invert", bare)
+        code, out, _ = run(capsys, "transform", "--input",
+                           write_element(tmp_path, "f.json", rand_elem(1, GROUPOID, 4)),
+                           "--algorithm", "stein")
+        path = tmp_path / "coeffs.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, "invert", "--input", str(path))
+        assert code == 5
+        assert err.splitlines() == ["ERR:RESOURCE: out of memory: an allocation failed"]
+        assert out == ""
+
+
 def assert_one_usage_error(code, err):
     assert code == 2
     lines = err.splitlines()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rookfft.core import enumerate_rn, factorize, ksubset_index
-from rookfft.indexing import cell_index, element_index, elements_at, without_point
+from rookfft.indexing import cell_index, element_index, elements_at, slice_index, without_point
 from rookfft.symmetric import clausen_perms
 
 
@@ -42,3 +42,21 @@ def test_without_point_removes_one_pair(n):
             image = list(elems[i].image)
             image[p] = 0
             assert elems[t].image == tuple(image)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_slices_split_rm_into_translated_copies(m):
+    below = {x.image: i for i, x in enumerate(enumerate_rn(m - 1))}
+    table = slice_index(m)
+    assert table.dtype == np.int32 and table.shape == (len(enumerate_rn(m)), 2)
+    for (k, at), x in zip(table.tolist(), enumerate_rn(m)):
+        img = x.image
+        i = img[-1]
+        if i:  # x = T_i·s: drop x(m), lower the values above i
+            expected = (2 * i - 2, tuple(v - (v > i) for v in img[:-1]))
+        elif m in img:  # x = s·T^i with x(i) = m: delete the slot i
+            i = img.index(m) + 1
+            expected = (2 * i - 1, img[: i - 1] + img[i:])
+        else:  # x = [m]·s
+            expected = (2 * m - 1, img[:-1])
+        assert (k, at) == (expected[0], below[expected[1]])

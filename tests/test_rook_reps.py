@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import block_diag
 from rookfft.core import PartialPermutation, compose, enumerate_rn, size
-from rookfft.counting import block_diag
 from rookfft.rook_reps import (
     branch_rn,
     dim,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rand_elem
+from conftest import block_diag, rand_elem, sparse_element
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -12,12 +12,16 @@ from rookfft.algebra import (
     BasisMismatch,
     convolve_groupoid,
     convolve_semigroup,
+    random_element,
     to_groupoid,
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
-from rookfft.rook_reps import dim, labels, stein_rep
+from rookfft.counting import OpCounter
+from rookfft.rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
+from rookfft.symmetric import _descend_map
 from rookfft.transforms import (
     FourierCoefficients,
+    _pairing,
     blockwise_product,
     clausen_bound,
     fourier_invert,
@@ -247,6 +251,106 @@ class TestRecursive:
     def test_requires_semigroup(self):
         with pytest.raises(BasisMismatch):
             recursive_fft(rand_elem(2, GROUPOID, 1))
+
+
+def per_node_recursive(fd, m, counter):
+    """The recursion of recursive_fft one Python call per node, as it ran
+    before the level-batched pass: the oracle for its blocks and op counts."""
+    if m <= 2:
+        base = naive_transform(AlgebraElement(m, SEMIGROUP, fd), "halverson")
+        counter.add(base.ops.multiply_adds)
+        return base.blocks
+    t_buckets, up_buckets, link_bucket = {}, {}, {}
+    for x, c in fd.items():
+        img = x.image
+        i = img[m - 1]
+        if i != 0:
+            vt = _descend_map(i, m)
+            key = PP(m - 1, tuple(vt[v] if v else 0 for v in img[: m - 1]))
+            t_buckets.setdefault(i, {})[key] = c
+        elif m in img:
+            i = img.index(m) + 1
+            up_buckets.setdefault(i, {})[PP(m - 1, img[: i - 1] + img[i:m])] = c
+        else:
+            link_bucket[PP(m - 1, img[: m - 1])] = c
+    sub_t = {i: per_node_recursive(g, m - 1, counter) for i, g in sorted(t_buckets.items())}
+    sub_up = {i: per_node_recursive(g, m - 1, counter) for i, g in sorted(up_buckets.items())}
+    sub_link = per_node_recursive(link_bucket, m - 1, counter) if link_bucket else None
+    slices = len(sub_t) + len(sub_up) + (sub_link is not None)
+    out = {}
+    for shape in labels(m):
+        rep = halverson_rep(shape, m)
+        order = branch_rn(shape, m)
+        d = rep.dim
+        images = rep.transpositions
+        acc = np.zeros((d, d), dtype=complex)
+        for i, sub in sub_t.items():
+            D = block_diag([sub[mu] for mu in order], d)
+            for j in range(m, i, -1):
+                D = images[j] @ D
+                counter.add(int(np.count_nonzero(images[j])) * d)
+            acc += D
+        if sub_link is not None:
+            keep = np.diag(rep.link_image(m))
+            acc += keep[:, None] * block_diag([sub_link[mu] for mu in order], d)
+            counter.add(int(np.count_nonzero(keep)) * d)
+        for i, sub in sub_up.items():
+            D = block_diag([sub[mu] for mu in order], d)
+            for j in range(m, i, -1):
+                D = D @ images[j]
+                counter.add(int(np.count_nonzero(images[j])) * d)
+            acc += D
+        counter.add(max(slices - 1, 0) * d * d)
+        out[shape] = acc
+    return out
+
+
+def semigroup_sparse(n, terms, seed):
+    return AlgebraElement(n, SEMIGROUP, sparse_element(n, terms, seed).coeffs)
+
+
+class TestLevelBatchedRecursion:
+    """The level-by-level pass against the per-node recursion it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("support", ["full", "half", "few"])
+    def test_matches_per_node_recursion(self, n, support):
+        if support == "few":
+            f = semigroup_sparse(n, max(1, size(n) // 50), 300 + n)
+        else:
+            f = rand_elem(n, SEMIGROUP, 310 + n, "full" if support == "full" else "sparse")
+        counter = OpCounter()
+        expected = per_node_recursive(dict(f.coeffs), n, counter)
+        F = recursive_fft(f)
+        assert list(F.blocks) == list(expected)
+        for sh, M in expected.items():
+            assert np.allclose(F.blocks[sh], M, rtol=0.0, atol=1e-12)
+        assert F.ops.multiply_adds == counter.multiply_adds
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_generator_images_pair_indices(self, m):
+        # the level pass applies ρ(t_j) through one partner per index
+        for shape in labels(m):
+            for j in range(2, m + 1):
+                M = halverson_rep(shape, m).transpositions[j]
+                partner, diagonal, row_off, col_off = _pairing(shape, m, j)
+                at = np.arange(len(M))
+                rebuilt = np.diag(diagonal)
+                rebuilt[at, partner] += row_off
+                assert np.array_equal(rebuilt, M)
+                assert np.array_equal(col_off, M[partner, at] * (partner != at))
+
+    def test_full_support_count_at_n7(self):
+        f = random_element(7, SEMIGROUP, random.Random(7))
+        assert recursive_fft(f).ops.multiply_adds == 26_519_799
+
+    def test_sparse_r8_traces_match_stein(self):
+        f = semigroup_sparse(8, 300, 8)
+        H = recursive_fft(f)
+        S = stein_fft_semigroup(f)
+        assert H.ops.multiply_adds <= recursive_bound(8)
+        for sh in labels(8):
+            assert abs(np.trace(H.blocks[sh]) - np.trace(S.blocks[sh])) <= 1e-9
 
 
 class TestInversion:
