@@ -297,6 +297,7 @@ class TestOutOfMemory:
         code, out, _ = run(capsys, "transform", "--input",
                            write_element(tmp_path, "f.json", rand_elem(1, GROUPOID, 4)),
                            "--algorithm", "stein")
+        assert code == 0
         path = tmp_path / "coeffs.json"
         path.write_text(out, encoding="utf-8")
         code, out, err = run(capsys, "invert", "--input", str(path))
