@@ -1,13 +1,18 @@
-"""Wall time and multiply-adds of the fast transforms on full-support inputs.
+"""Wall time, multiply-adds and peak memory of the fast transforms on
+full-support inputs.
 
     PYTHONPATH=src python3 scripts/bench_fft.py
 
-For each n ≤ MAX_N, one seeded full-support element of R_n per basis goes
-through ``to_groupoid``, ``stein_fft``, ``stein_fft_semigroup`` and
-``recursive_fft``.  Each call runs once untimed, so caches and tables are
-built, then REPEATS times timed; the minimum wall time is reported with the
-call's multiply-adds.  Prints one JSON object.  Run it against two
-checkouts to compare them.
+For each n ≤ MAX_N, two seeded full-support coefficient vectors become
+elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
+``enumerate_rn``.  The semigroup element goes through ``to_groupoid``,
+``stein_fft_semigroup`` and, for n ≤ RECURSIVE_MAX_N, ``recursive_fft``; the
+groupoid element goes through ``stein_fft``.  Each call runs once untimed, so
+caches and tables are built, then REPEATS times timed; the minimum wall time
+is reported with the call's multiply-adds.  ``from_dense`` is one timed call
+per element.  Each row also reports the process's peak RSS so far
+(``ru_maxrss``), which the row's own n dominates.  Prints one JSON object.
+Run it against two checkouts to compare them.
 """
 
 from __future__ import annotations
@@ -15,17 +20,18 @@ from __future__ import annotations
 import json
 import os
 import platform
-import random
+import resource
 import time
 
 import numpy as np
 
-from rookfft.algebra import GROUPOID, SEMIGROUP, random_element, to_groupoid
+from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, to_groupoid
 from rookfft.core import size
 from rookfft.counting import OpCounter
 from rookfft.transforms import recursive_fft, stein_fft, stein_fft_semigroup
 
-MAX_N = 7
+MAX_N = 8
+RECURSIVE_MAX_N = 7
 REPEATS = 3
 SEED = 0
 
@@ -40,6 +46,16 @@ def _min_time(fn, arg):
         out = fn(arg)
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def _element(n: int, basis: str, seed: int):
+    """A full-support element with seeded uniform coefficients, and the
+    seconds its from_dense call took."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n))
+    t0 = time.perf_counter()
+    f = from_dense(n, basis, values)
+    return f, time.perf_counter() - t0
 
 
 def _zeta_ops(f) -> int:
@@ -59,20 +75,28 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
+def _row(n: int) -> dict:
+    seconds, multiply_adds = {}, {}
+    f, seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
+    seconds["to_groupoid"] = _min_time(to_groupoid, f)[0]
+    multiply_adds["to_groupoid"] = _zeta_ops(f)
+    paths = [("stein_fft_semigroup", stein_fft_semigroup)]
+    if n <= RECURSIVE_MAX_N:
+        paths.append(("recursive_fft", recursive_fft))
+    for name, fn in paths:
+        seconds[name], F = _min_time(fn, f)
+        multiply_adds[name] = F.ops.multiply_adds
+    del f, F  # free the semigroup side before the groupoid element is built
+    g, _ = _element(n, GROUPOID, SEED + 100 + n)
+    seconds["stein_fft"], F = _min_time(stein_fft, g)
+    multiply_adds["stein_fft"] = F.ops.multiply_adds
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return {"n": n, "size": size(n), "seconds": seconds, "multiply_adds": multiply_adds,
+            "peak_rss_mb": round(peak_mb, 1)}
+
+
 def main() -> None:
-    rows = []
-    for n in range(1, MAX_N + 1):
-        f = random_element(n, SEMIGROUP, random.Random(SEED + n))
-        g = random_element(n, GROUPOID, random.Random(SEED + 100 + n))
-        seconds = {"to_groupoid": _min_time(to_groupoid, f)[0]}
-        multiply_adds = {"to_groupoid": _zeta_ops(f)}
-        for name, fn, arg in (("stein_fft", stein_fft, g),
-                              ("stein_fft_semigroup", stein_fft_semigroup, f),
-                              ("recursive_fft", recursive_fft, f)):
-            seconds[name], F = _min_time(fn, arg)
-            multiply_adds[name] = F.ops.multiply_adds
-        rows.append({"n": n, "size": size(n), "seconds": seconds,
-                     "multiply_adds": multiply_adds})
+    rows = [_row(n) for n in range(1, MAX_N + 1)]
     machine = {
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),

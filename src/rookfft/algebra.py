@@ -6,13 +6,17 @@ multiplications (ordinary convolution vs. domain/range-aligned
 composition), different inner products, and are exchanged by the zeta and
 Möbius transforms of the natural partial order.  The basis tag is data:
 mixing bases is an error, never a silent coercion.
+
+An element stores one read-only complex vector of length |R_n| indexed
+like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
+``PartialPermutation`` keys (``coeffs``, ``items()``) are decoded from the
+nonzero slots on demand, through the image codes of ``indexing``.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
-from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -22,12 +26,12 @@ from .core import (
     ParseError,
     PartialPermutation,
     check_n,
-    enumerate_rn,
+    flat_image,
     json_int,
     size,
 )
 from .counting import OpCounter
-from .indexing import element_index, elements_at, without_point
+from .indexing import element_index, elements_at, ranks_at, without_point
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -41,23 +45,15 @@ class BasisMismatch(ValueError):
 
 
 class AlgebraElement:
-    """A sparse coefficient map over R_n tagged with its basis."""
+    """A function on R_n tagged with its basis: ``values[i]`` is the
+    coefficient of ``enumerate_rn(n)[i]``."""
 
-    __slots__ = ("n", "basis", "coeffs")
+    __slots__ = ("n", "basis", "values")
 
     def __init__(self, n: int, basis: str, coeffs: Mapping[PartialPermutation, complex]):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        clean: dict[PartialPermutation, complex] = {}
-        for s, c in coeffs.items():
-            if s.n != n:
-                raise DimensionMismatch(f"coefficient key lives in R_{s.n}, element in R_{n}")
-            c = complex(c)
-            if abs(c) >= DROP_EPS:
-                clean[s] = c
-        self.n = n
-        self.basis = basis
-        self.coeffs = clean
+        images = [s.image for s in coeffs]
+        f = from_dense(n, basis, terms_vector(n, images, [complex(c) for c in coeffs.values()]))
+        self.n, self.basis, self.values = f.n, f.basis, f.values
 
     @classmethod
     def delta(cls, n: int, s: PartialPermutation, basis: str = SEMIGROUP) -> "AlgebraElement":
@@ -67,34 +63,39 @@ class AlgebraElement:
     def zero(cls, n: int, basis: str = SEMIGROUP) -> "AlgebraElement":
         return cls(n, basis, {})
 
+    @property
+    def coeffs(self) -> dict[PartialPermutation, complex]:
+        """The nonzero terms as {element: coefficient}, decoded anew on each
+        access; writing to the dict leaves the element as it is."""
+        return dict(self.items())
+
     def __getitem__(self, s: PartialPermutation) -> complex:
-        return self.coeffs.get(s, 0j)
+        if s.n != self.n:
+            raise DimensionMismatch(f"R_{s.n} element looked up in an element of R_{self.n}")
+        return complex(self.values[element_index(self.n, np.array(s.image, dtype=np.int64))])
 
     def items(self) -> Iterator[tuple[PartialPermutation, complex]]:
         """Terms in canonical element order (sorted image tuples)."""
-        return iter(sorted(self.coeffs.items(), key=lambda kv: kv[0].image))
+        at = np.flatnonzero(self.values)
+        return zip(elements_at(self.n, at), self.values[at].tolist())
 
     def support(self) -> int:
-        return len(self.coeffs)
+        return int(np.count_nonzero(self.values))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            merged[s] = merged.get(s, 0j) + c
-        return AlgebraElement(self.n, self.basis, merged)
+        return from_dense(self.n, self.basis, self.values + other.values)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.basis, {s: scalar * c for s, c in self.coeffs.items()})
+        return from_dense(self.n, self.basis, complex(scalar) * self.values)
 
     def allclose(self, other: "AlgebraElement", tol: float = 1e-9) -> bool:
         if self.n != other.n or self.basis != other.basis:
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self[s] - other[s]) <= tol for s in keys)
+        return bool(np.all(np.abs(self.values - other.values) <= tol))
 
     def _check_compatible(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
@@ -103,7 +104,39 @@ class AlgebraElement:
             raise BasisMismatch(f"{self.basis} vs {other.basis}")
 
     def __repr__(self) -> str:
-        return f"AlgebraElement(n={self.n}, basis={self.basis!r}, terms={len(self.coeffs)})"
+        return f"AlgebraElement(n={self.n}, basis={self.basis!r}, terms={self.support()})"
+
+
+def terms_vector(n: int, images: list[tuple[int, ...]], coeffs: list[complex]) -> np.ndarray:
+    """A vector of R_n (enumerate_rn(n) order) holding coeffs[i] at the
+    element with image tuple images[i]; terms naming one element add up."""
+    check_n(n)
+    for image in images:
+        if len(image) != n:
+            raise DimensionMismatch(f"coefficient key lives in R_{len(image)}, element in R_{n}")
+    values = np.zeros(size(n), dtype=complex)
+    at = element_index(n, np.array(images, dtype=np.int64).reshape(len(images), n))
+    np.add.at(values, at, coeffs)
+    return values
+
+
+def from_dense(n: int, basis: str, values: np.ndarray) -> AlgebraElement:
+    """The element with coefficient vector ``values`` (enumerate_rn(n)
+    order).  A writable vector is taken over, not copied: entries below
+    DROP_EPS in modulus are zeroed in place, as by the constructor, and it
+    is made read-only."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (size(n),):
+        raise DimensionMismatch(f"R_{n} needs {size(n)} coefficients, got shape {values.shape}")
+    if not values.flags.writeable:
+        values = values.copy()
+    values[np.abs(values) < DROP_EPS] = 0
+    values.flags.writeable = False
+    f = object.__new__(AlgebraElement)
+    f.n, f.basis, f.values = n, basis, values
+    return f
 
 
 def convolve_semigroup(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -136,46 +169,22 @@ def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.n, GROUPOID, out)
 
 
-def _support(f: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
-    """(terms, n) int64 image rows and the complex coefficients of f's support."""
-    terms = len(f.coeffs)
-    images = chain.from_iterable(s.image for s in f.coeffs)
-    images = np.fromiter(images, dtype=np.int64, count=terms * f.n).reshape(terms, f.n)
-    return images, np.fromiter(f.coeffs.values(), dtype=complex, count=terms)
-
-
-def to_dense(f: AlgebraElement) -> np.ndarray:
-    """The coefficients of f as a complex vector indexed like enumerate_rn(f.n)."""
-    images, values = _support(f)
-    out = np.zeros(size(f.n), dtype=complex)
-    out[element_index(f.n, images)] = values
-    return out
-
-
-def from_dense(n: int, basis: str, values: np.ndarray) -> AlgebraElement:
-    """The element with coefficient vector ``values`` (enumerate_rn(n) order);
-    entries below DROP_EPS in modulus are dropped, as by the constructor."""
-    keep = np.flatnonzero(np.abs(values) >= DROP_EPS)
-    return AlgebraElement(n, basis, dict(zip(elements_at(n, keep), values[keep].tolist())))
-
-
 def _spread(f: AlgebraElement, signed: bool) -> tuple[np.ndarray, int]:
-    """Σ_{x ≥ t} f(x) into slot t, times μ(t,x) = (−1)^(rk x − rk t) when
-    signed; also returns Σ_{x ∈ support} 2^rk(x), the terms the direct sum
-    adds.  Runs as a Yates pass over the domain points: t ≤ x exactly when t
-    is x with some of its pairs removed, and μ is −1 per pair removed, so
-    pushing every nonzero value at an x with p in its domain onto x without
-    p, for p = 1..n in turn, sums each f(x) into each t ≤ x once.  Each step
-    touches only nonzero slots; the work is at most n·|R_n| lookups and
-    needs no table over the pairs t ≤ x."""
-    images, values = _support(f)
-    out = np.zeros(size(f.n), dtype=complex)
-    out[element_index(f.n, images)] = values
+    """Σ_{x ≥ t} f(x) into slot t of a new vector, times μ(t,x) =
+    (−1)^(rk x − rk t) when signed; also returns Σ_{x ∈ support} 2^rk(x),
+    the terms the direct sum adds.  Runs as a Yates pass over the domain
+    points: t ≤ x exactly when t is x with some of its pairs removed, and μ
+    is −1 per pair removed, so pushing every nonzero value at an x with p in
+    its domain onto x without p, for p = 1..n in turn, sums each f(x) into
+    each t ≤ x once.  Each step touches only nonzero slots; the work is at
+    most n·|R_n| lookups and needs no table over the pairs t ≤ x."""
+    out = f.values.copy()
+    terms = int((1 << ranks_at(f.n, np.flatnonzero(out))).sum())
     sign = -1.0 if signed else 1.0
     for p in range(f.n):
         sources, targets = without_point(f.n, np.flatnonzero(out), p)
         np.add.at(out, targets, sign * out[sources])
-    return out, int((1 << np.count_nonzero(images, axis=1)).sum())
+    return out, terms
 
 
 def to_groupoid(f: AlgebraElement, counter: OpCounter | None = None) -> AlgebraElement:
@@ -200,18 +209,19 @@ def to_semigroup(g: AlgebraElement) -> AlgebraElement:
 
 def inner1(f: AlgebraElement, g: AlgebraElement) -> complex:
     """⟨f,g⟩₁ = Σ f(s)·conj(g(s)) over semigroup-basis coefficients."""
-    _require(f, SEMIGROUP)
-    _require(g, SEMIGROUP)
-    f._check_compatible(g)
-    return sum(c * g[s].conjugate() for s, c in f.items())
+    return _inner(f, g, SEMIGROUP)
 
 
 def inner2(f: AlgebraElement, g: AlgebraElement) -> complex:
     """⟨f,g⟩₂ = Σ f(s)·conj(g(s)) over groupoid-basis coefficients."""
-    _require(f, GROUPOID)
-    _require(g, GROUPOID)
+    return _inner(f, g, GROUPOID)
+
+
+def _inner(f: AlgebraElement, g: AlgebraElement, basis: str) -> complex:
+    _require(f, basis)
+    _require(g, basis)
     f._check_compatible(g)
-    return sum(c * g[s].conjugate() for s, c in f.items())
+    return complex(np.vdot(g.values, f.values))
 
 
 def _require(f: AlgebraElement, basis: str) -> None:
@@ -223,12 +233,12 @@ def random_element(
     n: int, basis: str, rng: random.Random, support: str = "full"
 ) -> AlgebraElement:
     """Seeded random element; "full" support or "sparse" (about half)."""
-    coeffs = {}
-    for s in enumerate_rn(n):
+    values = np.zeros(size(n), dtype=complex)
+    for i in range(size(n)):  # enumerate_rn(n) order
         if support == "sparse" and rng.random() < 0.5:
             continue
-        coeffs[s] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return AlgebraElement(n, basis, coeffs)
+        values[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return from_dense(n, basis, values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +266,17 @@ def from_json_dict(data: dict) -> AlgebraElement:
     if not isinstance(terms, list):
         raise ParseError(f"bad algebra element JSON: terms must be a list, not {type(terms).__name__}")
     check_n(n)
-    coeffs: dict[PartialPermutation, complex] = {}
+    images, coeffs = [], []
     for term in terms:
         try:
             flat = term["elem"]
             c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
         if not isinstance(flat, str):
             raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
         if not cmath.isfinite(c):
             raise ParseError(f"non-finite coefficient {c} for {flat!r}")
-        s = PartialPermutation.from_flat(n, flat)
-        coeffs[s] = coeffs.get(s, 0j) + c
-    return AlgebraElement(n, basis, coeffs)
+        images.append(flat_image(n, flat))
+        coeffs.append(c)
+    return from_dense(n, basis, terms_vector(n, images, coeffs))

@@ -49,12 +49,7 @@ class PartialPermutation:
             raise ValueError("ambient size must be nonnegative")
         if len(img) != n:
             raise ValueError(f"image must have length n={n}, got {len(img)}")
-        defined = [v for v in img if v != 0]
-        for v in defined:
-            if not 1 <= v <= n:
-                raise ValueError(f"image value {v} out of range 1..{n}")
-        if len(set(defined)) != len(defined):
-            raise ValueError("not injective")
+        _check_image(n, img)
         self.n = n
         self.image = img
         self._hash = hash((n, img))
@@ -81,14 +76,7 @@ class PartialPermutation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialPermutation":
-        img = [0] * n
-        for a, b in pairs:
-            if not 1 <= a <= n:
-                raise ValueError(f"domain point {a} out of range 1..{n}")
-            if img[a - 1] != 0:
-                raise ValueError(f"domain point {a} mapped twice")
-            img[a - 1] = b
-        return cls(n, img)
+        return cls(n, _pairs_image(n, pairs))
 
     def __call__(self, i: int) -> int | None:
         v = self.image[i - 1]
@@ -178,19 +166,7 @@ class PartialPermutation:
 
     @classmethod
     def from_flat(cls, n: int, text: str) -> "PartialPermutation":
-        text = text.strip()
-        if not text:
-            return cls.zero(n)
-        pairs = []
-        for part in text.split(";"):
-            m = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", part)
-            if m is None:
-                raise ParseError(f"bad mapping {part!r}")
-            pairs.append((int(m.group(1)), int(m.group(2))))
-        try:
-            return cls.from_pairs(n, pairs)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return cls(n, flat_image(n, text))
 
     def as_matrix(self) -> np.ndarray:
         """0/1 rook matrix with a 1 at (s(b), b); display helper only."""
@@ -216,6 +192,46 @@ class PartialPermutation:
 
     def __repr__(self) -> str:
         return f"PartialPermutation({self.n}, {self.to_flat()!r})"
+
+
+def _pairs_image(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The image list of the map a ↦ b; each domain point a is in 1..n, once."""
+    img = [0] * n
+    for a, b in pairs:
+        if not 1 <= a <= n:
+            raise ValueError(f"domain point {a} out of range 1..{n}")
+        if img[a - 1] != 0:
+            raise ValueError(f"domain point {a} mapped twice")
+        img[a - 1] = b
+    return img
+
+
+def _check_image(n: int, img: tuple[int, ...]) -> None:
+    """Refuse image values outside 1..n and repeated ones (0 is unmapped)."""
+    defined = [v for v in img if v != 0]
+    for v in defined:
+        if not 1 <= v <= n:
+            raise ValueError(f"image value {v} out of range 1..{n}")
+    if len(set(defined)) != len(defined):
+        raise ValueError("not injective")
+
+
+def flat_image(n: int, text: str) -> tuple[int, ...]:
+    """The image tuple of the flat form "a->b;c->d" on {1..n} ("" is the
+    zero map), checked as by ``from_pairs``; any fault is a ParseError."""
+    text = text.strip()
+    pairs = []
+    for part in text.split(";") if text else ():
+        m = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", part)
+        if m is None:
+            raise ParseError(f"bad mapping {part!r}")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    try:
+        img = tuple(_pairs_image(n, pairs))
+        _check_image(n, img)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return img
 
 
 def compose(g: PartialPermutation, f: PartialPermutation) -> PartialPermutation:

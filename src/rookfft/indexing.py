@@ -70,6 +70,12 @@ def elements_at(n: int, positions: np.ndarray) -> list[PartialPermutation]:
     return PartialPermutation._unchecked(n, map(tuple, digits.tolist()))
 
 
+def ranks_at(n: int, positions: np.ndarray) -> np.ndarray:
+    """Ranks of the elements at these positions of enumerate_rn(n)."""
+    codes = image_codes(n)[positions]
+    return sum((codes // w % (n + 1) != 0 for w in _powers(n)), np.zeros(len(codes), dtype=np.int64))
+
+
 @cache
 def cell_index(n: int, k: int) -> np.ndarray:
     """(C(n,k)², k!) int32: row a·C(n,k) + b, column s holds the position of

@@ -25,6 +25,8 @@ from .algebra import (
     GROUPOID,
     AlgebraElement,
     BasisMismatch,
+    from_dense,
+    terms_vector,
     to_groupoid,
 )
 from .core import ParseError, PartialPermutation, check_n
@@ -40,9 +42,6 @@ class Dataset:
 
     n: int
     records: list[tuple[PartialPermutation, float]]
-
-    def total_count(self) -> float:
-        return sum(c for _, c in self.records)
 
 
 def ingest(path, n: int | None = None) -> Dataset:
@@ -95,13 +94,12 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
 
 
 def to_function(d: Dataset, association: str) -> AlgebraElement:
-    """Attach the raw counts to the chosen natural basis."""
+    """Attach the raw counts to the chosen natural basis; counts of a
+    repeated ballot add up."""
     if association not in BASES:
         raise ValueError(f"unknown association model {association!r}")
-    coeffs: dict[PartialPermutation, complex] = {}
-    for ballot, count in d.records:
-        coeffs[ballot] = coeffs.get(ballot, 0j) + count
-    return AlgebraElement(d.n, association, coeffs)
+    images = [ballot.image for ballot, _ in d.records]
+    return from_dense(d.n, association, terms_vector(d.n, images, [c for _, c in d.records]))
 
 
 def _as_groupoid(f: AlgebraElement) -> AlgebraElement:
@@ -171,8 +169,7 @@ def spectrum(f: AlgebraElement, association: str | None = None) -> SpectrumRepor
         power = M.real**2 + M.imag**2
         energies[shape] = num_standard(shape) / math.factorial(k) * float(w @ power @ (1.0 / w))
     total = sum(energies.values())
-    values = np.fromiter(g.coeffs.values(), dtype=complex, count=len(g.coeffs))
-    residual = abs(total - float(np.vdot(values, values).real))
+    residual = abs(total - float(np.vdot(g.values, g.values).real))
     return SpectrumReport(f.n, f.basis, energies, total, residual)
 
 

@@ -72,10 +72,6 @@ def content(r: int, c: int) -> int:
     return c - r
 
 
-def shape_of(tab: Tableau) -> Shape:
-    return tuple(len(row) for row in tab)
-
-
 def find_entry(tab: Tableau, v: int) -> tuple[int, int] | None:
     for r, row in enumerate(tab):
         for c, e in enumerate(row):

@@ -27,10 +27,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, to_dense, to_groupoid
+from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_dense, to_groupoid
 from .core import (
     ParseError,
-    PartialPermutation,
     enumerate_rn,
     factorize,
     json_int,
@@ -65,12 +64,6 @@ class FourierCoefficients:
             return False
         return all(
             np.allclose(self.blocks[sh], other.blocks[sh], rtol=0.0, atol=tol)
-            for sh in self.blocks
-        )
-
-    def max_abs_diff(self, other: "FourierCoefficients") -> float:
-        return max(
-            float(np.max(np.abs(self.blocks[sh] - other.blocks[sh]))) if self.blocks[sh].size else 0.0
             for sh in self.blocks
         )
 
@@ -138,11 +131,10 @@ def stein_fft(f: AlgebraElement, counter: OpCounter | None = None) -> FourierCoe
     if counter is None:
         counter = OpCounter()
     n = f.n
-    coeffs = to_dense(f)
     blocks: dict[Shape, np.ndarray] = {}
     for k in range(n + 1):
         c = comb(n, k)
-        for shape, cells in sn_fft_batch(coeffs[cell_index(n, k)], k, counter).items():
+        for shape, cells in sn_fft_batch(f.values[cell_index(n, k)], k, counter).items():
             d = cells.shape[-1]
             blocks[shape] = cells.reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(c * d, c * d)
     return FourierCoefficients(n, STEIN, blocks, counter)
@@ -189,7 +181,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
     n = f.n
-    values = to_dense(f)
+    values = f.values
     support = np.flatnonzero(values)
     # walk each term down the chain: its node at every level, its point of R_2
     nodes, points = np.zeros(len(support), dtype=np.int64), support
@@ -342,8 +334,8 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
         d = dim(shape, n)
         if np.shape(F.blocks[shape]) != (d, d):
             raise ValueError(f"block {shape} should be {d}x{d}")
-    coeffs: dict[PartialPermutation, complex] = {}
-    for x in enumerate_rn(n):
+    values = np.zeros(size(n), dtype=complex)
+    for i, x in enumerate(enumerate_rn(n)):
         k = x.rank
         kfact = factorial(k)
         val = 0j
@@ -361,8 +353,8 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
             for shape in partitions(k):
                 rep = halverson_rep(shape, n)
                 val += num_standard(shape) * np.trace(F.blocks[shape] @ rep.eval_groupoid(x_inv))
-        coeffs[x] = val / kfact
-    return AlgebraElement(n, GROUPOID, coeffs)
+        values[i] = val / kfact
+    return from_dense(n, GROUPOID, values)
 
 
 def blockwise_product(F: FourierCoefficients, G: FourierCoefficients) -> FourierCoefficients:
@@ -411,16 +403,6 @@ def recursive_bound(n: int) -> int:
     return bound
 
 
-def bound_for(algorithm: str, n: int):
-    table = {
-        "naive": naive_bound,
-        "stein": stein_bound,
-        "stein_semigroup": stein_semigroup_bound,
-        "recursive": recursive_bound,
-    }
-    return table[algorithm](n)
-
-
 # ---------------------------------------------------------------------------
 # JSON form
 # ---------------------------------------------------------------------------
@@ -464,6 +446,6 @@ def from_json_dict(data: dict) -> FourierCoefficients:
             shape = tuple(int(a) for a in entry["lambda"])
             blocks[shape] = _matrix_from_json(entry["rows"])
         ops = int(data.get("ops", 0))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad block JSON: {exc!r}") from None
     return FourierCoefficients(n, family, blocks, OpCounter(ops))

@@ -1,6 +1,7 @@
 import tracemalloc
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +18,6 @@ from rookfft.algebra import (
     from_json_dict,
     inner1,
     inner2,
-    to_dense,
     to_groupoid,
     to_json_dict,
     to_semigroup,
@@ -221,7 +221,7 @@ class TestDenseBasisChange:
     @pytest.mark.parametrize("n", range(5))
     def test_dense_round_trip(self, n):
         f = rand_elem(n, GROUPOID, 320 + n, support="sparse")
-        values = to_dense(f)
+        values = f.values
         assert [values[i] for i, s in enumerate(enumerate_rn(n))] == [
             f[s] for s in enumerate_rn(n)
         ]
@@ -272,6 +272,32 @@ class TestElementPlumbing:
         data = {"n": 2, "basis": SEMIGROUP, "terms": [{"elem": "1->1", "re": re, "im": im}]}
         with pytest.raises(ParseError, match="non-finite"):
             from_json_dict(data)
+
+    def test_json_sums_two_spellings_of_one_element(self):
+        data = {"n": 2, "basis": SEMIGROUP, "terms": [
+            {"elem": "1->2;2->1", "re": 1.5, "im": 0.5},
+            {"elem": "2->1;1->2", "re": 0.25, "im": -1.0},
+        ]}
+        f = from_json_dict(data)
+        assert list(f.items()) == [(pp(2, "1->2;2->1"), 1.75 - 0.5j)]
+
+    def test_state_is_one_read_only_vector(self):
+        f = rand_elem(3, GROUPOID, 42, support="sparse")
+        assert AlgebraElement.__slots__ == ("n", "basis", "values")
+        assert f.values.shape == (size(3),) and not f.values.flags.writeable
+        assert f.support() == len(f.coeffs) == int(np.count_nonzero(f.values))
+        f.coeffs[PP.zero(3)] = 5.0  # a decoded copy: the element keeps its value
+        assert f[PP.zero(3)] == f.values[0] != 5.0
+        with pytest.raises(ValueError):
+            f.values[0] = 5.0
+
+    def test_from_dense_zeroes_small_entries_and_takes_the_vector(self):
+        values = np.array([1e-15, 2.0, -3e-15j, 0.0, 1j, 1e-13, 0.0], dtype=complex)
+        f = from_dense(2, SEMIGROUP, values)
+        assert f.values is values and not values.flags.writeable
+        assert values.tolist() == [0, 2.0, 0, 0, 1j, 1e-13, 0]
+        with pytest.raises(DimensionMismatch):
+            from_dense(3, SEMIGROUP, np.zeros(size(2), dtype=complex))
 
     def test_json_rejects_term_without_element(self):
         with pytest.raises(ParseError):

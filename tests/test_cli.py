@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_elem
 from rookfft.algebra import (
@@ -409,6 +412,58 @@ class TestHugeN:
         code, out, err = run(capsys, command, "--input", str(path))
         assert_one_usage_error(code, err)
         assert out == "" and built == []
+
+
+def _mostly(good, junk):
+    """good three times in four, junk otherwise."""
+    return st.sampled_from([good, good, good, junk]).flatmap(lambda strategy: strategy)
+
+
+# element JSON that is mostly well formed, with junk mixed in at every field
+_point = _mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "4", "-1", "", "x", "9" * 20]))
+_arrow = _mostly(st.sampled_from(["->", " -> "]), st.sampled_from(["=>", "-", ">", ""]))
+_pair = st.tuples(_point, _arrow, _point).map("".join)
+_sep = _mostly(st.just(";"), st.sampled_from([",", " ; ", ";;", "|"]))
+_elem = _mostly(
+    st.tuples(st.lists(_pair, max_size=3), _sep).map(lambda t: t[1].join(t[0])),
+    st.text(max_size=12) | st.none() | st.integers() | st.lists(st.integers(), max_size=2),
+)
+_number = _mostly(
+    st.floats(-1e3, 1e3) | st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([10**400, "nan", "inf", "-inf", "1e999", "1.5", "x", "", None, True, [1.0]]),
+)
+_term = _mostly(
+    st.fixed_dictionaries({"elem": _elem, "re": _number, "im": _number}),
+    st.fixed_dictionaries({}, optional={"elem": _elem, "re": _number, "im": _number})
+    | st.sampled_from([None, "1->1", 3, []]),
+)
+_fields = {
+    "n": _mostly(st.integers(0, 3), st.sampled_from([-3, -1, 9, 10**9, 2.0, 1.5, True, "2", None])),
+    "basis": _mostly(st.sampled_from(["semigroup", "groupoid"]), st.sampled_from(["", "fourier", None])),
+    "terms": _mostly(st.lists(_term, max_size=3), st.sampled_from([None, {}, "1->1", 3])),
+}
+_element = _mostly(st.fixed_dictionaries(_fields), st.fixed_dictionaries({}, optional=_fields))
+
+
+@given(data=_element)
+@settings(max_examples=300, deadline=None)
+def test_transform_on_fuzzed_element_json_exits_cleanly(tmp_path_factory, data):
+    """Whatever the element JSON holds, transform exits 0, 2 or 3, with one
+    ERR: line on failure and nothing on stderr on success."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "f.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["transform", "--input", str(path), "--output", str(directory / "out.json")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("ERR:"), lines
+        assert lines[0].startswith("ERR:USAGE:" if code == 2 else "ERR:PARSE:")
 
 
 class TestBench:

@@ -12,6 +12,7 @@ from rookfft.algebra import (
     BasisMismatch,
     convolve_groupoid,
     convolve_semigroup,
+    from_dense,
     random_element,
     to_groupoid,
 )
@@ -222,6 +223,22 @@ class TestSteinSemigroup:
         f = rand_elem(3, SEMIGROUP, seed)
         expected = naive_transform(to_groupoid(f), "stein")
         assert stein_fft_semigroup(f).allclose(expected, 1e-9)
+
+    def test_builds_no_element_between_its_stages(self, monkeypatch):
+        # the zeta pass hands stein_fft its vector: no PartialPermutation key
+        # is decoded from it, and none is encoded back
+        n = 4
+        rng = np.random.default_rng(4)
+        f = from_dense(n, SEMIGROUP, rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PartialPermutation was built")
+
+        monkeypatch.setattr(PartialPermutation, "_unchecked", classmethod(refuse))
+        monkeypatch.setattr(PartialPermutation, "__init__", refuse)
+        F = stein_fft_semigroup(f)
+        monkeypatch.undo()
+        assert F.allclose(naive_transform(to_groupoid(f), "stein"), 1e-9)
 
 
 class TestRecursive:
