@@ -1,16 +1,18 @@
-"""Wall time, multiply-adds and peak memory of the fast transforms on
-full-support inputs.
+"""Wall time, multiply-adds and peak memory of the fast transforms and of
+Fourier inversion on full-support inputs.
 
     PYTHONPATH=src python3 scripts/bench_fft.py
 
 For each n ≤ MAX_N, two seeded full-support coefficient vectors become
 elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 ``enumerate_rn``.  The semigroup element goes through ``to_groupoid``,
-``stein_fft_semigroup`` and, for n ≤ RECURSIVE_MAX_N, ``recursive_fft``; the
-groupoid element goes through ``stein_fft``.  Each call runs once untimed, so
-caches and tables are built, then REPEATS times timed; the minimum wall time
-is reported with the call's multiply-adds.  ``from_dense`` is one timed call
-per element.  Each row also reports the process's peak RSS so far
+``stein_fft_semigroup`` and, for n ≤ RECURSIVE_MAX_N, ``recursive_fft``, whose
+halverson block set ``fourier_invert`` then inverts; the groupoid element goes
+through ``stein_fft``, whose stein block set ``fourier_invert`` inverts too.
+Each call runs once, timed as the cold call (caches and tables are built
+there), then REPEATS times timed; the minimum warm wall time is reported with
+the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
+call per element.  Each row also reports the process's peak RSS so far
 (``ru_maxrss``), which the row's own n dominates.  Prints one JSON object.
 Run it against two checkouts to compare them.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, to_groupoid
 from rookfft.core import size
 from rookfft.counting import OpCounter
-from rookfft.transforms import recursive_fft, stein_fft, stein_fft_semigroup
+from rookfft.transforms import fourier_invert, recursive_fft, stein_fft, stein_fft_semigroup
 
 MAX_N = 8
 RECURSIVE_MAX_N = 7
@@ -37,15 +39,17 @@ SEED = 0
 
 
 def _min_time(fn, arg):
-    """Minimum wall time of REPEATS calls after one untimed call, and the
-    last call's result."""
+    """Wall time of one cold call, the minimum of REPEATS warm calls after
+    it, and the last call's result."""
+    t0 = time.perf_counter()
     out = fn(arg)
+    cold = time.perf_counter() - t0
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         out = fn(arg)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return cold, best, out
 
 
 def _element(n: int, basis: str, seed: int):
@@ -76,23 +80,27 @@ def _cpu_model() -> str:
 
 
 def _row(n: int) -> dict:
-    seconds, multiply_adds = {}, {}
+    seconds, cold, multiply_adds = {}, {}, {}
     f, seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
-    seconds["to_groupoid"] = _min_time(to_groupoid, f)[0]
+    cold["to_groupoid"], seconds["to_groupoid"], _ = _min_time(to_groupoid, f)
     multiply_adds["to_groupoid"] = _zeta_ops(f)
     paths = [("stein_fft_semigroup", stein_fft_semigroup)]
     if n <= RECURSIVE_MAX_N:
         paths.append(("recursive_fft", recursive_fft))
     for name, fn in paths:
-        seconds[name], F = _min_time(fn, f)
+        cold[name], seconds[name], F = _min_time(fn, f)
         multiply_adds[name] = F.ops.multiply_adds
+    if n <= RECURSIVE_MAX_N:  # F is recursive_fft's halverson block set
+        name = "fourier_invert_halverson"
+        cold[name], seconds[name], _ = _min_time(fourier_invert, F)
     del f, F  # free the semigroup side before the groupoid element is built
     g, _ = _element(n, GROUPOID, SEED + 100 + n)
-    seconds["stein_fft"], F = _min_time(stein_fft, g)
+    cold["stein_fft"], seconds["stein_fft"], F = _min_time(stein_fft, g)
     multiply_adds["stein_fft"] = F.ops.multiply_adds
+    cold["fourier_invert_stein"], seconds["fourier_invert_stein"], _ = _min_time(fourier_invert, F)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"n": n, "size": size(n), "seconds": seconds, "multiply_adds": multiply_adds,
-            "peak_rss_mb": round(peak_mb, 1)}
+    return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
+            "multiply_adds": multiply_adds, "peak_rss_mb": round(peak_mb, 1)}
 
 
 def main() -> None:

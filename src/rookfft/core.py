@@ -195,11 +195,14 @@ class PartialPermutation:
 
 
 def _pairs_image(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """The image list of the map a ↦ b; each domain point a is in 1..n, once."""
+    """The image list of the map a ↦ b; each domain point a is in 1..n, once,
+    and each image point b in 1..n (0 would mark a as unmapped)."""
     img = [0] * n
     for a, b in pairs:
         if not 1 <= a <= n:
             raise ValueError(f"domain point {a} out of range 1..{n}")
+        if not 1 <= b <= n:
+            raise ValueError(f"image point {b} out of range 1..{n}")
         if img[a - 1] != 0:
             raise ValueError(f"domain point {a} mapped twice")
         img[a - 1] = b

@@ -10,7 +10,9 @@ count is at most (2/3)k(k+1)²k!.
 Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).  The
 FFT reads a function on S_k as a vector in Clausen order (``clausen_perms``),
 in which every coset of S_{m-1} in S_m is a contiguous run, so each level
-of the recursion is one reshape of a batch of such vectors.
+of the recursion is one reshape of a batch of such vectors.  The inverse
+(``sn_ifft_batch``) runs the same levels backwards, recovering each coset's
+subgroup transform by Fourier inversion on S_{m-1}.
 """
 
 from __future__ import annotations
@@ -207,25 +209,52 @@ def _clausen_column(k: int) -> dict[Perm, int]:
     return {tuple(int(v) for v in w): s for s, w in enumerate(clausen_perms(k))}
 
 
+def _coset_reps(shape: Shape, inverse: bool) -> list[np.ndarray]:
+    """ρ_λ(T_i) = ρ(t_{i+1})···ρ(t_m) for i = 1..m, or with inverse their
+    inverses ρ(t_m)···ρ(t_{i+1}): seminormal transposition images are
+    involutions."""
+    rep = seminormal_rep(shape)
+    m = rep.k
+    out = []
+    for i in range(1, m + 1):
+        P = np.eye(rep.dim)
+        for j in range(i + 1, m + 1):
+            P = rep.transpositions[j] @ P if inverse else P @ rep.transpositions[j]
+        out.append(P)
+    return out
+
+
 @cache
 def _coset_images(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray], ...]:
     """For λ ⊢ m: (offset, d_μ, μ, Q) per μ in branch_sn(λ), with
     Q[:, i·d_μ + s] = ρ_λ(T_{i+1})[:, offset + s] for i = 0..m−1: the columns
     of the coset representative images that meet the μ block of the
     subgroup transform, side by side."""
-    rep = seminormal_rep(shape)
-    m = rep.k
-    images = []
-    for i in range(1, m + 1):
-        P = np.eye(rep.dim)
-        for j in range(i + 1, m + 1):
-            P = P @ rep.transpositions[j]
-        images.append(P)
+    images = _coset_reps(shape, inverse=False)
     parts, offset = [], 0
     for mu in branch_sn(shape):
         d = num_standard(mu)
         Q = np.concatenate([P[:, offset : offset + d] for P in images], axis=1)
         parts.append((offset, d, mu, Q.astype(complex)))
+        offset += d
+    return tuple(parts)
+
+
+@cache
+def _coset_inverse_rows(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray], ...]:
+    """For λ ⊢ m: (offset, d_μ, μ, R) per μ in branch_sn(λ), with
+    R[i·d_μ + s, :] = (d_λ/(m·d_μ))·ρ_λ(T_{i+1})⁻¹[offset + s, :] for
+    i = 0..m−1: the rows of the inverse coset images that meet the μ block,
+    stacked and scaled for Fourier inversion on S_{m−1}.  Read-only."""
+    images = _coset_reps(shape, inverse=True)
+    m, d_shape = len(images), num_standard(shape)
+    parts, offset = [], 0
+    for mu in branch_sn(shape):
+        d = num_standard(mu)
+        R = np.concatenate([P[offset : offset + d] for P in images]) * (d_shape / (m * d))
+        R = R.astype(complex)
+        R.flags.writeable = False
+        parts.append((offset, d, mu, R))
         offset += d
     return tuple(parts)
 
@@ -285,6 +314,40 @@ def sn_fft_batch(
     return level
 
 
+def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
+    """Inverse of ``sn_fft_batch``: a (rows, d_λ, d_λ) stack per λ ⊢ k → the
+    (rows, k!) functions on S_k, one row each in Clausen order.
+
+    The levels of ``sn_fft_batch`` run backwards.  At level m the transform
+    of each child coset T_i·S_{m−1} of a node is recovered by Fourier
+    inversion on the subgroup S_{m−1} (Schur orthogonality):
+
+        child_i[μ] = Σ_{λ∋μ} (d_λ/(m·d_μ))·[ρ_λ(T_i)⁻¹·F̂_λ]_{μ rows, μ cols},
+
+    one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole stack.
+    """
+    stacks = {}
+    for shape in partitions(k):
+        d = num_standard(shape)
+        stack = np.asarray(level[shape], dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (d, d):
+            raise ValueError(f"stack for {shape} must be (rows, {d}, {d}), got {stack.shape}")
+        stacks[shape] = stack
+    for m in range(k, 1, -1):
+        below: dict[Shape, np.ndarray] = {}
+        for shape in partitions(m):
+            F = stacks[shape]
+            for offset, dm, mu, R in _coset_inverse_rows(shape):
+                child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
+                if mu in below:
+                    below[mu] += child
+                else:
+                    below[mu] = child
+        stacks = below
+    (last,) = stacks.values()
+    return last.reshape(-1, factorial(k))
+
+
 def sn_fft(
     f: Mapping[Perm, complex], n: int, counter: OpCounter | None = None
 ) -> dict[Shape, np.ndarray]:
@@ -320,7 +383,7 @@ def sn_naive(f: Mapping[Perm, complex], n: int) -> dict[Shape, np.ndarray]:
 
 
 def sn_ifft(blocks: Mapping[Shape, np.ndarray]) -> dict[Perm, complex]:
-    """Invert a transform on S_n: f(w) = (1/n!) Σ_λ d_λ tr(f̂(λ) ρ_λ(w⁻¹))."""
+    """Invert a transform on S_n: ``sn_ifft_batch`` on a batch of one."""
     shapes = list(blocks)
     if not shapes:
         raise ValueError("no blocks given")
@@ -332,13 +395,6 @@ def sn_ifft(blocks: Mapping[Shape, np.ndarray]) -> dict[Perm, complex]:
         d = num_standard(shape)
         if np.shape(blocks[shape]) != (d, d):
             raise ValueError(f"block {shape} should be {d}x{d}")
-    order = factorial(n)
-    out: dict[Perm, complex] = {}
-    for w in all_perms(n):
-        w_inv = perm_inverse(w)
-        total = 0j
-        for shape in expected:
-            rep = seminormal_rep(shape)
-            total += rep.dim * np.trace(np.asarray(blocks[shape]) @ rep.evaluate(w_inv))
-        out[w] = total / order
-    return out
+    values = sn_ifft_batch({shape: np.asarray(blocks[shape])[None] for shape in shapes}, n)[0]
+    column = _clausen_column(n)
+    return {w: values[column[w]] for w in all_perms(n)}

@@ -15,7 +15,11 @@ multiply-add counter:
   level at once, and is charged from which nodes the support occupies.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
-block set of either family via f(x) = (1/k!) Σ_{λ⊢k} f^λ tr(f̂(λ)·ρ(⌊x⁻¹⌋)).
+block set of either family by running ``stein_fft`` backwards: per rank k,
+one batched inverse S_k FFT (``sn_ifft_batch``) over the C(n,k)² cells of
+every λ ⊢ k, scattered through the same cell table.  A halverson block set
+is first taken to the stein family by one similarity per block
+(``rook_reps.halverson_similarity``); no element of R_n is evaluated.
 """
 
 from __future__ import annotations
@@ -28,18 +32,11 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_dense, to_groupoid
-from .core import (
-    ParseError,
-    enumerate_rn,
-    factorize,
-    json_int,
-    ksubset_index,
-    size,
-)
+from .core import ParseError, check_n, enumerate_rn, json_int, size
 from .counting import OpCounter, scaled_accumulate
 from .indexing import cell_index, slice_index
-from .rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
-from .symmetric import perm_inverse, sn_fft_batch
+from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
+from .symmetric import sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -322,8 +319,11 @@ def _times(stack: np.ndarray, pairing: tuple[np.ndarray, ...], right: bool) -> N
 def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
     """Recover the groupoid-basis coefficients from a complete block set.
 
-    f(x) = (1/|S_k|) Σ_{λ⊢k} f^λ · tr(f̂(λ)·ρ_λ(⌊x⁻¹⌋)) with k = rk(x);
-    works for either family since the trace is similarity-invariant.
+    The inverse of ``stein_fft``, rank by rank: each λ-block (λ ⊢ k) is cut
+    into its C(n,k)² cells of d_λ×d_λ, ``sn_ifft_batch`` inverts them all
+    as one batch of S_k transforms, and the values are scattered through
+    ``cell_index(n, k)``.  A halverson block F̂ is first taken to its stein
+    block U⁻¹·F̂·U by the similarity U = ``halverson_similarity(λ, n)``.
     """
     n = F.n
     if F.family not in FAMILIES:
@@ -335,25 +335,17 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
         if np.shape(F.blocks[shape]) != (d, d):
             raise ValueError(f"block {shape} should be {d}x{d}")
     values = np.zeros(size(n), dtype=complex)
-    for i, x in enumerate(enumerate_rn(n)):
-        k = x.rank
-        kfact = factorial(k)
-        val = 0j
-        if F.family == STEIN:
-            ran, y, dom = factorize(x)
-            y_inv = perm_inverse(y.image)
-            a, b = ksubset_index(ran), ksubset_index(dom)
-            for shape in partitions(k):
-                rep = stein_rep(shape, n)
-                d = rep.base.dim
-                cell = F.blocks[shape][a * d : (a + 1) * d, b * d : (b + 1) * d]
-                val += d * np.trace(cell @ rep.base.evaluate(y_inv))
-        else:
-            x_inv = x.inverse()
-            for shape in partitions(k):
-                rep = halverson_rep(shape, n)
-                val += num_standard(shape) * np.trace(F.blocks[shape] @ rep.eval_groupoid(x_inv))
-        values[i] = val / kfact
+    for k in range(n + 1):
+        c = comb(n, k)
+        cells = {}
+        for shape in partitions(k):
+            block = np.asarray(F.blocks[shape], dtype=complex)
+            if F.family == HALVERSON:
+                U = halverson_similarity(shape, n)
+                block = np.linalg.solve(U, block @ U)
+            d = num_standard(shape)
+            cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
+        values[cell_index(n, k)] = sn_ifft_batch(cells, k)
     return from_dense(n, GROUPOID, values)
 
 
@@ -436,16 +428,27 @@ def to_json_dict(F: FourierCoefficients) -> dict:
 
 
 def from_json_dict(data: dict) -> FourierCoefficients:
+    """Block JSON → FourierCoefficients.  Every ``lambda`` part and ``ops``
+    must be a JSON integer, and every label a member of Λ_n, given once;
+    whether each label of Λ_n is present is ``fourier_invert``'s check."""
     try:
         n = json_int(data["n"], "n")
+        check_n(n)
         family = data["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        known = set(labels(n))
         blocks: dict[Shape, np.ndarray] = {}
         for entry in data["blocks"]:
-            shape = tuple(int(a) for a in entry["lambda"])
+            shape = tuple(json_int(a, "lambda part") for a in entry["lambda"])
+            if shape not in known:
+                raise ParseError(f"lambda {list(shape)} is not a label of R_{n}")
+            if shape in blocks:
+                raise ParseError(f"lambda {list(shape)} given twice")
             blocks[shape] = _matrix_from_json(entry["rows"])
-        ops = int(data.get("ops", 0))
+        ops = json_int(data.get("ops", 0), "ops")
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad block JSON: {exc!r}") from None
+    if ops < 0:
+        raise ParseError(f"ops must be nonnegative, got {ops}")
     return FourierCoefficients(n, family, blocks, OpCounter(ops))

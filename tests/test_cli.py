@@ -17,6 +17,7 @@ from rookfft.algebra import (
 )
 from rookfft.cli import main
 from rookfft.core import PartialPermutation, size
+from rookfft.rook_reps import dim, labels
 from rookfft.transforms import from_json_dict as fc_from_json, naive_transform
 
 
@@ -276,6 +277,80 @@ class TestIntegerN:
         assert out == ""
 
 
+class TestImagePointZero:
+    """0 is not an image point: the flat form "a->0" is refused, not read as unmapped."""
+
+    def test_transform_refuses_element(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 2, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->0;1->2", "re": 1.0, "im": 0.0}]}', encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert "image point 0" in err
+        assert out == ""
+
+    def test_analyze_refuses_ballot(self, capsys, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n1->1,2\n2->0,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--n", "2")
+        assert_one_parse_error(code, err)
+        assert "line 3" in err
+        assert out == ""
+
+
+class TestStrictBlockJson:
+    """Block JSON for invert: each lambda part and ops are JSON integers, and
+    each label is a label of R_n, given once."""
+
+    @staticmethod
+    def block_json(capsys, tmp_path):
+        code, out, _ = run(capsys, "transform", "--algorithm", "recursive", "--input",
+                           write_element(tmp_path, "f.json", rand_elem(3, SEMIGROUP, 21)))
+        assert code == 0
+        return json.loads(out)
+
+    def invert(self, capsys, tmp_path, data):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return run(capsys, "invert", "--input", str(path))
+
+    def test_unchanged_block_set_inverts(self, capsys, tmp_path):
+        code, _, err = self.invert(capsys, tmp_path, self.block_json(capsys, tmp_path))
+        assert code == 0 and err == ""
+
+    def test_refuses_fractional_labels_and_ops(self, capsys, tmp_path):
+        data = self.block_json(capsys, tmp_path)
+        for block in data["blocks"]:
+            block["lambda"] = [a + 0.9 for a in block["lambda"]]
+        data["ops"] = 12.7
+        code, out, err = self.invert(capsys, tmp_path, data)
+        assert_one_parse_error(code, err)
+        assert "JSON integer" in err and out == ""
+
+    @pytest.mark.parametrize("ops", [12.7, "12", True, -1])
+    def test_refuses_bad_ops(self, capsys, tmp_path, ops):
+        data = self.block_json(capsys, tmp_path)
+        data["ops"] = ops
+        code, out, err = self.invert(capsys, tmp_path, data)
+        assert_one_parse_error(code, err)
+        assert "ops" in err and out == ""
+
+    @pytest.mark.parametrize("label", [["2"], [4], [1, 2], [2, 0], [-1], [2, 1, 1]])
+    def test_refuses_a_label_outside_the_label_set(self, capsys, tmp_path, label):
+        data = self.block_json(capsys, tmp_path)
+        data["blocks"][2]["lambda"] = label
+        code, out, err = self.invert(capsys, tmp_path, data)
+        assert_one_parse_error(code, err)
+        assert out == ""
+
+    def test_refuses_a_label_given_twice(self, capsys, tmp_path):
+        data = self.block_json(capsys, tmp_path)
+        data["blocks"].append(data["blocks"][0])
+        code, out, err = self.invert(capsys, tmp_path, data)
+        assert_one_parse_error(code, err)
+        assert "twice" in err and out == ""
+
+
 class TestOutOfMemory:
     """MemoryError anywhere in a command is exit 5 and one ERR:RESOURCE line."""
 
@@ -457,6 +532,52 @@ def test_transform_on_fuzzed_element_json_exits_cleanly(tmp_path_factory, data):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["transform", "--input", str(path), "--output", str(directory / "out.json")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("ERR:"), lines
+        assert lines[0].startswith("ERR:USAGE:" if code == 2 else "ERR:PARSE:")
+
+
+# block JSON for n ≤ 2 that is mostly well formed, with junk mixed in at every field
+_entry = _mostly(
+    st.fixed_dictionaries({"re": _number, "im": _number}),
+    st.sampled_from([None, 1.0, [], {}, {"re": "x"}]),
+)
+_junk_label = st.sampled_from([[0.9], [1.9], ["1"], [3], [1, 2], [2, 0], [], None, "1", [True], 1])
+
+
+@st.composite
+def _block_json(draw):
+    m = draw(st.integers(0, 2))  # the R_m whose labels the blocks are built for
+    blocks = []
+    for shape in labels(m):
+        d = draw(_mostly(st.just(dim(shape, m)), st.integers(0, 3)))
+        rows = draw(st.lists(st.lists(_entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        block = {"lambda": draw(_mostly(st.just(list(shape)), _junk_label)), "rows": rows}
+        blocks.append(draw(_mostly(st.just(block), st.sampled_from([None, [], "rows", {}]))))
+    fields = {
+        "n": _mostly(st.just(m), st.sampled_from([-1, 3, 9, 10**9, 1.5, True, "2", None])),
+        "family": _mostly(st.sampled_from(["stein", "halverson"]), st.sampled_from(["", None, 1])),
+        "blocks": _mostly(st.permutations(blocks), st.sampled_from([None, {}, "x", 3])),
+        "ops": _mostly(st.integers(0, 10**6), st.sampled_from([12.7, -1, "5", None, True])),
+    }
+    return draw(_mostly(st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=fields)))
+
+
+@given(data=_block_json())
+@settings(max_examples=300, deadline=None)
+def test_invert_on_fuzzed_block_json_exits_cleanly(tmp_path_factory, data):
+    """Whatever the block JSON holds, invert exits 0, 2 or 3, with one ERR:
+    line on failure and nothing on stderr on success."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "coeffs.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["invert", "--input", str(path), "--output", str(directory / "out.json")])
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3)
     if code == 0:

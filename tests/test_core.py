@@ -226,6 +226,16 @@ class TestFlatForm:
         with pytest.raises(ParseError):
             PP.from_flat(3, "2=>1")
 
+    @pytest.mark.parametrize("text", ["2->0", "1->0;1->2", "1->2;2->0", "1->4"])
+    def test_image_point_outside_range(self, text):
+        # 0 is not a point: "2->0" is no zero map, and "1->0;1->2" names 1 twice
+        with pytest.raises(ParseError, match="image point"):
+            PP.from_flat(3, text)
+
+    def test_from_pairs_refuses_image_point_zero(self):
+        with pytest.raises(ValueError, match="image point 0"):
+            PP.from_pairs(2, [(1, 0)])
+
 
 class TestFactorization:
     def test_order_preserving(self):

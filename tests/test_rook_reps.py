@@ -7,6 +7,7 @@ from rookfft.rook_reps import (
     branch_rn,
     dim,
     halverson_rep,
+    halverson_similarity,
     labels,
     stein_rep,
 )
@@ -157,3 +158,15 @@ class TestStein:
                 assert abs(
                     np.trace(h.evaluate(s)) - np.trace(s_rep.eval_semigroup(s))
                 ) < 1e-9
+
+
+class TestSimilarity:
+    @pytest.mark.parametrize("n", range(5))
+    def test_takes_halverson_images_to_stein_images(self, n):
+        for sh in labels(n):
+            U = halverson_similarity(sh, n)
+            assert U.shape == (dim(sh, n), dim(sh, n)) and not U.flags.writeable
+            h, s_rep = halverson_rep(sh, n), stein_rep(sh, n)
+            for s in enumerate_rn(n):
+                assert np.allclose(np.linalg.solve(U, h.evaluate(s) @ U), s_rep.eval_semigroup(s),
+                                   rtol=0.0, atol=1e-9)

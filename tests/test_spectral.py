@@ -63,6 +63,10 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 3"):
             ingest_text("ballot,count\n1->1,1\n2->1;3->1,1\n", n=3)
 
+    def test_image_point_zero_reports_line(self):
+        with pytest.raises(ParseError, match="line 3: image point 0"):
+            ingest_text("ballot,count\n1->1,1\n1->0;1->2,1\n", n=2)
+
     def test_negative_count_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             ingest_text("ballot,count\n1->1,-3\n", n=2)

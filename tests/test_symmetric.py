@@ -17,6 +17,7 @@ from rookfft.symmetric import (
     sn_fft,
     sn_fft_batch,
     sn_ifft,
+    sn_ifft_batch,
     sn_naive,
 )
 from rookfft.tableaux import num_standard, partitions
@@ -181,6 +182,13 @@ class TestSnFFT:
         back = sn_ifft(sn_fft(f, n))
         assert all(abs(back[w] - f[w]) < 1e-9 for w in f)
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_ifft_inverts_the_naive_transform(self, k):
+        f = rand_fn(k, 40 + k)
+        back = sn_ifft(sn_naive(f, k))
+        assert list(back) == list(all_perms(k))
+        assert max(abs(back[w] - f[w]) for w in f) <= 1e-9
+
     def test_ifft_rejects_bad_blocks(self):
         blocks = sn_fft(rand_fn(3, 1), 3)
         with pytest.raises(ValueError):
@@ -234,6 +242,23 @@ class TestBatchedKernel:
             sn_fft(f, k, single)
             single_total += single.multiply_adds
         assert counter.multiply_adds == single_total
+
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_inverse_batch_round_trip(self, k):
+        rng = np.random.default_rng(80 + k)
+        batch = rng.uniform(-1, 1, (4, factorial(k))) + 1j * rng.uniform(-1, 1, (4, factorial(k)))
+        batch[1, rng.random(factorial(k)) < 0.7] = 0  # a sparse row
+        batch[3] = 0  # an empty row
+        back = sn_ifft_batch(sn_fft_batch(batch, k), k)
+        assert back.shape == batch.shape
+        assert np.abs(back - batch).max() <= 1e-12
+
+    def test_inverse_batch_rejects_a_misshapen_stack(self):
+        stacks = sn_fft_batch(np.ones((2, 6)), 3)
+        stacks[(2, 1)] = stacks[(2, 1)][:, :1]
+        with pytest.raises(ValueError, match="must be"):
+            sn_ifft_batch(stacks, 3)
 
 
 class TestInvariantForm:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 import numpy as np
 import pytest
@@ -18,8 +20,16 @@ from rookfft.algebra import (
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
 from rookfft.counting import OpCounter
-from rookfft.rook_reps import branch_rn, dim, halverson_rep, labels, stein_rep
+from rookfft.rook_reps import (
+    branch_rn,
+    dim,
+    halverson_rep,
+    halverson_similarity,
+    labels,
+    stein_rep,
+)
 from rookfft.symmetric import _descend_map
+from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     FourierCoefficients,
     _pairing,
@@ -396,6 +406,72 @@ class TestInversion:
         F.blocks[(1,)] = np.zeros((3, 3))
         with pytest.raises(ValueError):
             fourier_invert(F)
+
+
+def _invert_per_element(F, positions):
+    """The per-element inversion formula, the oracle for fourier_invert:
+    f(x) = (1/k!) Σ_{λ⊢k} f^λ·tr(F̂(λ)·ρ_λ(⌊x⁻¹⌋)) with k = rk(x), at the
+    elements of R_n at these positions; either family, since the trace is
+    similarity-invariant."""
+    rep_of = stein_rep if F.family == "stein" else halverson_rep
+    elements = enumerate_rn(F.n)
+    out = []
+    for i in positions:
+        x = elements[i]
+        x_inv = x.inverse()
+        total = sum(
+            num_standard(shape)
+            * np.trace(F.blocks[shape] @ rep_of(shape, F.n).eval_groupoid(x_inv))
+            for shape in partitions(x.rank)
+        )
+        out.append(total / factorial(x.rank))
+    return np.array(out)
+
+
+@cache
+def _full_support(n):
+    """A seeded full-support semigroup element of R_n, its groupoid image,
+    and its transforms in both families."""
+    rng = np.random.default_rng(300 + n)
+    values = rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n))
+    f = from_dense(n, SEMIGROUP, values)
+    g = to_groupoid(f)
+    return f, g, stein_fft(g), recursive_fft(f)
+
+
+class TestFastInversion:
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_per_element_formula(self, n):
+        # every element up to n = 4; a seeded sample of 200 at n = 5, where the
+        # halverson formula takes seconds over all of R_5
+        _, _, S, H = _full_support(n)
+        positions = range(size(n)) if n <= 4 else sorted(random.Random(5).sample(range(size(n)), 200))
+        positions = np.array(positions, dtype=np.int64)
+        for F in (S, H):
+            want = _invert_per_element(F, positions)
+            assert np.abs(fourier_invert(F).values[positions] - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_round_trip_full_support_both_families(self, n):
+        _, g, S, H = _full_support(n)
+        assert np.abs(fourier_invert(S).values - g.values).max() <= 1e-9
+        assert np.abs(fourier_invert(H).values - g.values).max() <= 1e-9
+
+    def test_similarity_takes_recursive_blocks_to_stein_at_n7(self):
+        # block by block, not only traces: U⁻¹·recursive_fft(f)·U = stein_fft_semigroup(f)
+        n = 7
+        f, _, _, H = _full_support(n)
+        S = stein_fft_semigroup(f)
+        for shape in labels(n):
+            U = halverson_similarity(shape, n)
+            assert np.abs(np.linalg.solve(U, H.blocks[shape] @ U) - S.blocks[shape]).max() <= 1e-9
+
+    def test_input_blocks_are_left_unchanged(self):
+        _, _, S, H = _full_support(3)
+        for F in (S, H):
+            before = {sh: M.copy() for sh, M in F.blocks.items()}
+            fourier_invert(F)
+            assert all(np.array_equal(F.blocks[sh], before[sh]) for sh in before)
 
 
 class TestAlgebraIsomorphism:
