@@ -9,6 +9,8 @@ elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 ``stein_fft_semigroup`` and, for n ≤ RECURSIVE_MAX_N, ``recursive_fft``, whose
 halverson block set ``fourier_invert`` then inverts; the groupoid element goes
 through ``stein_fft``, whose stein block set ``fourier_invert`` inverts too.
+Each element is also convolved with itself (``convolve_semigroup``,
+``convolve_groupoid``).
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
@@ -27,7 +29,14 @@ import time
 
 import numpy as np
 
-from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, to_groupoid
+from rookfft.algebra import (
+    GROUPOID,
+    SEMIGROUP,
+    convolve_groupoid,
+    convolve_semigroup,
+    from_dense,
+    to_groupoid,
+)
 from rookfft.core import size
 from rookfft.counting import OpCounter
 from rookfft.transforms import fourier_invert, recursive_fft, stein_fft, stein_fft_semigroup
@@ -38,16 +47,16 @@ REPEATS = 3
 SEED = 0
 
 
-def _min_time(fn, arg):
+def _min_time(fn, *args):
     """Wall time of one cold call, the minimum of REPEATS warm calls after
     it, and the last call's result."""
     t0 = time.perf_counter()
-    out = fn(arg)
+    out = fn(*args)
     cold = time.perf_counter() - t0
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        out = fn(arg)
+        out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return cold, best, out
 
@@ -93,11 +102,19 @@ def _row(n: int) -> dict:
     if n <= RECURSIVE_MAX_N:  # F is recursive_fft's halverson block set
         name = "fourier_invert_halverson"
         cold[name], seconds[name], _ = _min_time(fourier_invert, F)
-    del f, F  # free the semigroup side before the groupoid element is built
+    del F
+    cold["convolve_semigroup"], seconds["convolve_semigroup"], _ = _min_time(
+        convolve_semigroup, f, f
+    )
+    del f  # free the semigroup side before the groupoid element is built
     g, _ = _element(n, GROUPOID, SEED + 100 + n)
     cold["stein_fft"], seconds["stein_fft"], F = _min_time(stein_fft, g)
     multiply_adds["stein_fft"] = F.ops.multiply_adds
     cold["fourier_invert_stein"], seconds["fourier_invert_stein"], _ = _min_time(fourier_invert, F)
+    del F
+    cold["convolve_groupoid"], seconds["convolve_groupoid"], _ = _min_time(
+        convolve_groupoid, g, g
+    )
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
             "multiply_adds": multiply_adds, "peak_rss_mb": round(peak_mb, 1)}

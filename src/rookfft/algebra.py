@@ -11,11 +11,16 @@ An element stores one read-only complex vector of length |R_n| indexed
 like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
 ``PartialPermutation`` keys (``coeffs``, ``items()``) are decoded from the
 nonzero slots on demand, through the image codes of ``indexing``.
+
+Both convolutions run through the convolution theorem (``stein_fft``, a
+product per block, ``fourier_invert``), so they cost the transforms' time
+whatever the support: on a 2-CPU Xeon, 0.7–1.7 s warm for two deltas at
+n=8, against 0.05 s for a loop over pairs of terms.  Terms of modulus ≤
+DROP_EPS·‖f‖₁·‖g‖₁, the rounding floor of the direct sum, are zeroed.
 """
 
 from __future__ import annotations
 
-import cmath
 import random
 from typing import Iterator, Mapping
 
@@ -27,6 +32,7 @@ from .core import (
     PartialPermutation,
     check_n,
     flat_image,
+    json_complex,
     json_int,
     size,
 )
@@ -144,13 +150,7 @@ def convolve_semigroup(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     _require(f, SEMIGROUP)
     _require(g, SEMIGROUP)
     f._check_compatible(g)
-    out: dict[PartialPermutation, complex] = {}
-    g_terms = list(g.items())
-    for r, fr in f.items():
-        for t, gt in g_terms:
-            s = r * t
-            out[s] = out.get(s, 0j) + fr * gt
-    return AlgebraElement(f.n, SEMIGROUP, out)
+    return _drop_rounding(to_semigroup(convolve_groupoid(to_groupoid(f), to_groupoid(g))), f, g)
 
 
 def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -158,15 +158,15 @@ def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     _require(f, GROUPOID)
     _require(g, GROUPOID)
     f._check_compatible(g)
-    out: dict[PartialPermutation, complex] = {}
-    g_terms = [(t, t.ran(), gt) for t, gt in g.items()]
-    for r, fr in f.items():
-        rdom = r.dom()
-        for t, tran, gt in g_terms:
-            if rdom == tran:
-                s = r * t
-                out[s] = out.get(s, 0j) + fr * gt
-    return AlgebraElement(f.n, GROUPOID, out)
+    # transforms imports this module, so it can only be imported at call time
+    from .transforms import blockwise_product, fourier_invert, stein_fft
+    return _drop_rounding(fourier_invert(blockwise_product(stein_fft(f), stein_fft(g))), f, g)
+
+
+def _drop_rounding(h: AlgebraElement, f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """The product h = f∗g without its terms of modulus ≤ DROP_EPS·‖f‖₁·‖g‖₁."""
+    floor = DROP_EPS * np.abs(f.values).sum() * np.abs(g.values).sum()
+    return from_dense(h.n, h.basis, np.where(np.abs(h.values) <= floor, 0, h.values))
 
 
 def _spread(f: AlgebraElement, signed: bool) -> tuple[np.ndarray, int]:
@@ -270,13 +270,11 @@ def from_json_dict(data: dict) -> AlgebraElement:
     for term in terms:
         try:
             flat = term["elem"]
-            c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+            c = json_complex(term)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
         if not isinstance(flat, str):
             raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
-        if not cmath.isfinite(c):
-            raise ParseError(f"non-finite coefficient {c} for {flat!r}")
         images.append(flat_image(n, flat))
         coeffs.append(c)
     return from_dense(n, basis, terms_vector(n, images, coeffs))

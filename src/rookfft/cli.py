@@ -246,8 +246,6 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     if len(args.input) != 2:
         raise CliError(2, "USAGE", "convolve needs exactly two --input files")
     f, g = (element_from_json(_read_json(path)) for path in args.input)
-    if f.basis != g.basis:
-        raise CliError(2, "USAGE", f"cannot convolve {f.basis} with {g.basis}")
     h = convolve_semigroup(f, g) if f.basis == SEMIGROUP else convolve_groupoid(f, g)
     _emit(args, _dump_json(element_to_json(h)))
     return 0

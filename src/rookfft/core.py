@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -285,6 +285,18 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_complex(entry: dict) -> complex:
+    """The finite number {"re": …, "im": …} (0 where left out), never from text or bool."""
+    real, imag = entry.get("re", 0.0), entry.get("im", 0.0)
+    if type(real) is bool or type(imag) is bool or not (
+        isinstance(real, (int, float)) and isinstance(imag, (int, float))
+    ):
+        raise ParseError(f"re and im must be JSON numbers, got {real!r} and {imag!r}")
+    if not (isfinite(real) and isfinite(imag)):
+        raise ParseError(f"non-finite coefficient {real!r} + {imag!r}i")
+    return complex(real, imag)
 
 
 def check_n(n: int) -> None:

@@ -32,7 +32,7 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_dense, to_groupoid
-from .core import ParseError, check_n, enumerate_rn, json_int, size
+from .core import ParseError, check_n, enumerate_rn, json_complex, json_int, size
 from .counting import OpCounter, scaled_accumulate
 from .indexing import cell_index, slice_index
 from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
@@ -404,16 +404,6 @@ def _matrix_json(M: np.ndarray) -> list:
     return [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(M, dtype=complex)]
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    M = np.array(
-        [[complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))) for e in row] for row in rows],
-        dtype=complex,
-    )
-    if not np.isfinite(M).all():
-        raise ParseError("non-finite matrix entry in block JSON")
-    return M
-
-
 def to_json_dict(F: FourierCoefficients) -> dict:
     data: dict = {"n": F.n, "family": F.family, "ops": F.ops.multiply_adds, "blocks": []}
     for shape in labels(F.n):
@@ -445,7 +435,8 @@ def from_json_dict(data: dict) -> FourierCoefficients:
                 raise ParseError(f"lambda {list(shape)} is not a label of R_{n}")
             if shape in blocks:
                 raise ParseError(f"lambda {list(shape)} given twice")
-            blocks[shape] = _matrix_from_json(entry["rows"])
+            rows = [[json_complex(e) for e in row] for row in entry["rows"]]
+            blocks[shape] = np.array(rows, dtype=complex)
         ops = json_int(data.get("ops", 0), "ops")
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad block JSON: {exc!r}") from None

@@ -3,7 +3,15 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from rookfft.algebra import GROUPOID, AlgebraElement, random_element
+from rookfft.algebra import (
+    GROUPOID,
+    SEMIGROUP,
+    AlgebraElement,
+    _require,
+    convolve_groupoid,
+    convolve_semigroup,
+    random_element,
+)
 from rookfft.core import PartialPermutation
 
 
@@ -11,9 +19,9 @@ def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraEl
     return random_element(n, basis, random.Random(seed), support)
 
 
-def sparse_element(n: int, terms: int, seed: int) -> AlgebraElement:
-    """A seeded groupoid-basis element with the given number of terms,
-    drawn without enumerating R_n."""
+def sparse_element(n: int, terms: int, seed: int, basis: str = GROUPOID) -> AlgebraElement:
+    """A seeded element with the given number of terms, drawn without
+    enumerating R_n."""
     rng = random.Random(seed)
     coeffs = {}
     while len(coeffs) < terms:
@@ -22,7 +30,52 @@ def sparse_element(n: int, terms: int, seed: int) -> AlgebraElement:
         coeffs[PartialPermutation.from_pairs(n, pairs)] = complex(
             rng.uniform(-1, 1), rng.uniform(-1, 1)
         )
-    return AlgebraElement(n, GROUPOID, coeffs)
+    return AlgebraElement(n, basis, coeffs)
+
+
+def direct_convolve_semigroup(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """(f∗g)(s) = Σ_{rt=s} f(r)g(t) by a loop over pairs of terms: the
+    oracle for ``convolve_semigroup`` (quadratic in the support, n ≤ 5)."""
+    _require(f, SEMIGROUP)
+    _require(g, SEMIGROUP)
+    f._check_compatible(g)
+    out: dict[PartialPermutation, complex] = {}
+    g_terms = list(g.items())
+    for r, fr in f.items():
+        for t, gt in g_terms:
+            s = r * t
+            out[s] = out.get(s, 0j) + fr * gt
+    return AlgebraElement(f.n, SEMIGROUP, out)
+
+
+def direct_convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """⌊r⌋⌊t⌋ = ⌊rt⌋ if dom(r) = ran(t), else 0, by a loop over pairs of
+    terms: the oracle for ``convolve_groupoid`` (n ≤ 5)."""
+    _require(f, GROUPOID)
+    _require(g, GROUPOID)
+    f._check_compatible(g)
+    out: dict[PartialPermutation, complex] = {}
+    g_terms = [(t, t.ran(), gt) for t, gt in g.items()]
+    for r, fr in f.items():
+        rdom = r.dom()
+        for t, tran, gt in g_terms:
+            if rdom == tran:
+                s = r * t
+                out[s] = out.get(s, 0j) + fr * gt
+    return AlgebraElement(f.n, GROUPOID, out)
+
+
+def assert_product_matches_oracle(f: AlgebraElement, g: AlgebraElement) -> None:
+    """The convolution of f and g in their basis has the nonzero slots of
+    the direct sum, and values within 1e-9 times its largest coefficient."""
+    if f.basis == SEMIGROUP:
+        got, want = convolve_semigroup(f, g), direct_convolve_semigroup(f, g)
+    else:
+        got, want = convolve_groupoid(f, g), direct_convolve_groupoid(f, g)
+    assert (got.n, got.basis) == (want.n, want.basis)
+    assert np.array_equal(np.flatnonzero(got.values), np.flatnonzero(want.values))
+    scale = np.abs(want.values).max(initial=0.0)
+    assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-9 * scale
 
 
 def block_diag(mats: list[np.ndarray], dim: int) -> np.ndarray:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import partial_perms, rand_elem
+from conftest import (
+    assert_product_matches_oracle,
+    direct_convolve_groupoid,
+    direct_convolve_semigroup,
+    partial_perms,
+    rand_elem,
+    sparse_element,
+)
 from rookfft.algebra import (
     DROP_EPS,
     GROUPOID,
@@ -154,8 +161,8 @@ class TestMultiplicationConsistency:
     def test_bases_compute_the_same_product(self, seed):
         f = rand_elem(3, SEMIGROUP, seed)
         g = rand_elem(3, SEMIGROUP, seed + 100)
-        lhs = to_groupoid(convolve_semigroup(f, g))
-        rhs = convolve_groupoid(to_groupoid(f), to_groupoid(g))
+        lhs = to_groupoid(direct_convolve_semigroup(f, g))
+        rhs = direct_convolve_groupoid(to_groupoid(f), to_groupoid(g))
         assert lhs.allclose(rhs, 1e-10)
 
     @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
@@ -165,6 +172,27 @@ class TestMultiplicationConsistency:
         g = rand_elem(3, basis, 22)
         h = rand_elem(3, basis, 23)
         assert conv(conv(f, g), h).allclose(conv(f, conv(g, h)), 1e-10)
+
+
+class TestConvolutionOracle:
+    """Both convolutions run through the stein transforms; the direct sums
+    over pairs of terms are their reference."""
+
+    @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("n, support", [
+        *((n, "full") for n in range(5)),
+        (4, "sparse"),
+        (4, (30, 5)),
+        (5, (40, 6)),
+        (5, (300, 30)),
+    ])
+    def test_matches_direct_sum(self, basis, scale, n, support):
+        if isinstance(support, str):
+            f, g = rand_elem(n, basis, 40 + n, support), rand_elem(n, basis, 50 + n, support)
+        else:
+            f, g = (sparse_element(n, terms, 60 + n + i, basis) for i, terms in enumerate(support))
+        assert_product_matches_oracle(scale * f, scale * g)
 
 
 class TestInnerProducts:

@@ -4,13 +4,12 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import rand_elem
+from conftest import direct_convolve_semigroup, rand_elem
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
-    convolve_semigroup,
     from_json_dict as element_from_json,
     to_groupoid,
     to_json_dict as element_to_json,
@@ -147,7 +146,15 @@ class TestInvertAndConvolve:
         code, out, _ = run(capsys, "convolve", "--input", pf, "--input", pg)
         assert code == 0
         got = element_from_json(json.loads(out))
-        assert got.allclose(convolve_semigroup(f, g), 1e-9)
+        assert got.allclose(direct_convolve_semigroup(f, g), 1e-9)
+
+    @pytest.mark.parametrize("second", [(2, GROUPOID), (3, SEMIGROUP)])
+    def test_convolve_refuses_mixed_operands(self, capsys, tmp_path, second):
+        pf = write_element(tmp_path, "f.json", rand_elem(2, SEMIGROUP, 5))
+        pg = write_element(tmp_path, "g.json", rand_elem(*second, 6))
+        code, out, err = run(capsys, "convolve", "--input", pf, "--input", pg)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ERR:USAGE:")
 
     def test_convolve_needs_two_inputs(self, capsys, tmp_path):
         pf = write_element(tmp_path, "f.json", rand_elem(2, SEMIGROUP, 7))
@@ -275,6 +282,36 @@ class TestIntegerN:
         assert_one_parse_error(code, err)
         assert "JSON integer" in err
         assert out == ""
+
+
+class TestNumberParts:
+    """"re" and "im" must be JSON numbers: a string or boolean is refused,
+    never coerced."""
+
+    @pytest.mark.parametrize("part", ['"re": "1.5", "im": true', '"re": false', '"im": "0"'])
+    @pytest.mark.parametrize("command", ["transform", "convolve"])
+    def test_element_json(self, capsys, tmp_path, command, part):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 1, "basis": "semigroup", "terms": '
+                        '[{"elem": "1->1", %s}]}' % part, encoding="utf-8")
+        inputs = ["--input", str(path)] * (2 if command == "convolve" else 1)
+        code, out, err = run(capsys, command, *inputs)
+        assert_one_parse_error(code, err)
+        assert "JSON number" in err and out == ""
+
+    @pytest.mark.parametrize("key, value", [("re", "2.5"), ("im", False), ("re", True)])
+    def test_block_json(self, capsys, tmp_path, key, value):
+        f = rand_elem(1, GROUPOID, 9)
+        code, out, _ = run(capsys, "transform", "--input", write_element(tmp_path, "f.json", f),
+                           "--algorithm", "stein")
+        assert code == 0
+        data = json.loads(out)
+        data["blocks"][0]["rows"][0][0][key] = value
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "invert", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert "JSON number" in err and out == ""
 
 
 class TestImagePointZero:
@@ -506,8 +543,20 @@ _elem = _mostly(
 _number = _mostly(
     st.floats(-1e3, 1e3) | st.integers(-3, 3),
     st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([10**400, "nan", "inf", "-inf", "1e999", "1.5", "x", "", None, True, [1.0]]),
+    | st.sampled_from(["1.5", "2", True, False])  # what float() would coerce
+    | st.sampled_from([10**400, "nan", "inf", "-inf", "1e999", "x", "", None, [1.0]]),
 )
+
+
+def _text_or_bool_part(data) -> bool:
+    """Whether some entry of the JSON has a string or boolean "re" or "im"."""
+    if isinstance(data, dict):
+        if any(isinstance(data.get(part), (str, bool)) for part in ("re", "im")):
+            return True
+        data = list(data.values())
+    return isinstance(data, list) and any(map(_text_or_bool_part, data))
+
+
 _term = _mostly(
     st.fixed_dictionaries({"elem": _elem, "re": _number, "im": _number}),
     st.fixed_dictionaries({}, optional={"elem": _elem, "re": _number, "im": _number})
@@ -522,10 +571,12 @@ _element = _mostly(st.fixed_dictionaries(_fields), st.fixed_dictionaries({}, opt
 
 
 @given(data=_element)
+@example(data={"n": 1, "basis": "semigroup", "terms": [{"elem": "1->1", "re": "1.5", "im": True}]})
 @settings(max_examples=300, deadline=None)
 def test_transform_on_fuzzed_element_json_exits_cleanly(tmp_path_factory, data):
     """Whatever the element JSON holds, transform exits 0, 2 or 3, with one
-    ERR: line on failure and nothing on stderr on success."""
+    ERR: line on failure and nothing on stderr on success; a string or
+    boolean number is never accepted."""
     directory = tmp_path_factory.mktemp("fuzz")
     path = directory / "f.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -535,7 +586,7 @@ def test_transform_on_fuzzed_element_json_exits_cleanly(tmp_path_factory, data):
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3)
     if code == 0:
-        assert lines == []
+        assert lines == [] and not _text_or_bool_part(data)
     else:
         assert len(lines) == 1 and lines[0].startswith("ERR:"), lines
         assert lines[0].startswith("ERR:USAGE:" if code == 2 else "ERR:PARSE:")
@@ -568,16 +619,59 @@ def _block_json(draw):
 
 
 @given(data=_block_json())
+@example(data={
+    "n": 0, "family": "stein", "blocks": [{"lambda": [], "rows": [[{"re": "2.5", "im": False}]]}],
+})
 @settings(max_examples=300, deadline=None)
 def test_invert_on_fuzzed_block_json_exits_cleanly(tmp_path_factory, data):
     """Whatever the block JSON holds, invert exits 0, 2 or 3, with one ERR:
-    line on failure and nothing on stderr on success."""
+    line on failure and nothing on stderr on success; a string or boolean
+    number is never accepted."""
     directory = tmp_path_factory.mktemp("fuzz")
     path = directory / "coeffs.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["invert", "--input", str(path), "--output", str(directory / "out.json")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert lines == [] and not _text_or_bool_part(data)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("ERR:"), lines
+        assert lines[0].startswith("ERR:USAGE:" if code == 2 else "ERR:PARSE:")
+
+
+# ballot CSV that is mostly well formed, with junk mixed in at every field
+_ballot = _mostly(
+    st.tuples(st.lists(_pair, max_size=3), _sep).map(lambda t: t[1].join(t[0])),
+    st.text(alphabet="0123x->;,\" \n²", max_size=10),
+)
+_count = _mostly(
+    st.integers(0, 9).map(str) | st.sampled_from(["2.5", " 3 ", "0.0"]),
+    st.sampled_from(["-1", "nan", "inf", "-inf", "1e999", "x", "", "1_0", "²"]),
+)
+_ballot_row = _mostly(
+    st.tuples(_ballot, _count).map(",".join),
+    st.sampled_from(["", ",", "1->1", "1->1,2,3", '"1->1,2"', '"1->1', "\ufeff"]),
+)
+_header = _mostly(st.just("ballot,count"), st.sampled_from(["", "count,ballot", " ballot,count"]))
+_ballot_csv = st.tuples(_header, st.lists(_ballot_row, max_size=4)).map(
+    lambda t: "\n".join([t[0], *t[1]]) + "\n"
+)
+
+
+@given(text=_ballot_csv)
+@settings(max_examples=300, deadline=None)
+def test_analyze_on_fuzzed_ballot_csv_exits_cleanly(tmp_path_factory, text):
+    """Whatever the ballot CSV holds, analyze exits 0, 2 or 3, with one ERR:
+    line on failure and nothing on stderr on success."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "ballots.csv"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["analyze", "--input", str(path), "--output", str(directory / "out.json")])
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3)
     if code == 0:

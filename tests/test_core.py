@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import partial_perm_pairs, partial_perms
 from rookfft.core import (
@@ -175,6 +175,20 @@ class TestCounting:
         assert len(set(elems)) == len(elems)
 
 
+@st.composite
+def _cycle_link_text(draw):
+    """(n, text): cycles and links over a shuffle of 1..n, with junk mixed in."""
+    n = draw(st.integers(0, 4))
+    symbols = [str(p) for p in draw(st.permutations(range(1, n + 1)))]
+    junk = ["0", "5", "-1", "", " 2 ", "x", "1_0", "²", "٣", "9" * 5000, "(", "]", "\n"]
+    for i in draw(st.lists(st.integers(0, n), max_size=1)):
+        symbols.insert(i, draw(st.sampled_from(junk + symbols[:1])))
+    cuts = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=3)))
+    groups = [symbols[a:b] for a, b in zip([0, *cuts], [*cuts, len(symbols)]) if a < b]
+    text = "".join(draw(st.sampled_from(["({})", "[{}]"])).format(",".join(g)) for g in groups)
+    return n, draw(st.sampled_from([text, text, text, draw(st.text(max_size=12))]))
+
+
 class TestCycleLink:
     def test_worked_example(self):
         assert parse_cycle_link("[1,3,2](4)", 4) == pp(4, "1->3;3->2;4->4")
@@ -197,6 +211,17 @@ class TestCycleLink:
     def test_out_of_range_is_error(self):
         with pytest.raises(ParseError):
             parse_cycle_link("(5)", 4)
+
+    @given(case=_cycle_link_text())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_text_parses_or_raises_parse_error(self, case):
+        n, text = case
+        try:
+            s = parse_cycle_link(text, n)
+        except ParseError:
+            return
+        assert isinstance(s, PP) and s.n == n
+        assert parse_cycle_link(print_cycle_link(s), n) == s
 
     def test_canonical_form_layout(self):
         # cycles before links, blocks sorted by minimal element

@@ -6,13 +6,18 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import block_diag, rand_elem, sparse_element
+from conftest import (
+    assert_product_matches_oracle,
+    block_diag,
+    direct_convolve_groupoid,
+    rand_elem,
+    sparse_element,
+)
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
     AlgebraElement,
     BasisMismatch,
-    convolve_groupoid,
     convolve_semigroup,
     from_dense,
     random_element,
@@ -160,8 +165,6 @@ class TestFourierBasis:
         from rookfft.symmetric import sn_ifft
         from rookfft.tableaux import num_standard, partitions as sym_partitions
 
-        from rookfft.algebra import convolve_groupoid
-
         for k in range(n + 1):
             subs = ksubsets(n, k)
             for shape in sym_partitions(k):
@@ -197,8 +200,8 @@ class TestFourierBasis:
                                 right = delta(
                                     n, order_preserving(n, B, range(1, k + 1)), GROUPOID
                                 )
-                                product = convolve_groupoid(
-                                    convolve_groupoid(left, middle), right
+                                product = direct_convolve_groupoid(
+                                    direct_convolve_groupoid(left, middle), right
                                 )
                                 assert product.allclose(via_invert, 1e-9)
 
@@ -332,10 +335,6 @@ def per_node_recursive(fd, m, counter):
     return out
 
 
-def semigroup_sparse(n, terms, seed):
-    return AlgebraElement(n, SEMIGROUP, sparse_element(n, terms, seed).coeffs)
-
-
 class TestLevelBatchedRecursion:
     """The level-by-level pass against the per-node recursion it replaced."""
 
@@ -343,7 +342,7 @@ class TestLevelBatchedRecursion:
     @pytest.mark.parametrize("support", ["full", "half", "few"])
     def test_matches_per_node_recursion(self, n, support):
         if support == "few":
-            f = semigroup_sparse(n, max(1, size(n) // 50), 300 + n)
+            f = sparse_element(n, max(1, size(n) // 50), 300 + n, SEMIGROUP)
         else:
             f = rand_elem(n, SEMIGROUP, 310 + n, "full" if support == "full" else "sparse")
         counter = OpCounter()
@@ -372,7 +371,7 @@ class TestLevelBatchedRecursion:
         assert recursive_fft(f).ops.multiply_adds == 26_519_799
 
     def test_sparse_r8_traces_match_stein(self):
-        f = semigroup_sparse(8, 300, 8)
+        f = sparse_element(8, 300, 8, SEMIGROUP)
         H = recursive_fft(f)
         S = stein_fft_semigroup(f)
         assert H.ops.multiply_adds <= recursive_bound(8)
@@ -487,9 +486,25 @@ class TestAlgebraIsomorphism:
     def test_convolution_theorem_groupoid_pairing(self, n):
         f = rand_elem(n, GROUPOID, 80 + n)
         g = rand_elem(n, GROUPOID, 90 + n)
-        lhs = stein_fft(convolve_groupoid(f, g))
+        lhs = stein_fft(direct_convolve_groupoid(f, g))
         rhs = blockwise_product(stein_fft(f), stein_fft(g))
         assert lhs.allclose(rhs, 1e-9)
+
+    @pytest.mark.parametrize("n, f_terms, g_terms", [(6, 200, 20), (7, 100, 10)])
+    def test_convolution_theorem_on_sparse_operands(self, n, f_terms, g_terms):
+        # recursive_fft computes its halverson blocks apart from the stein
+        # transforms that convolve_semigroup runs through
+        f = sparse_element(n, f_terms, 100 + n, SEMIGROUP)
+        g = sparse_element(n, g_terms, 110 + n, SEMIGROUP)
+        lhs = recursive_fft(convolve_semigroup(f, g))
+        rhs = blockwise_product(recursive_fft(f), recursive_fft(g))
+        assert lhs.allclose(rhs, 1e-9)
+
+    @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
+    def test_convolutions_match_the_direct_sums_at_n6(self, basis):
+        assert_product_matches_oracle(
+            sparse_element(6, 200, 120, basis), sparse_element(6, 20, 121, basis)
+        )
 
     @pytest.mark.parametrize("n", range(4))
     def test_transform_is_invertible_linear_map(self, n):
