@@ -10,7 +10,10 @@ elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 halverson block set ``fourier_invert`` then inverts; the groupoid element goes
 through ``stein_fft``, whose stein block set ``fourier_invert`` inverts too.
 Each element is also convolved with itself (``convolve_semigroup``,
-``convolve_groupoid``).
+``convolve_groupoid``).  Last, the groupoid element becomes its element JSON
+in-process (``to_json_dict``, as the CLI would load it from a file) and
+``from_json_dict`` parses it back; ``parse_peak_mb`` is the tracemalloc peak
+of one more, traced, parse.
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
@@ -26,6 +29,7 @@ import os
 import platform
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -35,7 +39,9 @@ from rookfft.algebra import (
     convolve_groupoid,
     convolve_semigroup,
     from_dense,
+    from_json_dict,
     to_groupoid,
+    to_json_dict,
 )
 from rookfft.core import size
 from rookfft.counting import OpCounter
@@ -115,9 +121,18 @@ def _row(n: int) -> dict:
     cold["convolve_groupoid"], seconds["convolve_groupoid"], _ = _min_time(
         convolve_groupoid, g, g
     )
+    data = to_json_dict(g)
+    del g
+    cold["from_json_dict"], seconds["from_json_dict"], _ = _min_time(from_json_dict, data)
+    tracemalloc.start()
+    from_json_dict(data)
+    parse_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    del data
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
-            "multiply_adds": multiply_adds, "peak_rss_mb": round(peak_mb, 1)}
+            "multiply_adds": multiply_adds, "parse_peak_mb": round(parse_peak_mb, 2),
+            "peak_rss_mb": round(peak_mb, 1)}
 
 
 def main() -> None:

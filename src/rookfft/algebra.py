@@ -12,6 +12,13 @@ like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
 ``PartialPermutation`` keys (``coeffs``, ``items()``) are decoded from the
 nonzero slots on demand, through the image codes of ``indexing``.
 
+The element JSON parser reads all terms in bulk: one batch of flat forms
+(``core.read_flat``, ``core.flat_rows``: a grammar regex per term, then one
+numpy pass over the joined text; points are ASCII digits only), ``re`` and
+``im`` checked as whole lists, and all rows placed with one
+``element_index`` call.  The checks of one term only word the error of the
+first term refused.
+
 Both convolutions run through the convolution theorem (``stein_fft``, a
 product per block, ``fourier_invert``), so they cost the transforms' time
 whatever the support: on a 2-CPU Xeon, 0.7–1.7 s warm for two deltas at
@@ -21,6 +28,7 @@ DROP_EPS·‖f‖₁·‖g‖₁, the rounding floor of the direct sum, are zero
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterator, Mapping
 
@@ -32,8 +40,10 @@ from .core import (
     PartialPermutation,
     check_n,
     flat_image,
+    flat_rows,
     json_complex,
     json_int,
+    read_flat,
     size,
 )
 from .counting import OpCounter
@@ -113,15 +123,18 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n}, basis={self.basis!r}, terms={self.support()})"
 
 
-def terms_vector(n: int, images: list[tuple[int, ...]], coeffs: list[complex]) -> np.ndarray:
+def terms_vector(n: int, images, coeffs) -> np.ndarray:
     """A vector of R_n (enumerate_rn(n) order) holding coeffs[i] at the
-    element with image tuple images[i]; terms naming one element add up."""
+    element with image row images[i] (tuples, or a (T, n) array of checked
+    rows); terms naming one element add up."""
     check_n(n)
-    for image in images:
-        if len(image) != n:
-            raise DimensionMismatch(f"coefficient key lives in R_{len(image)}, element in R_{n}")
+    if not isinstance(images, np.ndarray):
+        for image in images:
+            if len(image) != n:
+                raise DimensionMismatch(f"coefficient key lives in R_{len(image)}, element in R_{n}")
+        images = np.array(images, dtype=np.int64).reshape(len(images), n)
     values = np.zeros(size(n), dtype=complex)
-    at = element_index(n, np.array(images, dtype=np.int64).reshape(len(images), n))
+    at = element_index(n, images)
     np.add.at(values, at, coeffs)
     return values
 
@@ -257,6 +270,10 @@ def to_json_dict(f: AlgebraElement) -> dict:
 
 
 def from_json_dict(data: dict) -> AlgebraElement:
+    """The element of the JSON form.  Every term is checked in bulk: the
+    flat forms in one batch (``read_flat``, ``flat_rows``), ``re`` and ``im``
+    for type and finiteness as whole lists.  The first refused term, in file
+    order, is then worded by the checks of one term (``_term``)."""
     try:
         n = json_int(data["n"], "n")
         basis = data["basis"]
@@ -266,15 +283,49 @@ def from_json_dict(data: dict) -> AlgebraElement:
     if not isinstance(terms, list):
         raise ParseError(f"bad algebra element JSON: terms must be a list, not {type(terms).__name__}")
     check_n(n)
-    images, coeffs = [], []
-    for term in terms:
-        try:
-            flat = term["elem"]
-            c = json_complex(term)
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
-        if not isinstance(flat, str):
-            raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
-        images.append(flat_image(n, flat))
-        coeffs.append(c)
-    return from_dense(n, basis, terms_vector(n, images, coeffs))
+    objects = [t if isinstance(t, dict) else {} for t in terms]  # {} has no "elem": refused
+    rows, refused = flat_rows(n, read_flat([t.get("elem") for t in objects]))
+    real, refused_re = _json_numbers([t.get("re", 0.0) for t in objects])
+    imag, refused_im = _json_numbers([t.get("im", 0.0) for t in objects])
+    refused |= refused_re | refused_im
+    if refused.any():
+        first = int(refused.argmax())
+        _term(n, terms[first])
+        raise AssertionError(f"term {first} refused in bulk but not alone")
+    coeffs = np.empty(len(terms), dtype=complex)
+    coeffs.real, coeffs.imag = real, imag
+    return from_dense(n, basis, terms_vector(n, rows, coeffs))
+
+
+def _json_numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON numbers as float64, and a mask of the entries refused: no
+    JSON number (a string, a bool, null, …), non-finite, or an integer too
+    large for a float.  Refused entries read as nan."""
+    if set(map(type, values)) <= {float}:
+        out = np.array(values, dtype=float)
+    else:
+        out = np.array([_json_float(v) for v in values], dtype=float)
+    return out, ~np.isfinite(out)
+
+
+def _json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _term(n: int, term) -> None:
+    """The checks of one term, in order: ``elem`` present, ``re`` and ``im``
+    numbers, ``elem`` a string, its flat form.  Raises the ParseError (or the
+    ValueError of ``int``) of a term the bulk checks refused."""
+    try:
+        flat = term["elem"]
+        json_complex(term)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
+    if not isinstance(flat, str):
+        raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
+    flat_image(n, flat)

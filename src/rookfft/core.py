@@ -4,7 +4,8 @@ R_n is the set of all injective partial maps on {1..n} under partial-function
 composition (equivalently, 0/1 matrices with at most one 1 per row and
 column).  This module provides the elements themselves, composition and
 semigroup inverses, the natural partial order with its Möbius function,
-enumeration and counting formulas, Munn's cycle-link notation, and the
+enumeration and counting formulas, Munn's cycle-link notation, the flat
+form "a->b;c->d" (read in batches: ``read_flat``, ``flat_rows``), and the
 canonical factorization of an element through the symmetric group on its
 rank.
 
@@ -14,10 +15,11 @@ Elements are immutable and hashable so they can key sparse coefficient maps.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from math import comb, factorial, isfinite
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -166,7 +168,7 @@ class PartialPermutation:
 
     @classmethod
     def from_flat(cls, n: int, text: str) -> "PartialPermutation":
-        return cls(n, flat_image(n, text))
+        return cls(n, flat_images(n, [text])[0].tolist())
 
     def as_matrix(self) -> np.ndarray:
         """0/1 rook matrix with a 1 at (s(b), b); display helper only."""
@@ -221,11 +223,13 @@ def _check_image(n: int, img: tuple[int, ...]) -> None:
 
 def flat_image(n: int, text: str) -> tuple[int, ...]:
     """The image tuple of the flat form "a->b;c->d" on {1..n} ("" is the
-    zero map), checked as by ``from_pairs``; any fault is a ParseError."""
+    zero map), checked as by ``from_pairs``; any fault is a ParseError.
+    Reads one term at a time: ``flat_images`` parses, and this words the
+    refusal of the first term a batch refuses."""
     text = text.strip()
     pairs = []
     for part in text.split(";") if text else ():
-        m = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", part)
+        m = _PAIR_RE.fullmatch(part)
         if m is None:
             raise ParseError(f"bad mapping {part!r}")
         pairs.append((int(m.group(1)), int(m.group(2))))
@@ -235,6 +239,88 @@ def flat_image(n: int, text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return img
+
+
+# Points are ASCII digits; whitespace is whatever str.strip() removes.
+_PAIR_RE = re.compile(r"\s*([0-9]+)\s*->\s*([0-9]+)\s*")
+_FLAT_RE = re.compile(r"\s*(?:[0-9]+\s*->\s*[0-9]+\s*(?:;\s*[0-9]+\s*->\s*[0-9]+\s*)*)?")
+
+
+class FlatTerms(NamedTuple):
+    """Flat-form terms read in one pass, before n is known."""
+
+    texts: list  # the terms as given
+    grammatical: np.ndarray  # (T,) bool: the term matches the flat-form grammar
+    pairs: np.ndarray  # (T,) int32: pairs in each grammatical term, 0 in the others
+    points: np.ndarray  # (2P,) uint8: a, b of every pair in order; 10 stands for any number above 9
+
+
+def read_flat(texts: list) -> FlatTerms:
+    """Check the grammar of each term, then pull every point out of the
+    grammatical ones in one numpy pass over their joined UTF-8 bytes (where
+    an ASCII digit byte is always an ASCII digit).  A point is a digit run,
+    leading zeros allowed.  A run with a nonzero digit before its last one
+    is above 9, whatever its length, and a run longer than ``int`` reads
+    (``sys.get_int_max_str_digits``) is refused as ``int`` refuses it; both
+    read as 10."""
+    ok = [isinstance(t, str) and _FLAT_RE.fullmatch(t) is not None for t in texts]
+    grammatical = np.array(ok, dtype=bool)
+    good = list(compress(texts, ok))
+    pairs = np.zeros(len(texts), dtype=np.int32)
+    pairs[grammatical] = [t.count(">") for t in good]
+    text = np.frombuffer(";".join(good).encode(), dtype=np.uint8)
+    digit = text - 48 < 10  # bytes below "0" wrap round to large values
+    last = digit.copy()
+    last[:-1] &= ~digit[1:]
+    points = text[last] - 48
+    inner = digit[:-1] & digit[1:]  # a digit with more of its run after it
+    if inner.any():  # only multi-digit points get here
+        at = np.flatnonzero(inner)
+        run = np.searchsorted(np.flatnonzero(last), at)
+        points[run[text[at] != 48]] = 10
+        runs, inner_digits = np.unique(run, return_counts=True)
+        limit = sys.get_int_max_str_digits()
+        if limit:
+            points[runs[inner_digits >= limit]] = 10
+    return FlatTerms(texts, grammatical, pairs, points)
+
+
+def flat_rows(n: int, terms: FlatTerms) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n) int8 image rows of the terms on {1..n}, and a (T,) mask of the
+    terms refused: ungrammatical, a point outside 1..n, a domain point mapped
+    twice, or a repeated image point.  A refused term's row is meaningless.
+    n is checked as by ``check_n``, so a point read as 10 is always outside."""
+    check_n(n)
+    count = len(terms.texts)
+    a, b = terms.points[0::2], terms.points[1::2]
+    term = np.repeat(np.arange(count, dtype=np.int32), terms.pairs)
+    inside = (a - 1 < n) & (b - 1 < n)  # 0 wraps round to 255
+    refused = ~terms.grammatical
+    refused[term[~inside]] = True
+    term, a, b = term[inside], a[inside] - 1, b[inside] - 1
+    rows = np.zeros((count, n), dtype=np.int8)
+    rows[term, a] = b + 1
+    used = np.zeros((count, n), dtype=bool)
+    used[term, b] = True
+    # a domain point mapped twice fills fewer slots than pairs, a repeated image fewer images
+    refused |= np.count_nonzero(rows, axis=1) != terms.pairs
+    refused |= np.count_nonzero(used, axis=1) != terms.pairs
+    return rows, refused
+
+
+def refuse_flat(n: int, text) -> NoReturn:
+    """Raise the ParseError of a term that a batch refused."""
+    flat_image(n, text)
+    raise AssertionError(f"flat form {text!r} refused in a batch but not alone")
+
+
+def flat_images(n: int, texts: list) -> np.ndarray:
+    """(T, n) int8 image rows of the flat forms, each checked as by
+    ``flat_image``; the first refused term raises its ParseError."""
+    rows, refused = flat_rows(n, read_flat(texts))
+    if refused.any():
+        refuse_flat(n, texts[int(refused.argmax())])
+    return rows
 
 
 def compose(g: PartialPermutation, f: PartialPermutation) -> PartialPermutation:
@@ -416,8 +502,11 @@ def parse_cycle_link(text: str, n: int) -> PartialPermutation:
         body = m.group(1) if m.group(1) is not None else m.group(2)
         if body is None:
             continue
+        parts = body.split(",")
         try:
-            syms = [int(p) for p in body.split(",")]
+            if not all(p.strip().isascii() for p in parts):  # int() reads "٣" as 3
+                raise ValueError
+            syms = [int(p) for p in parts]
         except ValueError:
             raise ParseError(f"bad symbol list {body!r}") from None
         if not syms:

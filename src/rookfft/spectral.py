@@ -9,6 +9,11 @@ under ⟨·,·⟩₂, the inner product that makes distinct isotypic components
 orthogonal, and come from a Plancherel formula on the stein blocks: one
 forward FFT plus O(|R_n|), with no inversion.  The projections themselves
 (``isotypic_project``) still go transform → keep one block → invert.
+
+A ballot CSV is read as one batch of flat forms (``core.read_flat``,
+``core.flat_rows``; points are ASCII digits only): n is inferred from the
+parsed points, the ballots become image rows, and repeated ballots merge by
+their position in ``enumerate_rn(n)``, so only distinct ballots are decoded.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .algebra import (
     terms_vector,
     to_groupoid,
 )
-from .core import ParseError, PartialPermutation, check_n
+from .core import FlatTerms, ParseError, PartialPermutation, check_n, flat_rows, read_flat, refuse_flat
+from .indexing import element_index, elements_at
 from .rook_reps import labels
 from .symmetric import invariant_form
 from .tableaux import Shape, num_standard
@@ -49,8 +55,9 @@ def ingest(path, n: int | None = None) -> Dataset:
 
     The ballot field is the flat mapping form "a->b;c->d" ("" for the
     all-blank ballot).  When n is not given it is inferred from the largest
-    symbol mentioned.  An n above MAX_N is refused (``DimensionMismatch``)
-    before any ballot is built.
+    point mentioned.  An n above MAX_N is refused (``DimensionMismatch``)
+    before any ballot is built; otherwise the first refused ballot raises a
+    ParseError that names its line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _ingest_lines(fh, n)
@@ -60,14 +67,14 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
     rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["ballot", "count"]:
         raise ParseError('line 1: expected header "ballot,count"')
-    raw: list[tuple[int, str, float]] = []
-    biggest = 0
+    linenos: list[int] = []
+    texts: list[str] = []
+    counts: list[float] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
             raise ParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        text = row[0].strip()
         try:
             count = float(row[1])
         except ValueError:
@@ -76,21 +83,38 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
             raise ParseError(f"line {lineno}: non-finite count {row[1].strip()!r}")
         if count < 0:
             raise ParseError(f"line {lineno}: negative count {count}")
-        for token in text.replace("->", ";").split(";"):
-            if token.strip().isdigit():
-                biggest = max(biggest, int(token))
-        raw.append((lineno, text, count))
+        linenos.append(lineno)
+        texts.append(row[0].strip())
+        counts.append(count)
+    ballots = read_flat(texts)
+    largest = _largest_point(ballots)  # read even when n is given, as int() may refuse a point
     if n is None:
-        n = biggest
+        n = largest
     check_n(n)
-    merged: dict[PartialPermutation, float] = {}
-    for lineno, text, count in raw:
+    images, refused = flat_rows(n, ballots)
+    if refused.any():
+        i = int(refused.argmax())
         try:
-            ballot = PartialPermutation.from_flat(n, text)
+            refuse_flat(n, texts[i])
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        merged[ballot] = merged.get(ballot, 0.0) + count
-    return Dataset(n, sorted(merged.items(), key=lambda kv: kv[0].image))
+            raise ParseError(f"line {linenos[i]}: {exc}") from None
+    at, merged = np.unique(element_index(n, images), return_inverse=True)
+    totals = np.zeros(len(at))
+    np.add.at(totals, merged, counts)
+    return Dataset(n, list(zip(elements_at(n, at), totals.tolist())))
+
+
+def _largest_point(ballots: FlatTerms) -> int:
+    """The largest point of a ballot file, its n when none is given.  When a
+    ballot is ungrammatical or has a point above 9, the file is refused
+    either way, and the texts are scanned instead, each ASCII digit string
+    between "->" and ";" read by ``int``, so that the refusal stays the one
+    it always was: a point too long for ``int``, then n too large, before
+    any bad ballot."""
+    if ballots.grammatical.all() and (ballots.points < 10).all():
+        return int(ballots.points.max(initial=0))
+    tokens = (t.strip() for text in ballots.texts for t in text.replace("->", ";").split(";"))
+    return max((int(t) for t in tokens if t.isascii() and t.isdigit()), default=0)
 
 
 def to_function(d: Dataset, association: str) -> AlgebraElement:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 from hypothesis import strategies as st
@@ -12,7 +13,17 @@ from rookfft.algebra import (
     convolve_semigroup,
     random_element,
 )
-from rookfft.core import PartialPermutation
+from rookfft.core import (
+    ParseError,
+    PartialPermutation,
+    _check_image,
+    _pairs_image,
+    check_n,
+    json_complex,
+    json_int,
+    size,
+)
+from rookfft.indexing import element_index
 
 
 def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraElement:
@@ -31,6 +42,51 @@ def sparse_element(n: int, terms: int, seed: int, basis: str = GROUPOID) -> Alge
             rng.uniform(-1, 1), rng.uniform(-1, 1)
         )
     return AlgebraElement(n, basis, coeffs)
+
+
+def reference_flat_image(n: int, text: str) -> tuple[int, ...]:
+    """The flat form parsed one term at a time, points matched by ``\\d``:
+    the oracle for the batched ``flat_images``.  ``\\d`` also reads
+    non-ASCII digits, which the batch refuses, so compare the two on ASCII
+    digits only."""
+    text = text.strip()
+    pairs = []
+    for part in text.split(";") if text else ():
+        m = re.fullmatch(r"\s*(\d+)\s*->\s*(\d+)\s*", part)
+        if m is None:
+            raise ParseError(f"bad mapping {part!r}")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    try:
+        img = tuple(_pairs_image(n, pairs))
+        _check_image(n, img)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return img
+
+
+def reference_from_json_dict(data: dict) -> np.ndarray:
+    """The coefficient vector of an element JSON built term by term,
+    through ``reference_flat_image``: the oracle for ``from_json_dict``."""
+    try:
+        n = json_int(data["n"], "n")
+        terms = data["terms"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad algebra element JSON: {exc}") from None
+    check_n(n)
+    images, coeffs = [], []
+    for term in terms:
+        try:
+            flat = term["elem"]
+            c = json_complex(term)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(f"bad algebra element term {term!r}: {exc}") from None
+        if not isinstance(flat, str):
+            raise ParseError(f"bad algebra element term {term!r}: elem must be a string")
+        images.append(reference_flat_image(n, flat))
+        coeffs.append(c)
+    values = np.zeros(size(n), dtype=complex)
+    np.add.at(values, element_index(n, np.array(images, dtype=np.int64).reshape(len(images), n)), coeffs)
+    return values
 
 
 def direct_convolve_semigroup(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

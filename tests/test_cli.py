@@ -335,6 +335,51 @@ class TestImagePointZero:
         assert out == ""
 
 
+class TestFlatFormEdge:
+    """Element JSON and ballot CSV report their first refused term (and its
+    line), and a point is ASCII digits only."""
+
+    @staticmethod
+    def ballots(capsys, tmp_path, lines, command="analyze"):
+        path = tmp_path / "ballots.csv"
+        path.write_text("\n".join(["ballot,count", *lines]) + "\n", encoding="utf-8")
+        return run(capsys, command, "--input", str(path))
+
+    @pytest.mark.parametrize("command", ["analyze", "transform"])
+    @pytest.mark.parametrize("ballot, part", [("٣->1;1->2", "٣->1"), ("²->1", "²->1"), ("1->１", "1->１")])
+    def test_ballot_with_non_ascii_digit(self, capsys, tmp_path, command, ballot, part):
+        code, out, err = self.ballots(capsys, tmp_path, ["1->1,2", f"{ballot},1"], command)
+        assert_one_parse_error(code, err)
+        assert err == f"ERR:PARSE: line 3: bad mapping {part!r}\n" and out == ""
+
+    @pytest.mark.parametrize("line", [2, 6])
+    def test_ballot_csv_reports_first_bad_line(self, capsys, tmp_path, line):
+        lines = ["1->2;2->1,1"] * 5
+        lines.insert(line - 2, "1->3;2->3,1")
+        lines.append("1->1;1->2,1")  # refused too, but later
+        code, out, err = self.ballots(capsys, tmp_path, lines)
+        assert_one_parse_error(code, err)
+        assert err == f"ERR:PARSE: line {line}: not injective\n" and out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "transform"])
+    def test_inferred_n9_is_refused_before_a_bad_ballot(self, capsys, tmp_path, command):
+        lines = ["x->1,1", "1->2;1->3,1", "٣->1,1", "9->1,1"]
+        code, out, err = self.ballots(capsys, tmp_path, lines, command)
+        assert_one_usage_error(code, err)
+        assert "n = 9" in err and out == ""
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_element_json_reports_first_bad_term(self, capsys, tmp_path, at):
+        good = [{"elem": "1->2;2->1", "re": 0.5, "im": -1.0}] * 4
+        bad = {"elem": "1->3;2->3", "re": 1.0}
+        terms = [bad, *good, {"elem": "1->9", "re": 1.0}] if at == "first" else [*good, bad]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"n": 3, "basis": "semigroup", "terms": terms}), encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path))
+        assert_one_parse_error(code, err)
+        assert err == "ERR:PARSE: not injective\n" and out == ""
+
+
 class TestStrictBlockJson:
     """Block JSON for invert: each lambda part and ops are JSON integers, and
     each label is a label of R_n, given once."""

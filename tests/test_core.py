@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import partial_perm_pairs, partial_perms
 from rookfft.core import (
@@ -213,6 +213,7 @@ class TestCycleLink:
             parse_cycle_link("(5)", 4)
 
     @given(case=_cycle_link_text())
+    @example(case=(3, "(٣,1)"))
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_text_parses_or_raises_parse_error(self, case):
         n, text = case
@@ -220,6 +221,7 @@ class TestCycleLink:
             s = parse_cycle_link(text, n)
         except ParseError:
             return
+        assert not any(c.isdigit() and not c.isascii() for c in text)  # "٣" or "²" is refused
         assert isinstance(s, PP) and s.n == n
         assert parse_cycle_link(print_cycle_link(s), n) == s
 
