@@ -6,14 +6,17 @@ Fourier inversion on full-support inputs.
 For each n ≤ MAX_N, two seeded full-support coefficient vectors become
 elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 ``enumerate_rn``.  The semigroup element goes through ``to_groupoid``,
-``stein_fft_semigroup`` and, for n ≤ RECURSIVE_MAX_N, ``recursive_fft``, whose
-halverson block set ``fourier_invert`` then inverts; the groupoid element goes
-through ``stein_fft``, whose stein block set ``fourier_invert`` inverts too.
+``stein_fft_semigroup`` and ``recursive_fft``, whose halverson block set
+``fourier_invert`` then inverts (``round_trip_residual`` is the largest
+modulus of that inverse minus ``to_groupoid`` of the element);
+the groupoid element goes through ``stein_fft``, whose stein block set
+``fourier_invert`` inverts too.
 Each element is also convolved with itself (``convolve_semigroup``,
 ``convolve_groupoid``).  Last, the groupoid element becomes its element JSON
 in-process (``to_json_dict``, as the CLI would load it from a file) and
 ``from_json_dict`` parses it back; ``parse_peak_mb`` is the tracemalloc peak
-of one more, traced, parse.
+of one more, traced, parse, and ``recursive_peak_mb`` that of one more
+``recursive_fft`` call.
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
@@ -48,7 +51,6 @@ from rookfft.counting import OpCounter
 from rookfft.transforms import fourier_invert, recursive_fft, stein_fft, stein_fft_semigroup
 
 MAX_N = 8
-RECURSIVE_MAX_N = 7
 REPEATS = 3
 SEED = 0
 
@@ -65,6 +67,15 @@ def _min_time(fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return cold, best, out
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    """tracemalloc peak of one more call, in MB, its result dropped."""
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return round(peak / 2**20, 2)
 
 
 def _element(n: int, basis: str, seed: int):
@@ -97,18 +108,17 @@ def _cpu_model() -> str:
 def _row(n: int) -> dict:
     seconds, cold, multiply_adds = {}, {}, {}
     f, seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
-    cold["to_groupoid"], seconds["to_groupoid"], _ = _min_time(to_groupoid, f)
+    cold["to_groupoid"], seconds["to_groupoid"], g = _min_time(to_groupoid, f)
     multiply_adds["to_groupoid"] = _zeta_ops(f)
-    paths = [("stein_fft_semigroup", stein_fft_semigroup)]
-    if n <= RECURSIVE_MAX_N:
-        paths.append(("recursive_fft", recursive_fft))
-    for name, fn in paths:
+    for name, fn in [("stein_fft_semigroup", stein_fft_semigroup),
+                     ("recursive_fft", recursive_fft)]:
         cold[name], seconds[name], F = _min_time(fn, f)
         multiply_adds[name] = F.ops.multiply_adds
-    if n <= RECURSIVE_MAX_N:  # F is recursive_fft's halverson block set
-        name = "fourier_invert_halverson"
-        cold[name], seconds[name], _ = _min_time(fourier_invert, F)
-    del F
+    name = "fourier_invert_halverson"  # F is recursive_fft's halverson block set
+    cold[name], seconds[name], back = _min_time(fourier_invert, F)
+    residual = float(np.abs(back.values - g.values).max(initial=0.0))
+    del F, back, g
+    recursive_peak_mb = _traced_peak_mb(recursive_fft, f)
     cold["convolve_semigroup"], seconds["convolve_semigroup"], _ = _min_time(
         convolve_semigroup, f, f
     )
@@ -124,14 +134,12 @@ def _row(n: int) -> dict:
     data = to_json_dict(g)
     del g
     cold["from_json_dict"], seconds["from_json_dict"], _ = _min_time(from_json_dict, data)
-    tracemalloc.start()
-    from_json_dict(data)
-    parse_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
+    parse_peak_mb = _traced_peak_mb(from_json_dict, data)
     del data
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
-            "multiply_adds": multiply_adds, "parse_peak_mb": round(parse_peak_mb, 2),
+            "multiply_adds": multiply_adds, "round_trip_residual": residual,
+            "recursive_peak_mb": recursive_peak_mb, "parse_peak_mb": parse_peak_mb,
             "peak_rss_mb": round(peak_mb, 1)}
 
 

@@ -8,7 +8,8 @@ into isotypic components, one per label λ ⊢ k ≤ n.  Energies are reported
 under ⟨·,·⟩₂, the inner product that makes distinct isotypic components
 orthogonal, and come from a Plancherel formula on the stein blocks: one
 forward FFT plus O(|R_n|), with no inversion.  The projections themselves
-(``isotypic_project``) still go transform → keep one block → invert.
+(``isotypic_project``) still go transform → keep one block → invert, the
+inversion over the block's rank alone.
 
 A ballot CSV is read as one batch of flat forms (``core.read_flat``,
 ``core.flat_rows``; points are ASCII digits only): n is inferred from the
@@ -34,12 +35,21 @@ from .algebra import (
     terms_vector,
     to_groupoid,
 )
-from .core import FlatTerms, ParseError, PartialPermutation, check_n, flat_rows, read_flat, refuse_flat
-from .indexing import element_index, elements_at
+from .core import (
+    FlatTerms,
+    ParseError,
+    PartialPermutation,
+    check_n,
+    flat_rows,
+    read_flat,
+    refuse_flat,
+    size,
+)
+from .indexing import cell_index, element_index, elements_at
 from .rook_reps import labels
 from .symmetric import invariant_form
-from .tableaux import Shape, num_standard
-from .transforms import FourierCoefficients, fourier_invert, stein_fft
+from .tableaux import Shape, num_standard, partitions
+from .transforms import FourierCoefficients, invert_rank, stein_fft
 
 
 @dataclass
@@ -131,17 +141,23 @@ def _as_groupoid(f: AlgebraElement) -> AlgebraElement:
 
 
 def isotypic_project(f: AlgebraElement, shape: Shape) -> AlgebraElement:
-    """Projection onto the isotypic component of one label.
+    """Projection onto the isotypic component of one label λ ⊢ k.
 
-    Computed by transform → keep the one block → invert; the projections
-    over all labels sum back to the groupoid image of f.
+    Computed by transform → keep the one block → invert; the projection
+    lives on the rank-k elements, so only rank k is inverted
+    (``invert_rank``).  The projections over all labels sum back to the
+    groupoid image of f.
     """
     shape = tuple(shape)
     if shape not in labels(f.n):
         raise ValueError(f"unknown label {shape} for R_{f.n}")
+    k = sum(shape)
     F = stein_fft(_as_groupoid(f))
-    kept = {sh: (M if sh == shape else np.zeros_like(M)) for sh, M in F.blocks.items()}
-    return fourier_invert(FourierCoefficients(f.n, F.family, kept))
+    kept = {sh: np.zeros_like(F.blocks[sh]) for sh in partitions(k)}
+    kept[shape] = F.blocks[shape]
+    values = np.zeros(size(f.n), dtype=complex)
+    values[cell_index(f.n, k)] = invert_rank(FourierCoefficients(f.n, F.family, kept), k)
+    return from_dense(f.n, GROUPOID, values)
 
 
 @dataclass

@@ -13,13 +13,18 @@ multiply-add counter:
   cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49; the recursion runs
   level by level over a dense coefficient vector, every visited node of a
   level at once, and is charged from which nodes the support occupies.
+  Within a level each generator image is applied to every label of one
+  dimension in one call, a slice at a time; the cached tables it reads
+  hold 8 bytes per element of R_m (``_embedding``) and, for the generator
+  images, 32 bytes per row of a block per generator (``_group_pairings``).
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
-block set of either family by running ``stein_fft`` backwards: per rank k,
-one batched inverse S_k FFT (``sn_ifft_batch``) over the C(n,k)² cells of
-every λ ⊢ k, scattered through the same cell table.  A halverson block set
-is first taken to the stein family by one similarity per block
-(``rook_reps.halverson_similarity``); no element of R_n is evaluated.
+block set of either family by running ``stein_fft`` backwards: per rank k
+(``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
+C(n,k)² cells of every λ ⊢ k, scattered through the same cell table.  A
+halverson block set is first taken to the stein family by one similarity
+per block (``rook_reps.halverson_similarity``); no element of R_n is
+evaluated.
 """
 
 from __future__ import annotations
@@ -161,13 +166,15 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     x(m) = i, x = s·T^i when x sends i to m without using m itself, and
     x = [m]·s when m touches neither side; each slice is a translated copy
     of R_{m-1} (``indexing.slice_index``).  The recursion runs level by
-    level over all its nodes at once.  The base nodes are the copies of
-    R_2 (R_n itself when n ≤ 2), transformed by one product with the
-    stacked images of R_2.  At each level m ≥ 3 the 2m subtransforms of
-    every node are reassembled block-diagonally for free thanks to chain
-    adaptation and multiplied by the images of the generators t_j and [m],
-    one generator at a time over the stack of every node's subtransform in
-    a slice.  Only nodes whose part of f holds a nonzero are visited.
+    level over all its nodes at once.  A level is one (|R_m| + 1, nodes)
+    array: a column holds every block of one node, flattened side by side
+    in the order of ``_groups(m)``, and a zero last.  The base nodes are the
+    copies of R_2 (R_n itself when n ≤ 2), transformed by one product with
+    the stacked images of R_2.  At each level m ≥ 3 the 2m
+    subtransforms of every node are reassembled block-diagonally for free
+    thanks to chain adaptation and multiplied by the images of the
+    generators t_j and [m] (``_level``).  Only nodes whose part of f holds
+    a nonzero are visited.
 
     Ops are charged from that occupancy, as a recursion over the visited
     nodes alone would spend them: nnz(f)·|R_2| for the base cases, nnz ×
@@ -180,30 +187,81 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     n = f.n
     values = f.values
     support = np.flatnonzero(values)
-    # walk each term down the chain: its node at every level, its point of R_2
-    nodes, points = np.zeros(len(support), dtype=np.int64), support
+    # walk each term down the chain: its slice at every level, the top
+    # level's as the lowest digit of its node id, and its point of R_2
+    nodes, points, weight = np.zeros(len(support), dtype=np.int64), support, 1
     for m in range(n, 2, -1):
         slices, points = slice_index(m)[points].T
-        nodes = nodes * (2 * m) + slices
+        nodes += _digits(m)[slices] * weight
+        weight *= 2 * m
     base = min(n, 2)
     nodes, row = np.unique(nodes, return_inverse=True)
     functions = np.zeros((len(nodes), size(base)), dtype=complex)
     functions[row, points] = values[support]
     counter.add(len(support) * size(base))
-    level = _split(functions @ _base_images(base), base)
+    product = functions @ _base_images(base)
+    del functions
+    level = np.zeros((size(base) + 1, len(nodes)), dtype=complex)
+    level[:-1] = product.T
+    del product
     for m in range(3, n + 1):
-        nodes, level = _level(level, nodes, m, counter)
+        weight //= 2 * m
+        nodes, level = _level(level, nodes, weight, m, counter)
     # the root is the one node left, or none when f = 0
-    blocks = {shape: stack.sum(axis=0) for shape, stack in level.items()}
+    root, blocks = level.sum(axis=1), {}
+    for d, shapes, at in _groups(n):
+        blocks.update(zip(shapes, root[at : at + len(shapes) * d * d].reshape(-1, d, d)))
+    blocks = {shape: blocks[shape] for shape in labels(n)}
     return FourierCoefficients(n, HALVERSON, blocks, counter)
+
+
+@cache
+def _digits(m: int) -> np.ndarray:
+    """The digit of each slice of level m in a node id, in the order T_1,
+    …, T_m, the link, up_1, …, up_{m-1}.  A node in a slice up_i holds no
+    element in a slice T_j of the level below, so with the up slices last,
+    the parents of each slice's children are a run on full support."""
+    out = np.empty(2 * m, dtype=np.int64)
+    out[0::2], out[-1], out[1:-1:2] = np.arange(m), m, m + 1 + np.arange(m - 1)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _groups(m: int) -> tuple[tuple[int, tuple[Shape, ...], int], ...]:
+    """The labels of Λ_m grouped by dimension: (d, labels, first column)
+    per group, in order of first appearance in ``labels(m)``.  The blocks
+    of a group lie side by side in a node's column, so that the group's
+    part of a slice is one (L·d, d·children) array, L its number of labels.
+    Λ_5 falls into 7 groups, Λ_6 into 13, Λ_7 into 14 and Λ_8 into 25."""
+    by_dim: dict[int, list[Shape]] = {}
+    for shape in labels(m):
+        by_dim.setdefault(dim(shape, m), []).append(shape)
+    out, at = [], 0
+    for d, shapes in by_dim.items():
+        out.append((d, tuple(shapes), at))
+        at += len(shapes) * d * d
+    return tuple(out)
+
+
+@cache
+def _columns(m: int) -> dict[Shape, int]:
+    """Where each label's block starts in a node's column at level m, in
+    column order."""
+    out = {}
+    for d, shapes, at in _groups(m):
+        for shape in shapes:
+            out[shape] = at
+            at += d * d
+    return out
 
 
 @cache
 def _base_images(m: int) -> np.ndarray:
     """(|R_m|, |R_m|): row x holds ρ_λ(x) for every λ ∈ Λ_m, flattened side
-    by side (Σ_λ d_λ² = |R_m|)."""
+    by side in the order of a node's column (Σ_λ d_λ² = |R_m|)."""
     rows = [
-        np.concatenate([halverson_rep(shape, m).evaluate(x).ravel() for shape in labels(m)])
+        np.concatenate([halverson_rep(shape, m).evaluate(x).ravel() for shape in _columns(m)])
         for x in enumerate_rn(m)
     ]
     out = np.array(rows, dtype=complex).reshape(size(m), size(m))
@@ -211,13 +269,25 @@ def _base_images(m: int) -> np.ndarray:
     return out
 
 
-def _split(flat: np.ndarray, m: int) -> dict[Shape, np.ndarray]:
-    """(nodes, |R_m|) rows of flattened blocks → a (nodes, d_λ, d_λ) view per λ ∈ Λ_m."""
-    out, at = {}, 0
-    for shape in labels(m):
+@cache
+def _embedding(m: int) -> np.ndarray:
+    """(2, |R_m|) int32 for m ≥ 3, indexed by the entries of a level-m
+    column: the entry of a level m-1 column each is read from.  Row 0
+    places the branches of every λ ∈ Λ_m (``branch_rn`` order) on the
+    diagonal of its block and reads every other entry from the zero at the
+    end of the column; row 1 does the same for the transposed blocks."""
+    below = _columns(m - 1)
+    out = np.empty((2, size(m)), dtype=np.int32)
+    for shape, at in _columns(m).items():
         d = dim(shape, m)
-        out[shape] = flat[:, at : at + d * d].reshape(-1, d, d)
-        at += d * d
+        block = np.full((d, d), size(m - 1), dtype=np.int32)
+        on = 0
+        for mu in branch_rn(shape, m):
+            dm = dim(mu, m - 1)
+            block[on : on + dm, on : on + dm] = below[mu] + np.arange(dm * dm).reshape(dm, dm)
+            on += dm
+        out[0, at : at + d * d], out[1, at : at + d * d] = block.ravel(), block.T.ravel()
+    out.flags.writeable = False
     return out
 
 
@@ -238,7 +308,6 @@ def _slice_costs(m: int) -> np.ndarray:
     return costs
 
 
-@cache
 def _pairing(shape: Shape, m: int, j: int) -> tuple[np.ndarray, ...]:
     """ρ_λ(t_j) on R_m as a diagonal plus one partner per index: t_j mixes a
     tableau only with the one that swaps j-1 and j, so each row and column
@@ -252,63 +321,87 @@ def _pairing(shape: Shape, m: int, j: int) -> tuple[np.ndarray, ...]:
     partner = at.copy()
     rows, cols = np.nonzero(off)
     partner[cols] = rows
-    out = (partner, diagonal, off[at, partner], off[partner, at])
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return partner, diagonal, off[at, partner], off[partner, at]
+
+
+@cache
+def _group_pairings(m: int) -> tuple[tuple[np.ndarray, dict], ...]:
+    """Per group of ``_groups(m)``, with L labels of dimension d: the
+    diagonal of [m] as an (L·d, 1) array, and per j the pairings of
+    ρ_λ(t_j) for the L labels side by side, as one (L·d,) partner array and
+    one (3, L·d, 1) array of the diagonal, M[r, p(r)] and M[p(r), r], so
+    that one call applies ρ_λ(t_j) to every label of the group."""
+    out = []
+    for d, shapes, _ in _groups(m):
+        keep = np.concatenate([np.diag(halverson_rep(shape, m).link_image(m)) for shape in shapes])
+        pairs = {}
+        for j in range(2, m + 1):
+            parts = [_pairing(shape, m, j) for shape in shapes]
+            partner = np.concatenate([p[0] + l * d for l, p in enumerate(parts)])
+            coefficients = np.array([np.concatenate([p[i] for p in parts]) for i in (1, 2, 3)])
+            pairs[j] = (partner, coefficients[:, :, None])
+        out.append((keep[:, None], pairs))
+        for a in (keep, *(a for pair in pairs.values() for a in pair)):
+            a.flags.writeable = False
+    return tuple(out)
 
 
 def _level(
-    below: dict[Shape, np.ndarray], nodes: np.ndarray, m: int, counter: OpCounter
-) -> tuple[np.ndarray, dict[Shape, np.ndarray]]:
-    """One level of recursive_fft: the visited nodes of level m-1 (ids
-    node·2m + slice) and their R_{m-1} blocks → the visited nodes of level m
-    and their R_m blocks.
+    below: np.ndarray, nodes: np.ndarray, weight: int, m: int, counter: OpCounter
+) -> tuple[np.ndarray, np.ndarray]:
+    """One level of recursive_fft: the visited nodes of level m-1 and their
+    columns of R_{m-1} blocks → the visited nodes of level m and their
+    columns of R_m blocks.  A node id is digit·weight + parent, the digit
+    that of its slice (``_digits``), so sorted ids list the children slice
+    by slice, each slice in the order of its parents.
 
-    The children are stacked in slice order, and each slice takes all its
-    generators t_m, …, t_{i+1} before the next slice starts, which keeps a
-    slice of the top levels in cache while it is worked on.
+    A slice and a group of labels of one dimension d (``_groups``) at a
+    time: one gather (``_embedding``) places the subtransforms of all the
+    slice's children on the block diagonals of the group's L labels, as an
+    (L·d, d·children) array.  On it, ρ_λ(t_j) for all L labels is one
+    gather of partner rows, two products and a sum, the same
+    diag·x + off·x[partner] per entry as a product by one label's matrix
+    (``_group_pairings``); the products run on the real and imaginary parts
+    apart, as every coefficient is real.  The generators t_m, …, t_{i+1} go
+    in that order, and the part is added into the parents before the next
+    group starts.  A slice up_i, whose blocks are multiplied on the right,
+    is gathered transposed, so that X·ρ(t_j) = (ρ(t_j)ᵀ·Xᵀ)ᵀ is a product
+    on the left too, and added back transposed.  The slices are taken in
+    slice order, so each parent sums its children in that order.
     """
-    order = np.argsort(nodes % (2 * m), kind="stable")
-    parent, slices = np.divmod(nodes[order], 2 * m)
-    nodes, row = np.unique(parent, return_inverse=True)
+    digits, parent = np.divmod(nodes, weight)
+    nodes, column = np.unique(parent, return_inverse=True)
+    slices = np.argsort(_digits(m))[digits]
     counter.add(int(_slice_costs(m)[slices].sum()) + (len(slices) - len(nodes)) * size(m))
-    starts = np.searchsorted(slices, np.arange(2 * m + 1))
-    out = {}
-    for shape in labels(m):
-        rep = halverson_rep(shape, m)
-        d = rep.dim
-        stack = np.zeros((len(slices), d, d), dtype=complex)
-        at = 0
-        for mu in branch_rn(shape, m):
-            dm = below[mu].shape[-1]
-            stack[:, at : at + dm, at : at + dm] = below[mu][order]
-            at += dm
-        for k in range(2 * m - 2):  # T_m and the link take no generator
-            part = stack[starts[k] : starts[k + 1]]
-            for j in range(m, k // 2 + 1, -1):
-                _times(part, _pairing(shape, m, j), right=k % 2 == 1)
-        stack[starts[-2] :] *= np.diag(rep.link_image(m))[:, None]
-        acc = np.zeros((len(nodes), d, d), dtype=complex)
-        for k in range(2 * m):  # one child per node in a slice
-            acc[row[starts[k] : starts[k + 1]]] += stack[starts[k] : starts[k + 1]]
-        out[shape] = acc
+    starts = np.searchsorted(digits, np.arange(2 * m + 1))
+    embedding = _embedding(m)
+    out = np.zeros((size(m) + 1, len(nodes)), dtype=complex)
+    for k, digit in enumerate(_digits(m)):
+        span = slice(starts[digit], starts[digit + 1])
+        parents = column[span]
+        if not len(parents):
+            continue
+        if parents[-1] - parents[0] == len(parents) - 1:  # ascending: a run is a slice
+            parents = slice(parents[0], parents[-1] + 1)
+        right = k % 2 == 1 and k < 2 * m - 1
+        children = np.ascontiguousarray(below[:, span])  # else each take copies it
+        for (d, shapes, at), (keep, pairs) in zip(_groups(m), _group_pairings(m)):
+            width = len(shapes) * d * d
+            part = children.take(embedding[int(right), at : at + width], axis=0)
+            part = part.reshape(len(shapes) * d, -1)
+            real = part.view(float)
+            for j in range(m, k // 2 + 1, -1):  # T_m and the link take no generator
+                partner, (diagonal, row_off, col_off) = pairs[j]
+                swapped = part.take(partner, axis=0).view(float)
+                swapped *= col_off if right else row_off
+                real *= diagonal
+                real += swapped
+            if k == 2 * m - 1:
+                real *= keep
+            part = part.reshape(len(shapes), d, d, -1)
+            sums = out[at : at + width].reshape(len(shapes), d, d, -1)
+            sums[..., parents] += part.transpose(0, 2, 1, 3) if right else part
     return nodes, out
-
-
-def _times(stack: np.ndarray, pairing: tuple[np.ndarray, ...], right: bool) -> None:
-    """stack ← ρ(t_j)·stack, or stack·ρ(t_j) when right, in place, for each
-    matrix of the stack, through the pairing of ρ(t_j)."""
-    partner, diagonal, row_off, col_off = pairing
-    if right:
-        swapped = np.take(stack, partner, axis=2)
-        swapped *= col_off
-        stack *= diagonal
-    else:
-        swapped = np.take(stack, partner, axis=1)
-        swapped *= row_off[:, None]
-        stack *= diagonal[:, None]
-    stack += swapped
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +412,7 @@ def _times(stack: np.ndarray, pairing: tuple[np.ndarray, ...], right: bool) -> N
 def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
     """Recover the groupoid-basis coefficients from a complete block set.
 
-    The inverse of ``stein_fft``, rank by rank: each λ-block (λ ⊢ k) is cut
-    into its C(n,k)² cells of d_λ×d_λ, ``sn_ifft_batch`` inverts them all
-    as one batch of S_k transforms, and the values are scattered through
-    ``cell_index(n, k)``.  A halverson block F̂ is first taken to its stein
-    block U⁻¹·F̂·U by the similarity U = ``halverson_similarity(λ, n)``.
+    The inverse of ``stein_fft``, rank by rank (``invert_rank``).
     """
     n = F.n
     if F.family not in FAMILIES:
@@ -336,17 +425,29 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
             raise ValueError(f"block {shape} should be {d}x{d}")
     values = np.zeros(size(n), dtype=complex)
     for k in range(n + 1):
-        c = comb(n, k)
-        cells = {}
-        for shape in partitions(k):
-            block = np.asarray(F.blocks[shape], dtype=complex)
-            if F.family == HALVERSON:
-                U = halverson_similarity(shape, n)
-                block = np.linalg.solve(U, block @ U)
-            d = num_standard(shape)
-            cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
-        values[cell_index(n, k)] = sn_ifft_batch(cells, k)
+        values[cell_index(n, k)] = invert_rank(F, k)
     return from_dense(n, GROUPOID, values)
+
+
+def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
+    """The groupoid-basis coefficients of the rank-k elements of R_n, in
+    ``cell_index(n, k)`` order, from the blocks of the labels λ ⊢ k alone.
+
+    Each λ-block is cut into its C(n,k)² cells of d_λ×d_λ, and
+    ``sn_ifft_batch`` inverts them all as one batch of S_k transforms.  A
+    halverson block F̂ is first taken to its stein block U⁻¹·F̂·U by the
+    similarity U = ``halverson_similarity(λ, n)``.
+    """
+    n, c = F.n, comb(F.n, k)
+    cells = {}
+    for shape in partitions(k):
+        block = np.asarray(F.blocks[shape], dtype=complex)
+        if F.family == HALVERSON:
+            U = halverson_similarity(shape, n)
+            block = np.linalg.solve(U, block @ U)
+        d = num_standard(shape)
+        cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
+    return sn_ifft_batch(cells, k)
 
 
 def blockwise_product(F: FourierCoefficients, G: FourierCoefficients) -> FourierCoefficients:

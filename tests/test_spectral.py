@@ -152,6 +152,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             isotypic_project(rand_elem(2, GROUPOID, 1), (3,))
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
+    def test_rank_inversion_equals_whole_inversion(self, n, basis):
+        # inverting the label's rank alone gives what inverting the whole
+        # block set, every other block zero, gives
+        f = random_element(n, basis, random.Random(60 + n))
+        F = stein_fft(f if basis == GROUPOID else to_groupoid(f))
+        for sh in labels(n):
+            kept = {s: (M if s == sh else np.zeros_like(M)) for s, M in F.blocks.items()}
+            whole = fourier_invert(FourierCoefficients(n, F.family, kept))
+            assert np.array_equal(isotypic_project(f, sh).values, whole.values)
+
 
 class TestSpectrum:
     def test_pure_rank_zero_dataset(self):

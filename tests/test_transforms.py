@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rookfft
 from conftest import (
     assert_product_matches_oracle,
     block_diag,
@@ -25,6 +31,7 @@ from rookfft.algebra import (
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
 from rookfft.counting import OpCounter
+from rookfft.indexing import ranks_at, slice_index
 from rookfft.rook_reps import (
     branch_rn,
     dim,
@@ -377,6 +384,101 @@ class TestLevelBatchedRecursion:
         assert H.ops.multiply_adds <= recursive_bound(8)
         for sh in labels(8):
             assert abs(np.trace(H.blocks[sh]) - np.trace(S.blocks[sh])) <= 1e-9
+
+
+def slice_kinds(n):
+    """(|R_n|, n-2) kinds of the slice each x ∈ R_n falls in at the levels
+    m = n, …, 3 of recursive_fft: "T" (T_i, i < m), "Tm", "up" or "link"."""
+    points = np.arange(size(n))
+    columns = []
+    for m in range(n, 2, -1):
+        slices, points = slice_index(m)[points].T
+        kind = np.where(slices % 2 == 0, "T", "up").astype(object)
+        kind[slices == 2 * m - 2], kind[slices == 2 * m - 1] = "Tm", "link"
+        columns.append(kind)
+    return np.stack(columns, axis=1) if columns else np.empty((size(n), 0), dtype=object)
+
+
+def element_on(n, positions, seed):
+    rng = np.random.default_rng(seed)
+    values = np.zeros(size(n), dtype=complex)
+    values[positions] = rng.uniform(-1, 1, len(positions)) + 1j * rng.uniform(-1, 1, len(positions))
+    return from_dense(n, SEMIGROUP, values)
+
+
+class TestEmptySlices:
+    """Supports that leave whole slices empty at every level, which the
+    level pass skips, against the naive oracle and the per-node counts."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kinds", [{"link"}, {"Tm"}, {"up"}, {"T", "Tm"}, {"up", "link"}])
+    def test_supports_within_slice_kinds(self, n, kinds):
+        # {"link"} keeps the zero map and R_2; {"T", "Tm"} holds every
+        # permutation and more
+        inside = np.isin(slice_kinds(n), list(kinds)).all(axis=1)
+        f = element_on(n, np.flatnonzero(inside), 500 + n)
+        assert f.support() > 0
+        self._check(f)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_only_permutations(self, n):
+        positions = np.arange(size(n))
+        self._check(element_on(n, positions[ranks_at(n, positions) == n], 510 + n))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zero_map_and_top_link_slice(self, n):
+        # the top level has one slice only; the levels below are full
+        self._check(element_on(n, np.flatnonzero(slice_kinds(n)[:, 0] == "link"), 520 + n))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_zero_element(self, n):
+        F = recursive_fft(from_dense(n, SEMIGROUP, np.zeros(size(n), dtype=complex)))
+        assert list(F.blocks) == list(labels(n))
+        for sh, M in F.blocks.items():
+            assert M.shape == (dim(sh, n), dim(sh, n))
+            assert not M.any()
+        assert F.ops.multiply_adds == 0
+
+    @staticmethod
+    def _check(f):
+        F = recursive_fft(f)
+        assert F.allclose(naive_transform(f, "halverson"), 1e-9)
+        counter = OpCounter()
+        per_node_recursive(dict(f.coeffs), f.n, counter)
+        assert F.ops.multiply_adds == counter.multiply_adds
+
+
+MEMORY_PROBE = """
+import gc, json, tracemalloc
+import numpy as np
+from rookfft.algebra import SEMIGROUP, from_dense
+from rookfft.core import size
+from rookfft.transforms import recursive_fft
+rng = np.random.default_rng(106)
+f = from_dense(6, SEMIGROUP, rng.uniform(-1, 1, size(6)) + 1j * rng.uniform(-1, 1, size(6)))
+gc.collect()
+tracemalloc.start()
+recursive_fft(f)
+gc.collect()
+kept = tracemalloc.get_traced_memory()[0]
+tracemalloc.reset_peak()
+recursive_fft(f)
+print(json.dumps({"kept": kept, "warm_peak": tracemalloc.get_traced_memory()[1] - kept}))
+"""
+
+
+class TestMemory:
+    def test_full_support_r6_caches_and_peak(self):
+        # in a fresh process, so that every cache is filled by the first
+        # call; the per-label pass this kernel replaced kept 1.51 MB and
+        # peaked at 1.98 MB warm under this probe
+        src = str(Path(rookfft.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        probe = json.loads(out)
+        assert probe["kept"] <= 2.0 * 2**20
+        assert probe["warm_peak"] <= 2.5 * 2**20
 
 
 class TestInversion:
