@@ -1,5 +1,5 @@
 """Wall time, multiply-adds and peak memory of the fast transforms and of
-Fourier inversion on full-support inputs.
+Fourier inversion on full-support inputs, and of the naive oracle.
 
     PYTHONPATH=src python3 scripts/bench_fft.py
 
@@ -21,7 +21,13 @@ Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
 call per element.  Each row also reports the process's peak RSS so far
-(``ru_maxrss``), which the row's own n dominates.  Prints one JSON object.
+(``ru_maxrss``), which the row's own n dominates.
+Last, ``naive_transform`` runs in both families for each n ≤ NAIVE_MAX_N,
+halverson on the semigroup element and stein on the groupoid one, timed
+like the rest (the cold call builds the image tables) with its
+multiply-adds and the tracemalloc peak of one more call.  Up to n = 5 the
+elements have full support; from n = 6 on each keeps NAIVE_SPARSE_TERMS[n]
+of its terms, a seeded choice.  Prints one JSON object.
 Run it against two checkouts to compare them.
 """
 
@@ -48,9 +54,19 @@ from rookfft.algebra import (
 )
 from rookfft.core import size
 from rookfft.counting import OpCounter
-from rookfft.transforms import fourier_invert, recursive_fft, stein_fft, stein_fft_semigroup
+from rookfft.transforms import (
+    HALVERSON,
+    STEIN,
+    fourier_invert,
+    naive_transform,
+    recursive_fft,
+    stein_fft,
+    stein_fft_semigroup,
+)
 
 MAX_N = 8
+NAIVE_MAX_N = 7
+NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
 REPEATS = 3
 SEED = 0
 
@@ -143,8 +159,25 @@ def _row(n: int) -> dict:
             "peak_rss_mb": round(peak_mb, 1)}
 
 
+def _naive_row(n: int) -> dict:
+    seconds, cold, multiply_adds, peak_mb = {}, {}, {}, {}
+    for family, basis, seed in [(HALVERSON, SEMIGROUP, SEED + n), (STEIN, GROUPOID, SEED + 100 + n)]:
+        f, _ = _element(n, basis, seed)
+        if n in NAIVE_SPARSE_TERMS:
+            keep = np.random.default_rng(seed).choice(size(n), NAIVE_SPARSE_TERMS[n], replace=False)
+            values = np.zeros(size(n), dtype=complex)
+            values[keep] = f.values[keep]
+            f = from_dense(n, basis, values)
+        cold[family], seconds[family], F = _min_time(naive_transform, f, family)
+        multiply_adds[family] = F.ops.multiply_adds
+        peak_mb[family] = _traced_peak_mb(naive_transform, f, family)
+    return {"n": n, "support": f.support(), "seconds": seconds, "cold_seconds": cold,
+            "multiply_adds": multiply_adds, "peak_mb": peak_mb}
+
+
 def main() -> None:
     rows = [_row(n) for n in range(1, MAX_N + 1)]
+    naive = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
     machine = {
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
@@ -152,7 +185,7 @@ def main() -> None:
         "numpy": np.__version__,
     }
     print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
-                      "rows": rows}, indent=2))
+                      "rows": rows, "naive": naive}, indent=2))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@ spectral analysis, and bound-checking benchmarks.
 
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 math-consistency
 failure (an oracle or bound check failed, treated as a bug signal), 5 out
-of memory.  Every error path prints a single line "ERR:<KIND>: message" to
-stderr.
+of memory or too large.  Every error path prints a single line
+"ERR:<KIND>: message" to stderr.
 """
 
 from __future__ import annotations
@@ -196,6 +196,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
     f = _load_element(args)
     algorithm = args.algorithm
     if algorithm == "naive":
+        ops = f.support() * size(f.n)
+        if ops > naive_bound(BENCH_GUARD):
+            raise CliError(5, "RESOURCE", f"naive transform needs {ops} multiply-adds, over "
+                           f"|R_{BENCH_GUARD}|² = {naive_bound(BENCH_GUARD)}; use --algorithm "
+                           "stein --convert or --algorithm recursive --convert")
         family = HALVERSON if f.basis == SEMIGROUP else STEIN
         F = naive_transform(f, family)
         bound = naive_bound(f.n)

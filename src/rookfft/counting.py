@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class OpCounter:
@@ -23,10 +21,4 @@ class OpCounter:
 
     def add(self, k: int) -> None:
         self.multiply_adds += k
-
-
-def scaled_accumulate(acc: np.ndarray, c: complex, M: np.ndarray, counter: OpCounter) -> None:
-    """acc += c·M, the inner step of a naive transform; costs size(M)."""
-    counter.add(M.size)
-    acc += c * M
 

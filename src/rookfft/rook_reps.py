@@ -41,10 +41,6 @@ from .tableaux import (
     remove_corner,
 )
 
-# per-element image caches are worthwhile at test scale but would hold
-# |R_n|·Σ dim² complex entries (gigabytes from n = 6 on), so cap them
-CACHE_AMBIENT_LIMIT = 5
-
 
 def labels(n: int) -> tuple[Shape, ...]:
     """Λ_n: all partitions of all weights 0..n, in a fixed order."""
@@ -81,8 +77,6 @@ class HalversonRep:
     basis: tuple
     transpositions: dict[int, np.ndarray]
     _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _eval_cache: dict = field(default_factory=dict, repr=False)
-    _groupoid_cache: dict = field(default_factory=dict, repr=False)
 
     def link_image(self, m: int) -> np.ndarray:
         """Image of [m]: diagonal, keeping exactly the tableaux without m."""
@@ -96,28 +90,19 @@ class HalversonRep:
         """ρ(s) via a generator word; at most 2 nonzeros per factor row."""
         if s.n != self.n:
             raise ValueError(f"element lives in R_{s.n}, representation in R_{self.n}")
-        hit = self._eval_cache.get(s)
-        if hit is not None:
-            return hit
         M = np.eye(self.dim)
         for kind, j in generator_word(s):
             M = M @ (self.transpositions[j] if kind == "t" else self.link_image(j))
-        if self.n <= CACHE_AMBIENT_LIMIT:
-            self._eval_cache[s] = M
         return M
 
     def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
-        """Image of the groupoid basis element ⌊s⌋ = Σ_{t≤s} μ(t,s)·t."""
-        hit = self._groupoid_cache.get(s)
-        if hit is not None:
-            return hit
+        """Image of the groupoid basis element ⌊s⌋ = Σ_{t≤s} μ(t,s)·t: a test
+        oracle, kept here because perfbench's span list (``spans.py``) names it."""
         k = s.rank
         M = np.zeros((self.dim, self.dim))
         for t in restrictions(s):
             sign = -1.0 if (k - t.rank) % 2 else 1.0
             M = M + sign * self.evaluate(t)
-        if self.n <= CACHE_AMBIENT_LIMIT:
-            self._groupoid_cache[s] = M
         return M
 
 
@@ -166,7 +151,6 @@ class SteinRep:
     n: int
     base: GroupRep
     subsets: tuple[tuple[int, ...], ...]
-    _eval_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -179,9 +163,6 @@ class SteinRep:
     def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
         """Image of the groupoid basis element for s: zero unless rk(s) = k,
         otherwise ρ(y) in the (ran(s), dom(s)) cell."""
-        hit = self._eval_cache.get(s)
-        if hit is not None:
-            return hit
         out = np.zeros((self.dim, self.dim))
         if s.rank == self.k:
             ran, y, dom = factorize(s)
@@ -189,8 +170,6 @@ class SteinRep:
             d = self.base.dim
             a, b = ksubset_index(ran), ksubset_index(dom)
             out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-        if self.n <= CACHE_AMBIENT_LIMIT:
-            self._eval_cache[s] = out
         return out
 
     def eval_semigroup(self, s: PartialPermutation) -> np.ndarray:

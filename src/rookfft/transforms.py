@@ -38,8 +38,8 @@ import numpy as np
 
 from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_dense, to_groupoid
 from .core import ParseError, check_n, enumerate_rn, json_complex, json_int, size
-from .counting import OpCounter, scaled_accumulate
-from .indexing import cell_index, slice_index
+from .counting import OpCounter
+from .indexing import cell_index, elements_at, slice_index
 from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
 from .symmetric import sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
@@ -47,6 +47,10 @@ from .tableaux import Shape, num_standard, partitions
 STEIN = "stein"
 HALVERSON = "halverson"
 FAMILIES = (STEIN, HALVERSON)
+
+# a family's image table is cached whole while its reals fit (|R_5|²: 19 MB;
+# |R_6|²: 1.4 GB); above that it is built per call, this much at a time
+IMAGE_TABLE_BYTES = 32 << 20
 
 
 @dataclass
@@ -89,6 +93,9 @@ def _require_basis(f: AlgebraElement, basis: str, what: str) -> None:
 def naive_transform(f: AlgebraElement, family: str) -> FourierCoefficients:
     """Direct evaluation of every block; the oracle the fast paths must match.
 
+    Σ_s f(s)·ρ_λ(s) for every λ at once: the coefficients times the image
+    table of R_n (``_image_rows``), charged support × |R_n| multiply-adds.
+
     The halverson family is defined on the semigroup basis, the stein
     family on the groupoid basis; convert first for a cross pairing.
     """
@@ -98,22 +105,45 @@ def naive_transform(f: AlgebraElement, family: str) -> FourierCoefficients:
         _require_basis(f, GROUPOID, "naive_transform[stein]")
     else:
         raise ValueError(f"unknown family {family!r}")
-    counter = OpCounter()
-    n = f.n
-    terms = list(f.items())
-    blocks: dict[Shape, np.ndarray] = {}
-    for shape in labels(n):
-        if family == HALVERSON:
-            rep = halverson_rep(shape, n)
-            images = rep.evaluate
-        else:
-            rep = stein_rep(shape, n)
-            images = rep.eval_groupoid
-        acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for s, c in terms:
-            scaled_accumulate(acc, c, images(s), counter)
-        blocks[shape] = acc
-    return FourierCoefficients(n, family, blocks, counter)
+    n, values = f.n, f.values
+    support = np.flatnonzero(values)
+    rows = IMAGE_TABLE_BYTES // (8 * size(n))
+    if rows >= size(n):  # zero coefficients add nothing: take the whole table
+        parts = [(values, _image_table(family, n))]
+    else:  # a chunk of the support's rows at a time
+        parts = (
+            (values[at], _image_rows(family, n, elements_at(n, at)))
+            for at in np.split(support, range(rows, len(support), rows))
+        )
+    flat = np.zeros(size(n), dtype=complex)
+    for c, table in parts:  # real and imaginary parts apart: no complex table
+        flat += c.real @ table + 1j * (c.imag @ table)
+        del table  # before the next chunk is built
+    return FourierCoefficients(n, family, _blocks(n, flat), OpCounter(len(support) * size(n)))
+
+
+def _image_rows(family: str, n: int, elements) -> np.ndarray:
+    """(len(elements), |R_n|) reals: row i holds ρ_λ(elements[i]) for every
+    λ ∈ Λ_n, flattened side by side in the order of ``_columns(n)``
+    (Σ_λ d_λ² = |R_n|).  Halverson rows are images of the semigroup basis
+    (``HalversonRep.evaluate``, a generator word), stein rows images of the
+    groupoid basis (``SteinRep.eval_groupoid``, a canonical factorization)."""
+    if family == HALVERSON:
+        images = [halverson_rep(shape, n).evaluate for shape in _columns(n)]
+    else:
+        images = [stein_rep(shape, n).eval_groupoid for shape in _columns(n)]
+    out = np.empty((len(elements), size(n)))
+    for row, x in zip(out, elements):
+        np.concatenate([image(x).ravel() for image in images], out=row)
+    return out
+
+
+@cache
+def _image_table(family: str, n: int) -> np.ndarray:
+    """``_image_rows`` of all of R_n, read-only."""
+    out = _image_rows(family, n, enumerate_rn(n))
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +200,9 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     array: a column holds every block of one node, flattened side by side
     in the order of ``_groups(m)``, and a zero last.  The base nodes are the
     copies of R_2 (R_n itself when n ≤ 2), transformed by one product with
-    the stacked images of R_2.  At each level m ≥ 3 the 2m
-    subtransforms of every node are reassembled block-diagonally for free
-    thanks to chain adaptation and multiplied by the images of the
+    the naive oracle's table of R_2 (``_image_table``).  At each level m ≥ 3
+    the 2m subtransforms of every node are reassembled block-diagonally for
+    free thanks to chain adaptation and multiplied by the images of the
     generators t_j and [m] (``_level``).  Only nodes whose part of f holds
     a nonzero are visited.
 
@@ -199,7 +229,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     functions = np.zeros((len(nodes), size(base)), dtype=complex)
     functions[row, points] = values[support]
     counter.add(len(support) * size(base))
-    product = functions @ _base_images(base)
+    product = functions @ _image_table(HALVERSON, base)
     del functions
     level = np.zeros((size(base) + 1, len(nodes)), dtype=complex)
     level[:-1] = product.T
@@ -208,11 +238,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, counter)
     # the root is the one node left, or none when f = 0
-    root, blocks = level.sum(axis=1), {}
-    for d, shapes, at in _groups(n):
-        blocks.update(zip(shapes, root[at : at + len(shapes) * d * d].reshape(-1, d, d)))
-    blocks = {shape: blocks[shape] for shape in labels(n)}
-    return FourierCoefficients(n, HALVERSON, blocks, counter)
+    return FourierCoefficients(n, HALVERSON, _blocks(n, level.sum(axis=1)), counter)
 
 
 @cache
@@ -256,17 +282,13 @@ def _columns(m: int) -> dict[Shape, int]:
     return out
 
 
-@cache
-def _base_images(m: int) -> np.ndarray:
-    """(|R_m|, |R_m|): row x holds ρ_λ(x) for every λ ∈ Λ_m, flattened side
-    by side in the order of a node's column (Σ_λ d_λ² = |R_m|)."""
-    rows = [
-        np.concatenate([halverson_rep(shape, m).evaluate(x).ravel() for shape in _columns(m)])
-        for x in enumerate_rn(m)
-    ]
-    out = np.array(rows, dtype=complex).reshape(size(m), size(m))
-    out.flags.writeable = False
-    return out
+def _blocks(m: int, column: np.ndarray) -> dict[Shape, np.ndarray]:
+    """The blocks held in one column of Λ_m (``_columns``), as views, in the
+    order of ``labels(m)``."""
+    blocks = {}
+    for d, shapes, at in _groups(m):
+        blocks.update(zip(shapes, column[at : at + len(shapes) * d * d].reshape(-1, d, d)))
+    return {shape: blocks[shape] for shape in labels(m)}
 
 
 @cache

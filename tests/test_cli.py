@@ -6,7 +6,8 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import direct_convolve_semigroup, rand_elem
+from conftest import direct_convolve_semigroup, rand_elem, sparse_element
+from rookfft import cli
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -17,7 +18,7 @@ from rookfft.algebra import (
 from rookfft.cli import main
 from rookfft.core import PartialPermutation, size
 from rookfft.rook_reps import dim, labels
-from rookfft.transforms import from_json_dict as fc_from_json, naive_transform
+from rookfft.transforms import from_json_dict as fc_from_json, naive_transform, stein_fft
 
 
 def run(capsys, *argv):
@@ -100,6 +101,28 @@ class TestTransform:
         assert code == 0
         expected = naive_transform(to_groupoid(f), "stein")
         assert fc_from_json(json.loads(out)).allclose(expected, 1e-9)
+
+    def test_naive_refuses_past_a_full_r6_before_any_image(self, capsys, tmp_path, monkeypatch):
+        # 1,400 terms × |R_7| = 183.3 M multiply-adds, past |R_6|² = 177.6 M
+        path = write_element(tmp_path, "f.json", sparse_element(7, 1400, 7))
+
+        def never(*_):
+            raise AssertionError("naive_transform ran")
+
+        monkeypatch.setattr(cli, "naive_transform", never)
+        code, out, err = run(capsys, "transform", "--input", path)
+        assert code == 5 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERR:RESOURCE:")
+        assert "--algorithm stein --convert" in lines[0] and "--algorithm recursive" in lines[0]
+
+    def test_naive_admits_a_sparse_r7_element(self, capsys, tmp_path):
+        f = sparse_element(7, 40, 7)
+        code, out, _ = run(capsys, "transform", "--input", write_element(tmp_path, "f.json", f))
+        data = json.loads(out)
+        assert code == 0 and data["algorithm"] == "naive"
+        assert data["ops"] == 40 * size(7)
+        assert fc_from_json(data).allclose(stein_fft(f), 1e-9)
 
     def test_ballot_csv_input(self, capsys, tmp_path):
         path = tmp_path / "ballots.csv"

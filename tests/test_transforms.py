@@ -43,6 +43,7 @@ from rookfft.rook_reps import (
 from rookfft.symmetric import _descend_map
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
+    IMAGE_TABLE_BYTES,
     FourierCoefficients,
     _pairing,
     blockwise_product,
@@ -88,10 +89,35 @@ class TestNaive:
         assert np.allclose(F.blocks[()], [[2.0]])
         assert np.allclose(F.blocks[(1,)], [[1.0]])
 
-    def test_counter_is_support_times_dims(self):
-        f = rand_elem(3, SEMIGROUP, 1, support="sparse")
-        F = naive_transform(f, "halverson")
-        assert F.ops.multiply_adds == f.support() * sum(dim(sh, 3) ** 2 for sh in labels(3))
+    @pytest.mark.parametrize("family", ["halverson", "stein"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_counter_is_support_times_dims(self, n, family):
+        f = rand_elem(n, SEMIGROUP if family == "halverson" else GROUPOID, 1, support="sparse")
+        F = naive_transform(f, family)
+        assert F.ops.multiply_adds == f.support() * sum(dim(sh, n) ** 2 for sh in labels(n))
+
+    @pytest.mark.parametrize("family", ["halverson", "stein"])
+    def test_matches_the_per_term_sum(self, family):
+        # the loop over terms and labels that the image table replaced
+        f = rand_elem(3, SEMIGROUP if family == "halverson" else GROUPOID, 4)
+        F = naive_transform(f, family)
+        for sh in labels(3):
+            rep = halverson_rep(sh, 3) if family == "halverson" else stein_rep(sh, 3)
+            image = rep.evaluate if family == "halverson" else rep.eval_groupoid
+            expected = sum((c * image(s) for s, c in f.items()), np.zeros((rep.dim, rep.dim)))
+            assert np.allclose(F.blocks[sh], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, terms", [(6, 320), (7, 40)])
+    def test_chunked_table_matches_fast_paths(self, n, terms):
+        # above n = 5 the image table is built per call, a chunk of rows at
+        # a time: 314 rows at n = 6, 32 at n = 7, so both supports span chunks
+        assert terms > IMAGE_TABLE_BYTES // (8 * size(n))
+        f = sparse_element(n, terms, n, SEMIGROUP)
+        g = sparse_element(n, terms, n, GROUPOID)
+        for F, fast in [(naive_transform(f, "halverson"), recursive_fft(f)),
+                        (naive_transform(g, "stein"), stein_fft(g))]:
+            assert F.allclose(fast, 1e-9)
+            assert F.ops.multiply_adds == terms * size(n)
 
     def test_full_support_counter_is_squared_size(self):
         f = rand_elem(3, GROUPOID, 2)
