@@ -27,7 +27,16 @@ halverson on the semigroup element and stein on the groupoid one, timed
 like the rest (the cold call builds the image tables) with its
 multiply-adds and the tracemalloc peak of one more call.  Up to n = 5 the
 elements have full support; from n = 6 on each keeps NAIVE_SPARSE_TERMS[n]
-of its terms, a seeded choice.  Prints one JSON object.
+of its terms, a seeded choice.
+Then, for each n in CLI_NS, the command line runs in-process
+(``cli.main``, timed like the rest, its output to a file in a temporary
+directory) on the semigroup element's JSON: ``transform --algorithm stein
+--convert`` and ``transform --algorithm recursive``, and ``invert`` on the
+JSON of its ``stein_fft_semigroup`` block set.  Both input files are written
+by the standard library's ``json.dumps``, so two checkouts read the same
+bytes; each row reports their sizes and those of the outputs.
+Prints one JSON object.  Name sections to run only those
+(``python3 scripts/bench_fft.py cli``); all three run by default.
 Run it against two checkouts to compare them.
 """
 
@@ -37,8 +46,11 @@ import json
 import os
 import platform
 import resource
+import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +64,7 @@ from rookfft.algebra import (
     to_groupoid,
     to_json_dict,
 )
+from rookfft import cli
 from rookfft.core import size
 from rookfft.counting import OpCounter
 from rookfft.transforms import (
@@ -62,11 +75,13 @@ from rookfft.transforms import (
     recursive_fft,
     stein_fft,
     stein_fft_semigroup,
+    to_json_dict as blocks_to_json,
 )
 
 MAX_N = 8
 NAIVE_MAX_N = 7
 NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
+CLI_NS = (6, 7, 8)
 REPEATS = 3
 SEED = 0
 
@@ -175,17 +190,47 @@ def _naive_row(n: int) -> dict:
             "multiply_adds": multiply_adds, "peak_mb": peak_mb}
 
 
+def _cli_row(n: int, tmp: Path) -> dict:
+    f, _ = _element(n, SEMIGROUP, SEED + n)
+    element, blocks = tmp / "element.json", tmp / "blocks.json"
+    element.write_text(json.dumps(to_json_dict(f)), encoding="utf-8")
+    blocks.write_text(json.dumps(blocks_to_json(stein_fft_semigroup(f))), encoding="utf-8")
+    del f
+    commands = {
+        "transform_stein": ["transform", "--input", str(element), "--algorithm", "stein",
+                            "--convert"],
+        "transform_recursive": ["transform", "--input", str(element), "--algorithm", "recursive"],
+        "invert": ["invert", "--input", str(blocks)],
+    }
+    seconds, cold, output_bytes = {}, {}, {}
+    for name, argv in commands.items():
+        output = tmp / f"{name}.out"
+        cold[name], seconds[name], code = _min_time(cli.main, [*argv, "--output", str(output)])
+        if code != 0:
+            raise SystemExit(f"rookfft {' '.join(argv)} exited {code}")
+        output_bytes[name] = output.stat().st_size
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    input_bytes = {"element": element.stat().st_size, "blocks": blocks.stat().st_size}
+    return {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, "seconds": seconds,
+            "cold_seconds": cold, "peak_rss_mb": round(peak_mb, 1)}
+
+
 def main() -> None:
-    rows = [_row(n) for n in range(1, MAX_N + 1)]
-    naive = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
-    machine = {
+    sections = sys.argv[1:] or ["rows", "naive", "cli"]
+    out = {"repeats": REPEATS, "seed": SEED, "machine": {
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-    }
-    print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
-                      "rows": rows, "naive": naive}, indent=2))
+    }}
+    if "rows" in sections:
+        out["rows"] = [_row(n) for n in range(1, MAX_N + 1)]
+    if "naive" in sections:
+        out["naive"] = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
+    if "cli" in sections:
+        with tempfile.TemporaryDirectory() as tmp:
+            out["cli"] = [_cli_row(n, Path(tmp)) for n in CLI_NS]
+    print(json.dumps(out, indent=2))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ DROP_EPS·‖f‖₁·‖g‖₁, the rounding floor of the direct sum, are zero
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator, Mapping
 
@@ -43,11 +42,12 @@ from .core import (
     flat_rows,
     json_complex,
     json_int,
+    json_numbers,
     read_flat,
     size,
 )
 from .counting import OpCounter
-from .indexing import element_index, elements_at, ranks_at, without_point
+from .indexing import element_index, elements_at, flat_forms, ranks_at, without_point
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -177,9 +177,12 @@ def convolve_groupoid(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 
 def _drop_rounding(h: AlgebraElement, f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """The product h = f∗g without its terms of modulus ≤ DROP_EPS·‖f‖₁·‖g‖₁."""
+    """The product h = f∗g without its terms of modulus ≤ DROP_EPS·‖f‖₁·‖g‖₁.
+    A term that overflowed stays as it is, also when the floor overflowed
+    too, so that the result shows the overflow."""
     floor = DROP_EPS * np.abs(f.values).sum() * np.abs(g.values).sum()
-    return from_dense(h.n, h.basis, np.where(np.abs(h.values) <= floor, 0, h.values))
+    drop = (np.abs(h.values) <= floor) & np.isfinite(h.values)
+    return from_dense(h.n, h.basis, np.where(drop, 0, h.values))
 
 
 def _spread(f: AlgebraElement, signed: bool) -> tuple[np.ndarray, int]:
@@ -260,12 +263,16 @@ def random_element(
 
 
 def to_json_dict(f: AlgebraElement) -> dict:
+    """The JSON form, terms in canonical element order.  The flat forms are
+    spelled from the image digits of the support (``flat_forms``), so no
+    term is decoded to a ``PartialPermutation``."""
+    at = np.flatnonzero(f.values)
+    c = f.values[at]
+    terms = zip(flat_forms(f.n, at), c.real.tolist(), c.imag.tolist())
     return {
         "n": f.n,
         "basis": f.basis,
-        "terms": [
-            {"elem": s.to_flat(), "re": c.real, "im": c.imag} for s, c in f.items()
-        ],
+        "terms": [{"elem": s, "re": re, "im": im} for s, re, im in terms],
     }
 
 
@@ -285,8 +292,8 @@ def from_json_dict(data: dict) -> AlgebraElement:
     check_n(n)
     objects = [t if isinstance(t, dict) else {} for t in terms]  # {} has no "elem": refused
     rows, refused = flat_rows(n, read_flat([t.get("elem") for t in objects]))
-    real, refused_re = _json_numbers([t.get("re", 0.0) for t in objects])
-    imag, refused_im = _json_numbers([t.get("im", 0.0) for t in objects])
+    real, refused_re = json_numbers([t.get("re", 0.0) for t in objects])
+    imag, refused_im = json_numbers([t.get("im", 0.0) for t in objects])
     refused |= refused_re | refused_im
     if refused.any():
         first = int(refused.argmax())
@@ -295,26 +302,6 @@ def from_json_dict(data: dict) -> AlgebraElement:
     coeffs = np.empty(len(terms), dtype=complex)
     coeffs.real, coeffs.imag = real, imag
     return from_dense(n, basis, terms_vector(n, rows, coeffs))
-
-
-def _json_numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """The JSON numbers as float64, and a mask of the entries refused: no
-    JSON number (a string, a bool, null, …), non-finite, or an integer too
-    large for a float.  Refused entries read as nan."""
-    if set(map(type, values)) <= {float}:
-        out = np.array(values, dtype=float)
-    else:
-        out = np.array([_json_float(v) for v in values], dtype=float)
-    return out, ~np.isfinite(out)
-
-
-def _json_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.nan
 
 
 def _term(n: int, term) -> None:

@@ -5,15 +5,22 @@ Exit codes: 0 success, 2 usage, 3 parse failure, 4 math-consistency
 failure (an oracle or bound check failed, treated as a bug signal), 5 out
 of memory or too large.  Every error path prints a single line
 "ERR:<KIND>: message" to stderr.
+
+All JSON is read and written by ``orjson``.  A result holding inf or nan
+(float64 overflowed on huge but finite input) is refused with exit 3
+before anything is written, as JSON has no number for it; numpy's
+floating-point warnings are silenced, since the refusal says it all.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
+
+import numpy as np
+import orjson
 
 from . import __version__
 from .algebra import (
@@ -142,17 +149,27 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _read_json(path: str):
+    with open(path, "rb") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 def _dump_json(data) -> str:
-    """Compact JSON: with an indent CPython falls back to its pure-Python
-    encoder, several times slower on large block sets."""
-    return json.dumps(data) + "\n"
+    """Compact JSON (``{"n":6,...}``, one line) by orjson, floats in their
+    shortest round-trip spelling (``0.00001``, ``1e22``).  Numbers must be
+    plain ints and floats, not numpy scalars, and finite (``_finite``):
+    orjson writes a nan or an inf as null."""
+    return orjson.dumps(data, option=orjson.OPT_APPEND_NEWLINE).decode()
+
+
+def _finite(*arrays) -> None:
+    """Refuse a result holding inf or nan.  Every input coefficient was
+    finite (the readers refuse the rest), so float64 overflowed."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ParseError("coefficients overflow float64: the result holds inf or nan")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +243,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         F = recursive_fft(f)
         bound = recursive_bound(f.n)
         bound_name = "recursive"
+    _finite(*F.blocks.values())
     ok = Fraction(F.ops.multiply_adds) <= Fraction(bound)
     data = fc_to_json(F)
     data["algorithm"] = algorithm
@@ -243,6 +261,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     F = fc_from_json(_read_json(_one_input(args)))
     check_n(F.n)
     f = fourier_invert(F)
+    _finite(f.values)
     _emit(args, _dump_json(element_to_json(f)))
     return 0
 
@@ -252,12 +271,14 @@ def cmd_convolve(args: argparse.Namespace) -> int:
         raise CliError(2, "USAGE", "convolve needs exactly two --input files")
     f, g = (element_from_json(_read_json(path)) for path in args.input)
     h = convolve_semigroup(f, g) if f.basis == SEMIGROUP else convolve_groupoid(f, g)
+    _finite(h.values)
     _emit(args, _dump_json(element_to_json(h)))
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze(_load_dataset(args), args.association)
+    _finite(report.total, report.parseval_residual, list(report.energies.values()))
     if args.format == "csv":
         _emit(args, report_to_csv(report))
     else:
@@ -318,7 +339,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"ERR:{exc.kind}: {exc}", file=sys.stderr)
         return exc.code

@@ -18,7 +18,7 @@ import re
 import sys
 from functools import cache
 from itertools import combinations, compress, permutations
-from math import comb, factorial, isfinite
+from math import comb, factorial, isfinite, nan
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
@@ -383,6 +383,27 @@ def json_complex(entry: dict) -> complex:
     if not (isfinite(real) and isfinite(imag)):
         raise ParseError(f"non-finite coefficient {real!r} + {imag!r}i")
     return complex(real, imag)
+
+
+def json_numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON numbers as float64, and a mask of the entries refused: no
+    JSON number (a string, a bool, null, …), non-finite, or an integer too
+    large for a float.  Refused entries read as nan.  It accepts exactly
+    the values ``json_complex`` accepts, a whole list at a time."""
+    if set(map(type, values)) <= {float}:
+        out = np.array(values, dtype=float)
+    else:
+        out = np.array([_json_float(v) for v in values], dtype=float)
+    return out, ~np.isfinite(out)
+
+
+def _json_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return nan
+    try:
+        return float(value)
+    except OverflowError:
+        return nan
 
 
 def check_n(n: int) -> None:

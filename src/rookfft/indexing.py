@@ -70,6 +70,25 @@ def elements_at(n: int, positions: np.ndarray) -> list[PartialPermutation]:
     return PartialPermutation._unchecked(n, map(tuple, digits.tolist()))
 
 
+def flat_forms(n: int, positions: np.ndarray) -> list[str]:
+    """The flat forms "a->b;c->d" of the elements at these positions of
+    enumerate_rn(n), as ``PartialPermutation.to_flat`` spells them, built as
+    bytes from the image digits, all terms at once: a term is the pairs
+    "a->b;" of the points a of 1..n ≤ 9 that have an image b, then a
+    newline; the ";" before each newline is dropped and the text split
+    there."""
+    codes = image_codes(n)[positions]
+    text = np.empty((len(codes), 5 * n + 1), dtype=np.uint8)
+    text[:] = np.frombuffer("".join(f"{a}->0;" for a in range(1, n + 1)).encode() + b"\n", np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    for p, w in enumerate(_powers(n)):
+        digit = (codes // w % (n + 1)).astype(np.uint8)
+        text[:, 5 * p + 3] += digit
+        keep[:, 5 * p : 5 * p + 5] = (digit != 0)[:, None]
+    joined = text[keep].tobytes().decode("ascii")
+    return joined.replace(";\n", "\n").split("\n")[:-1]
+
+
 def ranks_at(n: int, positions: np.ndarray) -> np.ndarray:
     """Ranks of the elements at these positions of enumerate_rn(n)."""
     codes = image_codes(n)[positions]

@@ -90,8 +90,13 @@ class HalversonRep:
         """ρ(s) via a generator word; at most 2 nonzeros per factor row."""
         if s.n != self.n:
             raise ValueError(f"element lives in R_{s.n}, representation in R_{self.n}")
+        return self.evaluate_word(generator_word(s))
+
+    def evaluate_word(self, word) -> np.ndarray:
+        """ρ of a generator word of R_n (``core.generator_word``), so that a
+        caller imaging one element under many labels builds its word once."""
         M = np.eye(self.dim)
-        for kind, j in generator_word(s):
+        for kind, j in word:
             M = M @ (self.transpositions[j] if kind == "t" else self.link_image(j))
         return M
 

@@ -117,6 +117,7 @@ def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
     return tuple(out)
 
 
+@cache
 def num_standard(shape: Shape) -> int:
     """f^λ, by the hook length formula."""
     k = sum(shape)

@@ -37,7 +37,16 @@ from math import comb, factorial
 import numpy as np
 
 from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_dense, to_groupoid
-from .core import ParseError, check_n, enumerate_rn, json_complex, json_int, size
+from .core import (
+    ParseError,
+    check_n,
+    enumerate_rn,
+    generator_word,
+    json_complex,
+    json_int,
+    json_numbers,
+    size,
+)
 from .counting import OpCounter
 from .indexing import cell_index, elements_at, slice_index
 from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
@@ -126,15 +135,18 @@ def _image_rows(family: str, n: int, elements) -> np.ndarray:
     """(len(elements), |R_n|) reals: row i holds ρ_λ(elements[i]) for every
     λ ∈ Λ_n, flattened side by side in the order of ``_columns(n)``
     (Σ_λ d_λ² = |R_n|).  Halverson rows are images of the semigroup basis
-    (``HalversonRep.evaluate``, a generator word), stein rows images of the
-    groupoid basis (``SteinRep.eval_groupoid``, a canonical factorization)."""
+    (``HalversonRep.evaluate_word``, one generator word per element for all
+    labels), stein rows images of the groupoid basis
+    (``SteinRep.eval_groupoid``, a canonical factorization)."""
     if family == HALVERSON:
-        images = [halverson_rep(shape, n).evaluate for shape in _columns(n)]
+        reps = [halverson_rep(shape, n) for shape in _columns(n)]
+        images = ([rep.evaluate_word(w) for rep in reps] for w in map(generator_word, elements))
     else:
-        images = [stein_rep(shape, n).eval_groupoid for shape in _columns(n)]
+        reps = [stein_rep(shape, n) for shape in _columns(n)]
+        images = ([rep.eval_groupoid(x) for rep in reps] for x in elements)
     out = np.empty((len(elements), size(n)))
-    for row, x in zip(out, elements):
-        np.concatenate([image(x).ravel() for image in images], out=row)
+    for row, blocks in zip(out, images):
+        np.concatenate([M.ravel() for M in blocks], out=row)
     return out
 
 
@@ -524,7 +536,12 @@ def recursive_bound(n: int) -> int:
 
 
 def _matrix_json(M: np.ndarray) -> list:
-    return [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(M, dtype=complex)]
+    """Rows of {"re", "im"} objects holding plain floats (``tolist``)."""
+    M = np.asarray(M, dtype=complex)
+    return [
+        [{"re": re, "im": im} for re, im in zip(real, imag)]
+        for real, imag in zip(M.real.tolist(), M.imag.tolist())
+    ]
 
 
 def to_json_dict(F: FourierCoefficients) -> dict:
@@ -558,11 +575,29 @@ def from_json_dict(data: dict) -> FourierCoefficients:
                 raise ParseError(f"lambda {list(shape)} is not a label of R_{n}")
             if shape in blocks:
                 raise ParseError(f"lambda {list(shape)} given twice")
-            rows = [[json_complex(e) for e in row] for row in entry["rows"]]
-            blocks[shape] = np.array(rows, dtype=complex)
+            blocks[shape] = _json_block(entry["rows"])
         ops = json_int(data.get("ops", 0), "ops")
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad block JSON: {exc!r}") from None
     if ops < 0:
         raise ParseError(f"ops must be nonnegative, got {ops}")
     return FourierCoefficients(n, family, blocks, OpCounter(ops))
+
+
+def _json_block(rows) -> np.ndarray:
+    """One block's ``rows`` as a complex array.  Rows of one length, all of
+    {"re", "im"} objects, have their ``re`` and ``im`` checked as two whole
+    lists (``json_numbers``).  Anything else, or any entry refused there,
+    goes entry by entry through ``json_complex``, which words the first
+    refused entry as it always has."""
+    if type(rows) is list and rows and all(type(r) is list and len(r) == len(rows[0])
+                                           for r in rows):
+        entries = [e for row in rows for e in row]
+        if all(type(e) is dict for e in entries):
+            real, refused_re = json_numbers([e.get("re", 0.0) for e in entries])
+            imag, refused_im = json_numbers([e.get("im", 0.0) for e in entries])
+            if not (refused_re.any() or refused_im.any()):
+                block = np.empty(len(entries), dtype=complex)
+                block.real, block.imag = real, imag
+                return block.reshape(len(rows), -1)
+    return np.array([[json_complex(e) for e in row] for row in rows], dtype=complex)

@@ -276,6 +276,63 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+class TestOverflowRefused:
+    """Finite coefficients near 1e308 overflow float64 in the arithmetic: the
+    result is refused with exit 3 and one ERR:PARSE line, before anything is
+    written, and numpy prints no warning."""
+
+    def element(self, tmp_path, basis, re=1e308):
+        path = tmp_path / f"{basis}.json"
+        terms = [{"elem": e, "re": re} for e in ("", "1->1", "2->2", "1->1;2->2")]
+        path.write_text(json.dumps({"n": 2, "basis": basis, "terms": terms}), encoding="utf-8")
+        return str(path)
+
+    def run_refused(self, capsys, tmp_path, *argv):
+        output = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--output", str(output))
+        assert_one_parse_error(code, err)
+        assert "overflow float64" in err
+        assert out == "" and not output.exists()
+
+    @pytest.mark.parametrize("argv", [("--algorithm", "naive"),
+                                      ("--algorithm", "stein", "--convert"),
+                                      ("--algorithm", "recursive")])
+    def test_transform(self, capsys, tmp_path, argv):
+        self.run_refused(capsys, tmp_path, "transform", "--input",
+                         self.element(tmp_path, SEMIGROUP), *argv)
+
+    def test_transform_of_large_coefficients_that_fit(self, capsys, tmp_path):
+        path = self.element(tmp_path, SEMIGROUP, re=1e300)
+        code, out, err = run(capsys, "transform", "--input", path, "--algorithm", "recursive")
+        assert code == 0 and err == ""
+        assert json.loads(out)["blocks"][0]["rows"] == [[{"re": 4e300, "im": 0.0}]]
+
+    @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
+    def test_convolve(self, capsys, tmp_path, basis):
+        path = self.element(tmp_path, basis)
+        self.run_refused(capsys, tmp_path, "convolve", "--input", path, "--input", path)
+
+    def test_invert(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "transform", "--algorithm", "stein", "--input",
+                           write_element(tmp_path, "f.json", rand_elem(3, GROUPOID, 3)))
+        assert code == 0
+        data = json.loads(out)
+        for block in data["blocks"]:
+            for row in block["rows"]:
+                for entry in row:
+                    entry["re"] = entry["im"] = 1.7e308
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.run_refused(capsys, tmp_path, "invert", "--input", str(path))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_analyze(self, capsys, tmp_path, fmt):
+        path = tmp_path / "ballots.csv"
+        path.write_text("ballot,count\n,1e308\n1->1,1e308\n2->2,1.5e308\n1->1;2->2,1e308\n",
+                        encoding="utf-8")
+        self.run_refused(capsys, tmp_path, "analyze", "--input", str(path), "--format", fmt)
+
+
 class TestIntegerN:
     """"n" must be a JSON integer: a float, boolean or string is refused,
     never truncated or coerced."""
@@ -297,7 +354,7 @@ class TestIntegerN:
         code, out, _ = run(capsys, "transform", "--input", write_element(tmp_path, "f.json", f),
                            "--algorithm", "stein")
         assert code == 0
-        text = out.replace('"n": 1,', '"n": %s,' % n, 1)
+        text = out.replace('"n":1,', '"n":%s,' % n, 1)
         assert text != out
         path = tmp_path / "coeffs.json"
         path.write_text(text, encoding="utf-8")
