@@ -35,9 +35,7 @@ directory) on the semigroup element's JSON: ``transform --algorithm stein
 JSON of its ``stein_fft_semigroup`` block set.  Both input files are written
 by the standard library's ``json.dumps``, so two checkouts read the same
 bytes; each row reports their sizes and those of the outputs.
-Prints one JSON object.  Name sections to run only those
-(``python3 scripts/bench_fft.py cli``); all three run by default.
-Run it against two checkouts to compare them.
+Prints one JSON object.  Run it against two checkouts to compare them.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import json
 import os
 import platform
 import resource
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -216,21 +213,18 @@ def _cli_row(n: int, tmp: Path) -> dict:
 
 
 def main() -> None:
-    sections = sys.argv[1:] or ["rows", "naive", "cli"]
-    out = {"repeats": REPEATS, "seed": SEED, "machine": {
+    rows = [_row(n) for n in range(1, MAX_N + 1)]
+    naive = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_rows = [_cli_row(n, Path(tmp)) for n in CLI_NS]
+    machine = {
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-    }}
-    if "rows" in sections:
-        out["rows"] = [_row(n) for n in range(1, MAX_N + 1)]
-    if "naive" in sections:
-        out["naive"] = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
-    if "cli" in sections:
-        with tempfile.TemporaryDirectory() as tmp:
-            out["cli"] = [_cli_row(n, Path(tmp)) for n in CLI_NS]
-    print(json.dumps(out, indent=2))
+    }
+    print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
+                      "rows": rows, "naive": naive, "cli": cli_rows}, indent=2))
 
 
 if __name__ == "__main__":

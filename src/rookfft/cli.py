@@ -140,12 +140,18 @@ def _one_input(args: argparse.Namespace) -> str:
     return args.input[0]
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, out: str | bytes) -> None:
+    """Write ``out`` as UTF-8 to --output or stdout.  ``_dump_json``'s bytes
+    go out as they are, never decoded to a str and encoded back."""
+    if isinstance(out, str):
+        out = out.encode("utf-8")
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(args.output, "wb") as fh:
+            fh.write(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(out)
+        sys.stdout.buffer.flush()
 
 
 def _read_json(path: str):
@@ -157,12 +163,12 @@ def _read_json(path: str):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _dump_json(data) -> str:
-    """Compact JSON (``{"n":6,...}``, one line) by orjson, floats in their
-    shortest round-trip spelling (``0.00001``, ``1e22``).  Numbers must be
-    plain ints and floats, not numpy scalars, and finite (``_finite``):
-    orjson writes a nan or an inf as null."""
-    return orjson.dumps(data, option=orjson.OPT_APPEND_NEWLINE).decode()
+def _dump_json(data) -> bytes:
+    """Compact UTF-8 JSON (``{"n":6,...}``, one line) by orjson, floats in
+    their shortest round-trip spelling (``0.00001``, ``1e22``).  Numbers
+    must be plain ints and floats, not numpy scalars, and finite
+    (``_finite``): orjson writes a nan or an inf as null."""
+    return orjson.dumps(data, option=orjson.OPT_APPEND_NEWLINE)
 
 
 def _finite(*arrays) -> None:
