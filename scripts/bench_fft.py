@@ -16,7 +16,11 @@ Each element is also convolved with itself (``convolve_semigroup``,
 in-process (``to_json_dict``, as the CLI would load it from a file) and
 ``from_json_dict`` parses it back; ``parse_peak_mb`` is the tracemalloc peak
 of one more, traced, parse, and ``recursive_peak_mb`` that of one more
-``recursive_fft`` call.
+``recursive_fft`` call.  The flat forms of that JSON also go through
+``core.read_flat`` alone (timed like the rest; ``read_flat_peak_mb`` is its
+tracemalloc peak), and ``from_flat_seconds`` is the time per call of
+``PartialPermutation.from_flat`` on one term, the element's last flat form
+(rank n), the minimum over REPEATS loops of FROM_FLAT_CALLS calls.
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
@@ -62,7 +66,7 @@ from rookfft.algebra import (
     to_json_dict,
 )
 from rookfft import cli
-from rookfft.core import size
+from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
 from rookfft.transforms import (
     HALVERSON,
@@ -80,6 +84,7 @@ NAIVE_MAX_N = 7
 NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
 CLI_NS = (6, 7, 8)
 REPEATS = 3
+FROM_FLAT_CALLS = 2000
 SEED = 0
 
 
@@ -104,6 +109,18 @@ def _traced_peak_mb(fn, *args) -> float:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return round(peak / 2**20, 2)
+
+
+def _from_flat_seconds(n: int, text: str) -> float:
+    """Seconds per ``from_flat`` call on one term: the minimum over REPEATS
+    loops of FROM_FLAT_CALLS calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(FROM_FLAT_CALLS):
+            PartialPermutation.from_flat(n, text)
+        best = min(best, time.perf_counter() - t0)
+    return best / FROM_FLAT_CALLS
 
 
 def _element(n: int, basis: str, seed: int):
@@ -163,11 +180,17 @@ def _row(n: int) -> dict:
     del g
     cold["from_json_dict"], seconds["from_json_dict"], _ = _min_time(from_json_dict, data)
     parse_peak_mb = _traced_peak_mb(from_json_dict, data)
+    texts = [term["elem"] for term in data["terms"]]
     del data
+    cold["read_flat"], seconds["read_flat"], _ = _min_time(read_flat, texts)
+    read_flat_peak_mb = _traced_peak_mb(read_flat, texts)
+    from_flat_seconds = _from_flat_seconds(n, texts[-1])
+    del texts
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
             "multiply_adds": multiply_adds, "round_trip_residual": residual,
             "recursive_peak_mb": recursive_peak_mb, "parse_peak_mb": parse_peak_mb,
+            "read_flat_peak_mb": read_flat_peak_mb, "from_flat_seconds": from_flat_seconds,
             "peak_rss_mb": round(peak_mb, 1)}
 
 

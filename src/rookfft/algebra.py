@@ -13,11 +13,11 @@ like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
 nonzero slots on demand, through the image codes of ``indexing``.
 
 The element JSON parser reads all terms in bulk: one batch of flat forms
-(``core.read_flat``, ``core.flat_rows``: a grammar regex per term, then one
-numpy pass over the joined text; points are ASCII digits only), ``re`` and
-``im`` checked as whole lists, and all rows placed with one
-``element_index`` call.  The checks of one term only word the error of the
-first term refused.
+(``core.read_flat``, ``core.flat_rows``: one numpy pass over the joined
+text checks the grammar and pulls out the points; points are ASCII digits
+only), ``re`` and ``im`` checked as whole lists, and all rows placed with
+one ``element_index`` call.  The checks of one term only word the error
+of the first term refused.
 
 Both convolutions run through the convolution theorem (``stein_fft``, a
 product per block, ``fourier_invert``), so they cost the transforms' time

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from math import comb, factorial, isfinite, nan
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
@@ -168,7 +168,10 @@ class PartialPermutation:
 
     @classmethod
     def from_flat(cls, n: int, text: str) -> "PartialPermutation":
-        return cls(n, flat_images(n, [text])[0].tolist())
+        """The element of one flat form, read by ``flat_image``; n is
+        checked as by ``check_n``, as a batch of flat forms checks it."""
+        check_n(n)
+        return cls(n, flat_image(n, text))
 
     def as_matrix(self) -> np.ndarray:
         """0/1 rook matrix with a 1 at (s(b), b); display helper only."""
@@ -224,8 +227,9 @@ def _check_image(n: int, img: tuple[int, ...]) -> None:
 def flat_image(n: int, text: str) -> tuple[int, ...]:
     """The image tuple of the flat form "a->b;c->d" on {1..n} ("" is the
     zero map), checked as by ``from_pairs``; any fault is a ParseError.
-    Reads one term at a time: ``flat_images`` parses, and this words the
-    refusal of the first term a batch refuses."""
+    The reader of one term: ``from_flat`` goes through it, and it words the
+    refusal of the first term a batch refuses (``refuse_flat``), so that
+    both read every term as the batch pass does."""
     text = text.strip()
     pairs = []
     for part in text.split(";") if text else ():
@@ -243,7 +247,35 @@ def flat_image(n: int, text: str) -> tuple[int, ...]:
 
 # Points are ASCII digits; whitespace is whatever str.strip() removes.
 _PAIR_RE = re.compile(r"\s*([0-9]+)\s*->\s*([0-9]+)\s*")
-_FLAT_RE = re.compile(r"\s*(?:[0-9]+\s*->\s*[0-9]+\s*(?:;\s*[0-9]+\s*->\s*[0-9]+\s*)*)?")
+
+# The grammar pass of ``read_flat`` sorts every byte into a class.  Once
+# whitespace is dropped and each digit run is one token, a term is "" or
+# "a->b(;a->b)*" exactly when each of its tokens fits its two neighbours:
+# _FITS holds 1 at prev·36 + token·6 + next for the triples that fit.  A
+# term end never is at fault; the tokens beside it are.  Both tables are
+# for bytes.translate, which looks bytes up about three times faster than
+# numpy's indexing.
+_DIGIT, _DASH, _GT, _SEMI, _END, _OTHER, _SPACE = range(7)
+_CLASS = bytearray([_OTHER] * 256)
+_CLASS[0] = _END  # "\0" separates the terms
+for _c in range(128):
+    if chr(_c).isspace():
+        _CLASS[_c] = _SPACE
+_CLASS[48:58] = [_DIGIT] * 10
+_CLASS[ord("-")], _CLASS[ord(">")], _CLASS[ord(";")] = _DASH, _GT, _SEMI
+_CLASS = bytes(_CLASS)
+_FITS = bytearray(256)
+for _prev in range(6):
+    for _next in range(6):
+        _FITS[_prev * 36 + _END * 6 + _next] = 1
+for _prev, _token, _next in [
+    (_END, _DIGIT, _DASH), (_SEMI, _DIGIT, _DASH),  # a domain point
+    (_GT, _DIGIT, _SEMI), (_GT, _DIGIT, _END),  # an image point
+    (_DIGIT, _DASH, _GT), (_DASH, _GT, _DIGIT), (_DIGIT, _SEMI, _DIGIT),
+]:
+    _FITS[_prev * 36 + _token * 6 + _next] = 1
+_FITS = bytes(_FITS)
+_SLICE = 1 << 13  # terms per grammar pass, so that its per-byte arrays stay small
 
 
 class FlatTerms(NamedTuple):
@@ -256,25 +288,53 @@ class FlatTerms(NamedTuple):
 
 
 def read_flat(texts: list) -> FlatTerms:
-    """Check the grammar of each term, then pull every point out of the
-    grammatical ones in one numpy pass over their joined UTF-8 bytes (where
-    an ASCII digit byte is always an ASCII digit).  A point is a digit run,
-    leading zeros allowed.  A run with a nonzero digit before its last one
-    is above 9, whatever its length, and a run longer than ``int`` reads
-    (``sys.get_int_max_str_digits``) is refused as ``int`` refuses it; both
-    read as 10."""
-    ok = [isinstance(t, str) and _FLAT_RE.fullmatch(t) is not None for t in texts]
-    grammatical = np.array(ok, dtype=bool)
-    good = list(compress(texts, ok))
-    pairs = np.zeros(len(texts), dtype=np.int32)
-    pairs[grammatical] = [t.count(">") for t in good]
-    text = np.frombuffer(";".join(good).encode(), dtype=np.uint8)
-    digit = text - 48 < 10  # bytes below "0" wrap round to large values
-    last = digit.copy()
-    last[:-1] &= ~digit[1:]
-    points = text[last] - 48
+    """Check the grammar of every term and pull out the points of the
+    grammatical ones, in one numpy pass over the joined text of _SLICE
+    terms at a time (``_read_slice``).  Anything but a str is
+    ungrammatical.  A point is a digit run, leading zeros allowed.  A run
+    with a nonzero digit before its last one is above 9, whatever its
+    length, and a run longer than ``int`` reads
+    (``sys.get_int_max_str_digits``) is refused as ``int`` refuses it;
+    both read as 10."""
+    # an empty batch is one empty slice, so that there is something to concatenate
+    parts = [_read_slice(texts[i : i + _SLICE]) for i in range(0, max(len(texts), 1), _SLICE)]
+    grammatical, pairs, points = (np.concatenate(p) for p in zip(*parts))
+    return FlatTerms(texts, grammatical, pairs, points)
+
+
+def _read_slice(texts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``read_flat``'s grammatical, pairs and points of a few terms."""
+    grammatical = np.ones(len(texts), dtype=bool)
+    try:
+        joined = "\0".join(["", *texts, ""])  # a term end before and after each term
+    except TypeError:  # an entry that is no str: ungrammatical, read as ""
+        grammatical = np.array([isinstance(t, str) for t in texts], dtype=bool)
+        texts = [t if ok else "" for t, ok in zip(texts, grammatical)]
+        joined = "\0".join(["", *texts, ""])
+    data = joined.encode() if joined.isascii() else _one_byte_per_char(joined)
+    text = np.frombuffer(data, np.uint8)
+    kind = np.frombuffer(data.translate(_CLASS), np.uint8)
+    if data.count(0) > len(texts) + 1:  # a term holds a "\0": place the term ends by length
+        kind = kind.copy()
+        kind[kind == _END] = _OTHER
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        kind[np.cumsum(np.concatenate([[0], lengths + 1]))] = _END
+    space = kind == _SPACE
+    if space.any():
+        after_space = np.concatenate([[False], space[:-1]])
+        text, kind, after_space = (np.compress(~space, a) for a in (text, kind, after_space))
+        # whitespace inside a point or inside "->" is refused: the pair would read without it
+        joins = (kind[:-1] == _DIGIT) & (kind[1:] == _DIGIT)
+        joins |= (kind[:-1] == _DASH) & (kind[1:] == _GT)
+        kind[1:][joins & after_space[1:]] = _OTHER
+    digit = kind == _DIGIT
     inner = digit[:-1] & digit[1:]  # a digit with more of its run after it
+    last = digit.copy()
+    last[:-1] &= ~inner
+    points = np.compress(last, text) - 48
+    tokens = kind
     if inner.any():  # only multi-digit points get here
+        tokens = np.compress(np.append(~inner, True), kind)  # a digit run is one token
         at = np.flatnonzero(inner)
         run = np.searchsorted(np.flatnonzero(last), at)
         points[run[text[at] != 48]] = 10
@@ -282,7 +342,27 @@ def read_flat(texts: list) -> FlatTerms:
         limit = sys.get_int_max_str_digits()
         if limit:
             points[runs[inner_digits >= limit]] = 10
-    return FlatTerms(texts, grammatical, pairs, points)
+    fits = (tokens[:-2] * 36 + tokens[1:-1] * 6 + tokens[2:]).tobytes().translate(_FITS)
+    ends = np.flatnonzero(tokens == _END)
+    if 0 in fits:
+        faults = np.flatnonzero(np.frombuffer(fits, np.uint8) == 0) + 1
+        grammatical[np.searchsorted(ends, faults) - 1] = False
+    # a grammatical term of p pairs has 5p - 1 tokens, so its ends are 5p apart ("": 1)
+    pairs = np.where(grammatical, np.diff(ends) // 5, 0).astype(np.int32)
+    if not grammatical.all():
+        points = points[np.repeat(grammatical, np.add.reduceat(tokens == _DIGIT, ends[:-1]))]
+    return grammatical, pairs, points
+
+
+def _one_byte_per_char(text: str) -> bytes:
+    """The text as one byte per character for ``_read_slice``: ASCII as it
+    is, Unicode whitespace as a space, anything else as 0x80, a byte of no
+    class the grammar admits."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    wide = np.unique(codes[codes > 127])
+    out = np.minimum(codes, 128).astype(np.uint8)
+    out[np.isin(codes, wide[[chr(c).isspace() for c in wide]])] = 32
+    return out.tobytes()
 
 
 def flat_rows(n: int, terms: FlatTerms) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ forward FFT plus O(|R_n|), with no inversion.  The projections themselves
 (``isotypic_project``) still go transform → keep one block → invert, the
 inversion over the block's rank alone.
 
-A ballot CSV is read as one batch of flat forms (``core.read_flat``,
+A ballot CSV is read as one batch of flat forms (``core.read_flat``, one
+numpy pass over the joined ballots for grammar and points, and
 ``core.flat_rows``; points are ASCII digits only): n is inferred from the
 parsed points, the ballots become image rows, and repeated ballots merge by
 their position in ``enumerate_rn(n)``, so only distinct ballots are decoded.

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -62,6 +63,26 @@ def reference_flat_image(n: int, text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return img
+
+
+# The flat-form grammar: points are ASCII digits, whitespace is whatever
+# str.strip() removes (the regex \s matches exactly the str.isspace() characters).
+FLAT_RE = re.compile(r"\s*(?:[0-9]+\s*->\s*[0-9]+\s*(?:;\s*[0-9]+\s*->\s*[0-9]+\s*)*)?")
+
+
+def reference_read_flat(texts: list) -> tuple[list[bool], list[int], list[int]]:
+    """``read_flat``'s grammatical, pairs and points, one regex per term:
+    the grammar oracle.  A point above 9, or longer than ``int`` reads,
+    is 10."""
+    limit = sys.get_int_max_str_digits()
+    grammatical, pairs, points = [], [], []
+    for t in texts:
+        ok = isinstance(t, str) and FLAT_RE.fullmatch(t) is not None
+        grammatical.append(ok)
+        pairs.append(t.count(">") if ok else 0)
+        for run in re.findall("[0-9]+", t) if ok else ():
+            points.append(10 if (limit and len(run) > limit) or int(run) > 9 else int(run))
+    return grammatical, pairs, points
 
 
 def reference_from_json_dict(data: dict) -> np.ndarray:

@@ -1,22 +1,36 @@
 """The batched flat-form parser (``read_flat``, ``flat_rows``, ``flat_images``)
-against the term-by-term oracle in ``conftest.py``, and the ASCII-digit rule."""
+against the oracles in ``conftest.py``: the grammar regex, and the
+term-by-term parser; the one-term reader ``flat_image`` against the batch;
+the ASCII-digit rule; and the parse's memory."""
 
+import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_elem, reference_flat_image, reference_from_json_dict
-from rookfft.algebra import SEMIGROUP, from_dense, from_json_dict, to_json_dict
+from conftest import (
+    rand_elem,
+    reference_flat_image,
+    reference_from_json_dict,
+    reference_read_flat,
+)
+from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, from_json_dict, to_json_dict
 from rookfft.core import (
+    _SLICE,
+    MAX_N,
+    DimensionMismatch,
     ParseError,
     PartialPermutation,
+    flat_image,
     flat_images,
     flat_rows,
     parse_cycle_link,
     read_flat,
+    size,
 )
 
 # Unicode whitespace that str.strip() and the regex \s both remove
@@ -80,6 +94,143 @@ def test_twenty_thousand_ascii_strings_refused_as_before():
             assert str(got.value) == str(want[i])
         read = [w for w in want if not isinstance(w, ValueError)]
         assert np.array_equal(rows[~refused], np.array(read, dtype=np.int64).reshape(len(read), n))
+
+
+def _assert_reads_as_the_regex(texts):
+    got = read_flat(texts)
+    grammatical, pairs, points = reference_read_flat(texts)
+    assert got.grammatical.dtype == bool and got.grammatical.tolist() == grammatical
+    assert got.pairs.dtype == np.int32 and got.pairs.tolist() == pairs
+    assert got.points.dtype == np.uint8 and got.points.tolist() == points
+
+
+_LONG = ["9" * 5000 + "->1", "0" * 4999 + "1->2", "0" * 4299 + "2->1", "1->" + "0" * 4300 + "3",
+         "1->" + "0" * 4299 + "3", "12->" + "0" * 5000, "1 ->" + "7" * 5000 + " ;2->2"]
+_CORPORA = {
+    "blank next to refused": ["", " ", "x", "\t\n", "1->1;", "", ";", " ", "1->1", "\u3000", "->", ""],
+    "nul or bar inside": ["1->1\x00", "\x001->1", "1\x00->1", "1->1|2->2", "|", "\x00", "1->2",
+                          "\x00\x00", "2->1", "1->2\x00;2->1", "|1->1|"],
+    "not strings": [None, "1->1", 5, [], "", b"1->1", 1.5, "2->2", {"elem": "1->1"}, " "],
+    "non-ascii digits": ["٣->1", "1->１", "²->1", "1->1", "߁->2", "1->٣;2->2", "3->3"],
+    "unicode whitespace": ["\x851->1\x85", "1\u2028->\u20282", "1->1;\x85 2->2", "\u2029", "\x85",
+                           "1\x85 2->1", "1-\u2028>2", "1->2\u2028;\u20282->1", "\u2028\x85"],
+    "surrogates and other text": ["\ud8001->1", "1->1\udfff", "é", "1->1", "1→1", "1\u200b->1"],
+    "5000-digit points": _LONG,
+    "no terms": [],
+    "one term": ["3->1;1->3"],
+    "two terms": ["1 -> 2", "2->0"],
+    "whitespace inside a point or an arrow": ["1 2->3", "1- >2", "1->2 3", "1-\t>2", "12 ->3",
+                                              "1 ->2 ; 3-> 4", " 1->2 ", "1->2;;3->4"],
+}
+
+
+@pytest.mark.parametrize("name", list(_CORPORA))
+def test_grammar_pass_reads_as_the_regex(name):
+    _assert_reads_as_the_regex(_CORPORA[name])
+
+
+def test_grammar_pass_reads_as_the_regex_across_slices():
+    """Batches that cross the pass's slice boundaries, with refused, blank,
+    long, non-ASCII and non-str terms on both sides of each boundary."""
+    rng = random.Random(14)
+    odd = [t for corpus in _CORPORA.values() for t in corpus]
+    for count in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3):
+        texts = [f"{rng.randint(1, 9)}->{rng.randint(0, 12)};{rng.randint(1, 9)}->{rng.randint(1, 9)}"
+                 for _ in range(count)]
+        for at in (0, _SLICE - 2, _SLICE - 1, _SLICE, count - 1):
+            texts[min(at, count - 1)] = rng.choice(odd)
+        _assert_reads_as_the_regex(texts)
+
+
+def test_grammar_pass_reads_every_short_token_string_as_the_regex():
+    """Every string of up to five pieces, from the grammar's tokens, whole
+    pairs and a few near misses, in one batch: each (prev, token, next)
+    triple the pass can meet is in it, in otherwise grammatical terms too."""
+    pieces = ["1", "23", "->", "-", ">", ";", " ", "x", "1->2", ";3->4"]
+    texts = ["".join(p) for k in range(6) for p in itertools.product(pieces, repeat=k)]
+    _assert_reads_as_the_regex(texts)
+
+
+def test_grammar_pass_reads_seeded_strings_as_the_regex():
+    """Seeded strings over the grammar's bytes and the ones that must not
+    pass for them: NUL, "|", Unicode whitespace, non-ASCII digits, a lone
+    surrogate."""
+    rng = random.Random(7)
+    alphabet = [*"0123456789 ->;\t", "\x00", "|", "\x85", "\u2028", "\xa0", "\x1c", "٣", "\ud800",
+                "é", "00", "->", " -> ", ";"]
+    for _ in range(25):
+        texts = ["".join(rng.choices(alphabet, k=rng.randint(0, 10))) for _ in range(rng.randint(0, 600))]
+        texts += [f" {rng.randint(0, 12)} -> {rng.randint(0, 9)} ;{rng.randint(0, 9)}->0{rng.randint(0, 9)}"
+                  for _ in range(rng.randint(0, 60))]
+        rng.shuffle(texts)
+        _assert_reads_as_the_regex(texts)
+
+
+@given(texts=st.lists(_flat_term, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_grammar_pass_reads_drawn_terms_as_the_regex(texts):
+    _assert_reads_as_the_regex(texts)
+
+
+def _one_term(reader, n, text):
+    try:
+        return tuple(reader(n, text))
+    except ValueError as exc:  # ParseError, DimensionMismatch, or int()'s refusal of a long point
+        return type(exc), str(exc)
+
+
+def _batch_of_one(n, text):
+    return flat_images(n, [text])[0].tolist()
+
+
+def _from_flat(n, text):
+    return PartialPermutation.from_flat(n, text).image
+
+
+def test_one_term_reader_agrees_with_the_batch():
+    """``flat_image`` (which ``from_flat`` reads through) gives each term
+    the row, or the error type and message, of ``flat_images(n, [t])``."""
+    rng = random.Random(3)
+    alphabet = [*"0123456789 ->;", "\x85", "٣", "00", "->", ";", "10"]
+    texts = ["".join(rng.choices(alphabet, k=rng.randint(0, 9))) for _ in range(1500)]
+    texts += [";".join(f"{rng.randint(0, 6)}->{rng.randint(0, 6)}" for _ in range(rng.randint(0, 4)))
+              for _ in range(1500)]
+    texts += _CORPORA["5000-digit points"] + _CORPORA["unicode whitespace"]
+    for n in (0, 3, 5):
+        for text in texts:
+            want = _one_term(_batch_of_one, n, text)
+            assert _one_term(flat_image, n, text) == want
+            assert _one_term(_from_flat, n, text) == want
+    for n in (-1, MAX_N + 1):  # from_flat checks n as a batch does; flat_image leaves n to its caller
+        for text in ("", "1->1"):
+            want = _one_term(_batch_of_one, n, text)
+            assert _one_term(_from_flat, n, text) == want
+            assert want[0] is DimensionMismatch
+
+
+@given(n=st.integers(0, 5), text=_flat_term)
+@settings(max_examples=200, deadline=None)
+def test_one_term_reader_agrees_with_the_batch_on_drawn_terms(n, text):
+    want = _one_term(_batch_of_one, n, text)
+    assert _one_term(flat_image, n, text) == want
+
+
+def test_full_support_r7_parse_peak_stays_at_the_sliced_pass():
+    """The tracemalloc peak of ``from_json_dict`` on a full-support R_7
+    element stays within 10% of the 18.7 MB it read before the grammar pass
+    (``BENCH_13.json`` ``parse_peak_mb``): a per-byte int64 array, or a
+    slice that grows with the input, would pass it."""
+    rng = np.random.default_rng(107)
+    values = rng.uniform(-1, 1, size(7)) + 1j * rng.uniform(-1, 1, size(7))
+    data = to_json_dict(from_dense(7, GROUPOID, values))
+    tracemalloc.start()
+    try:
+        f = from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f.values, from_dense(7, GROUPOID, values).values)
+    assert peak <= 1.1 * 18.7 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_full_support_n6_element_json_loads_as_the_term_by_term_path():
