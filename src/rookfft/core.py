@@ -140,14 +140,6 @@ class PartialPermutation:
             raise ValueError("extended_fixed() cannot shrink the ambient set")
         return PartialPermutation(n, self.image + tuple(range(self.n + 1, n + 1)))
 
-    def with_point_fixed(self, p: int) -> "PartialPermutation":
-        """Adjoin the fixed point p; p must lie outside dom and ran."""
-        if self.image[p - 1] != 0 or p in self.image:
-            raise ValueError(f"{p} already occurs in dom or ran")
-        img = list(self.image)
-        img[p - 1] = p
-        return PartialPermutation(self.n, img)
-
     # -- group interop -------------------------------------------------------
 
     def to_perm_tuple(self) -> tuple[int, ...]:
@@ -674,15 +666,6 @@ def print_cycle_link(s: PartialPermutation) -> str:
 GeneratorToken = tuple[str, int]  # ("t", j) for (j-1,j); ("link", m) for (1)..(m-1)[m]
 
 
-def _tcycle(i: int, m: int, n: int) -> PartialPermutation:
-    """T_i at level m: the full permutation i -> i+1 -> ... -> m -> i."""
-    img = list(range(1, n + 1))
-    for j in range(i, m):
-        img[j - 1] = j + 1
-    img[m - 1] = i
-    return PartialPermutation(n, img)
-
-
 def generator_word(s: PartialPermutation) -> list[GeneratorToken]:
     """Express s as a product of adjacent transpositions and rank-dropping links.
 
@@ -692,21 +675,19 @@ def generator_word(s: PartialPermutation) -> list[GeneratorToken]:
     the link [m] = (1)(2)..(m-1)[m] removes m from the domain.  The product
     of the returned tokens, in order, equals s.
     """
-    n = s.n
+    img = list(s.image)  # the element still to peel, 0 outside its domain
     word: list[GeneratorToken] = []
     suffix: list[GeneratorToken] = []
-    cur = s
-    for m in range(n, 0, -1):
-        v = cur(m)
-        if v is not None:
+    for m in range(s.n, 0, -1):
+        v = img[m - 1]
+        if v:  # peel T_v⁻¹ on the left: v → m, j → j-1 for v < j ≤ m
             word.extend(("t", j) for j in range(v + 1, m + 1))
-            if v != m:
-                cur = compose(_tcycle(v, m, n).inverse(), cur)
-        elif m in cur.image:
-            i = cur.preimage(m)
+            img = [m if x == v else x - (v < x <= m) for x in img]
+        elif m in img:  # peel T_i on the right, where i maps to m
+            i = img.index(m) + 1
             suffix[:0] = (("t", j) for j in range(m, i, -1))
-            cur = compose(cur, _tcycle(i, m, n))
-        else:
+            img.insert(m - 1, img.pop(i - 1))
+        else:  # fix m, outside domain and range
             word.append(("link", m))
-            cur = cur.with_point_fixed(m)
+            img[m - 1] = m
     return word + suffix

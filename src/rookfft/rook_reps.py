@@ -12,34 +12,20 @@ Two equivalent families, both indexed by partitions λ ⊢ k for 0 ≤ k ≤ n:
   [n] = (1)(2)..(n-1)[n] which kills every tableau containing n.  With the
   generalized last-letter basis order these matrices are chain-adapted to
   R_n > R_{n-1} > ... > R_1, which the recursive transform relies on.
+  It lives in ``symmetric`` (at n = k it is the seminormal family of S_k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import comb
 
 import numpy as np
 
-from .core import (
-    PartialPermutation,
-    factorize,
-    generator_word,
-    ksubset_index,
-    ksubsets,
-    restrictions,
-)
-from .symmetric import GroupRep, seminormal_rep, transposition_image
-from .tableaux import (
-    Shape,
-    corners,
-    entries,
-    nstandard_tableaux,
-    num_standard,
-    partitions,
-    remove_corner,
-)
+from .core import PartialPermutation, factorize, ksubset_index, ksubsets, restrictions
+from .symmetric import HalversonRep, halverson_rep, perm_image, seminormal_rep
+from .tableaux import Shape, corners, entries, num_standard, partitions, remove_corner
 
 
 def labels(n: int) -> tuple[Shape, ...]:
@@ -65,59 +51,6 @@ def branch_rn(shape: Shape, n: int) -> tuple[Shape, ...]:
         raise ValueError("branching needs n >= 1")
     keep = (shape,) if sum(shape) < n else ()
     return keep + tuple(remove_corner(shape, r) for r, _ in corners(shape))
-
-
-@dataclass
-class HalversonRep:
-    """Chain-adapted irreducible representation of R_n on n-standard tableaux."""
-
-    shape: Shape
-    n: int
-    dim: int
-    basis: tuple
-    transpositions: dict[int, np.ndarray]
-    _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def link_image(self, m: int) -> np.ndarray:
-        """Image of [m]: diagonal, keeping exactly the tableaux without m."""
-        hit = self._links.get(m)
-        if hit is None:
-            hit = np.diag([0.0 if m in entries(L) else 1.0 for L in self.basis])
-            self._links[m] = hit
-        return hit
-
-    def evaluate(self, s: PartialPermutation) -> np.ndarray:
-        """ρ(s) via a generator word; at most 2 nonzeros per factor row."""
-        if s.n != self.n:
-            raise ValueError(f"element lives in R_{s.n}, representation in R_{self.n}")
-        return self.evaluate_word(generator_word(s))
-
-    def evaluate_word(self, word) -> np.ndarray:
-        """ρ of a generator word of R_n (``core.generator_word``), so that a
-        caller imaging one element under many labels builds its word once."""
-        M = np.eye(self.dim)
-        for kind, j in word:
-            M = M @ (self.transpositions[j] if kind == "t" else self.link_image(j))
-        return M
-
-    def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
-        """Image of the groupoid basis element ⌊s⌋ = Σ_{t≤s} μ(t,s)·t: a test
-        oracle, kept here because perfbench's span list (``spans.py``) names it."""
-        k = s.rank
-        M = np.zeros((self.dim, self.dim))
-        for t in restrictions(s):
-            sign = -1.0 if (k - t.rank) % 2 else 1.0
-            M = M + sign * self.evaluate(t)
-        return M
-
-
-@cache
-def halverson_rep(shape: Shape, n: int) -> HalversonRep:
-    if sum(shape) > n:
-        raise ValueError(f"weight of {shape} exceeds n = {n}")
-    basis = nstandard_tableaux(shape, n)
-    images = {j: transposition_image(basis, j) for j in range(2, n + 1)}
-    return HalversonRep(shape=shape, n=n, dim=len(basis), basis=basis, transpositions=images)
 
 
 @cache
@@ -154,7 +87,7 @@ class SteinRep:
 
     shape: Shape
     n: int
-    base: GroupRep
+    base: HalversonRep
     subsets: tuple[tuple[int, ...], ...]
 
     @property
@@ -171,7 +104,7 @@ class SteinRep:
         out = np.zeros((self.dim, self.dim))
         if s.rank == self.k:
             ran, y, dom = factorize(s)
-            block = self.base.evaluate(y.to_perm_tuple())
+            block = perm_image(self.shape, y.image)
             d = self.base.dim
             a, b = ksubset_index(ran), ksubset_index(dom)
             out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block

@@ -1,11 +1,14 @@
-"""Young's seminormal representations of S_k and a divide-and-conquer FFT.
+"""Seminormal representations of S_k and R_n, and a divide-and-conquer FFT on S_k.
 
-The matrix representations are chain-adapted to S_k > S_{k-1} > ... > S_1
-(restriction to the subgroup fixing k is literally block-diagonal in
-lower-level representations), which is what lets the FFT assemble subgroup
-transforms for free and pay only for sparse multiplications by images of
-the coset representatives T_i = t_{i+1}···t_k.  The resulting multiply-add
-count is at most (2/3)k(k+1)²k!.
+``halverson_rep(λ, n)`` acts on n-standard tableaux; at n = |λ| it is
+Young's seminormal representation of S_k, and ``seminormal_rep(λ)`` is that
+same object (an element of S_k is a full-rank element of R_k).  The
+matrices are chain-adapted to S_k > S_{k-1} > ... > S_1 (restriction to
+the subgroup fixing k is literally block-diagonal in lower-level
+representations), which is what lets the FFT assemble subgroup transforms
+for free and pay only for sparse multiplications by images of the coset
+representatives T_i = t_{i+1}···t_k.  The resulting multiply-add count is
+at most (2/3)k(k+1)²k!.
 
 Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).  The
 FFT reads a function on S_k as a vector in Clausen order (``clausen_perms``),
@@ -25,12 +28,14 @@ from typing import Mapping
 
 import numpy as np
 
+from .core import PartialPermutation, generator_word, restrictions
 from .counting import OpCounter
 from .tableaux import (
     Shape,
     Tableau,
     content,
     corners,
+    entries,
     find_entry,
     is_standard,
     nstandard_tableaux,
@@ -48,36 +53,8 @@ def perm_compose(u: Perm, v: Perm) -> Perm:
     return tuple(u[x - 1] for x in v)
 
 
-def perm_inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
-    for j, v in enumerate(w):
-        inv[v - 1] = j + 1
-    return tuple(inv)
-
-
 def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(permutations(range(1, n + 1)))
-
-
-def _descend_map(i: int, m: int) -> tuple[int, ...]:
-    """Value table of T_i^{-1} at level m: i -> m, j -> j-1 for i < j <= m."""
-    vt = list(range(m + 1))
-    for j in range(i + 1, m + 1):
-        vt[j] = j - 1
-    vt[i] = m
-    return tuple(vt)
-
-
-def adjacent_word(w: Perm) -> list[int]:
-    """Indices j with w = t_{j1}···t_{jr}, peeling the largest point per level."""
-    word: list[int] = []
-    cur = list(w)
-    for m in range(len(w), 1, -1):
-        v = cur[m - 1]
-        word.extend(range(v + 1, m + 1))
-        vt = _descend_map(v, m)
-        cur = [vt[x] for x in cur[: m - 1]]
-    return word
 
 
 def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
@@ -86,7 +63,7 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
     On a basis vector indexed by L: when both i-1 and i appear in L the
     action mixes L with the swapped tableau using the inverse content
     difference 1/(ct(L(i)) - ct(L(i-1))); when exactly one appears it just
-    relabels; when neither appears it fixes the vector.
+    relabels; when neither appears it fixes the vector.  Read-only.
     """
     index = {t: j for j, t in enumerate(basis)}
     d = len(basis)
@@ -104,42 +81,79 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
             M[index[swap_adjacent(L, i)], col] = 1.0
         else:
             M[col, col] = 1.0
+    M.flags.writeable = False
     return M
 
 
 @dataclass
-class GroupRep:
-    """An irreducible seminormal matrix representation of S_k."""
+class HalversonRep:
+    """Chain-adapted irreducible representation of R_n on n-standard tableaux.
+    The generator images it holds are read-only."""
 
     shape: Shape
+    n: int
     dim: int
     basis: tuple[Tableau, ...]
     transpositions: dict[int, np.ndarray]
-    _eval_cache: dict[Perm, np.ndarray] = field(default_factory=dict, repr=False)
+    _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
-    @property
-    def k(self) -> int:
-        return sum(self.shape)
+    def link_image(self, m: int) -> np.ndarray:
+        """Image of [m]: diagonal, keeping exactly the tableaux without m."""
+        hit = self._links.get(m)
+        if hit is None:
+            hit = np.diag([0.0 if m in entries(L) else 1.0 for L in self.basis])
+            hit.flags.writeable = False
+            self._links[m] = hit
+        return hit
 
-    def evaluate(self, w: Perm) -> np.ndarray:
-        """ρ(w) as a dense matrix, via a word in adjacent transpositions."""
-        hit = self._eval_cache.get(w)
-        if hit is not None:
-            return hit
+    def evaluate(self, s: PartialPermutation) -> np.ndarray:
+        """ρ(s) via a generator word; at most 2 nonzeros per factor row."""
+        if s.n != self.n:
+            raise ValueError(f"element lives in R_{s.n}, representation in R_{self.n}")
+        return self.evaluate_word(generator_word(s))
+
+    def evaluate_word(self, word) -> np.ndarray:
+        """ρ of a generator word of R_n (``core.generator_word``), so that a
+        caller imaging one element under many labels builds its word once."""
         M = np.eye(self.dim)
-        for j in adjacent_word(w):
-            M = M @ self.transpositions[j]
-        self._eval_cache[w] = M
+        for kind, j in word:
+            M = M @ (self.transpositions[j] if kind == "t" else self.link_image(j))
+        return M
+
+    def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
+        """Image of the groupoid basis element ⌊s⌋ = Σ_{t≤s} μ(t,s)·t: a test
+        oracle, kept here because perfbench's span list (``spans.py``) names it."""
+        k = s.rank
+        M = np.zeros((self.dim, self.dim))
+        for t in restrictions(s):
+            sign = -1.0 if (k - t.rank) % 2 else 1.0
+            M = M + sign * self.evaluate(t)
         return M
 
 
 @cache
-def seminormal_rep(shape: Shape) -> GroupRep:
-    """The seminormal representation of S_k indexed by λ ⊢ k."""
-    k = sum(shape)
-    basis = nstandard_tableaux(shape, k)
-    images = {j: transposition_image(basis, j) for j in range(2, k + 1)}
-    return GroupRep(shape=shape, dim=len(basis), basis=basis, transpositions=images)
+def halverson_rep(shape: Shape, n: int) -> HalversonRep:
+    if sum(shape) > n:
+        raise ValueError(f"weight of {shape} exceeds n = {n}")
+    basis = nstandard_tableaux(shape, n)
+    images = {j: transposition_image(basis, j) for j in range(2, n + 1)}
+    return HalversonRep(shape=shape, n=n, dim=len(basis), basis=basis, transpositions=images)
+
+
+def seminormal_rep(shape: Shape) -> HalversonRep:
+    """The seminormal representation of S_k indexed by λ ⊢ k:
+    ``halverson_rep(λ, k)``, the same cached object."""
+    return halverson_rep(shape, sum(shape))
+
+
+@cache
+def perm_image(shape: Shape, w: Perm) -> np.ndarray:
+    """ρ_λ(w) for a permutation w of 1..|λ|, read-only.  One cache for every
+    caller and every n: the stein cells of R_n and ``sn_naive`` image the
+    same permutations of S_k over and over."""
+    M = seminormal_rep(shape).evaluate(PartialPermutation(len(w), w))
+    M.flags.writeable = False
+    return M
 
 
 @cache
@@ -214,7 +228,7 @@ def _coset_reps(shape: Shape, inverse: bool) -> list[np.ndarray]:
     inverses ρ(t_m)···ρ(t_{i+1}): seminormal transposition images are
     involutions."""
     rep = seminormal_rep(shape)
-    m = rep.k
+    m = rep.n
     out = []
     for i in range(1, m + 1):
         P = np.eye(rep.dim)
@@ -260,16 +274,18 @@ def _coset_inverse_rows(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray
 
 
 @cache
-def _coset_costs(m: int) -> np.ndarray:
-    """Multiply-adds of the coset T_i at level m, summed over λ ⊢ m: the
-    sparse left-multiplications by ρ_λ(t_m), …, ρ_λ(t_{i+1}), each costing
-    nnz·d_λ; entry i−1 for i = 1..m."""
+def _coset_costs(shapes: tuple[Shape, ...], m: int) -> np.ndarray:
+    """Multiply-adds of the coset T_i at level m, summed over the labels
+    λ ∈ shapes of R_m (the λ ⊢ m for S_m): the sparse left-multiplications
+    by ρ_λ(t_m), …, ρ_λ(t_{i+1}), each costing nnz·d_λ; entry i−1 for
+    i = 1..m.  Read-only."""
     costs = np.zeros(m, dtype=np.int64)
-    for shape in partitions(m):
-        rep = seminormal_rep(shape)
+    for shape in shapes:
+        rep = halverson_rep(shape, m)
         nnz = [np.count_nonzero(rep.transpositions[j]) for j in range(2, m + 1)]
         for i in range(1, m + 1):
             costs[i - 1] += rep.dim * sum(nnz[i - 1 :])
+    costs.flags.writeable = False
     return costs
 
 
@@ -300,7 +316,7 @@ def sn_fft_batch(
     for m in range(2, k + 1):
         children = occupied.reshape(-1, m)
         occupied = children.any(axis=1)
-        visits = int(children.sum(axis=0) @ _coset_costs(m))
+        visits = int(children.sum(axis=0) @ _coset_costs(partitions(m), m))
         counter.add(visits + (int(children.sum()) - int(occupied.sum())) * factorial(m))
         nodes = len(occupied)
         nxt = {}
@@ -370,14 +386,19 @@ def sn_fft(
 
 
 def sn_naive(f: Mapping[Perm, complex], n: int) -> dict[Shape, np.ndarray]:
-    """Direct evaluation of all blocks; the oracle for sn_fft."""
+    """Direct evaluation of all blocks; the oracle for sn_fft, which refuses
+    the same keys."""
+    column = _clausen_column(n)
+    for w in f:
+        if tuple(w) not in column:
+            raise ValueError(f"{w} is not a permutation of 1..{n}")
     out = {}
     for shape in partitions(n):
-        rep = seminormal_rep(shape)
-        acc = np.zeros((rep.dim, rep.dim), dtype=complex)
+        d = num_standard(shape)
+        acc = np.zeros((d, d), dtype=complex)
         for w, c in f.items():
             if c != 0:
-                acc += c * rep.evaluate(tuple(w))
+                acc += c * perm_image(shape, tuple(w))
         out[shape] = acc
     return out
 

@@ -50,7 +50,7 @@ from .core import (
 from .counting import OpCounter
 from .indexing import cell_index, elements_at, slice_index
 from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
-from .symmetric import sn_fft_batch, sn_ifft_batch
+from .symmetric import _coset_costs, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -328,16 +328,15 @@ def _embedding(m: int) -> np.ndarray:
 @cache
 def _slice_costs(m: int) -> np.ndarray:
     """Multiply-adds of one visited slice at level m, summed over λ ∈ Λ_m:
-    T_i and up_i (entries 2i-2 and 2i-1) pay nnz·d_λ for each of
-    ρ_λ(t_m), …, ρ_λ(t_{i+1}); the link (entry 2m-1) pays nnz·d_λ for [m]."""
+    T_i and up_i (entries 2i-2 and 2i-1) pay what ρ_λ(T_i) does
+    (``symmetric._coset_costs``); the link (entry 2m-1) pays nnz·d_λ for [m]."""
+    cosets = _coset_costs(labels(m), m)
     costs = np.zeros(2 * m, dtype=np.int64)
+    costs[::2] = cosets
+    costs[1:-1:2] = cosets[:-1]  # up_i takes the generators of T_i
     for shape in labels(m):
         rep = halverson_rep(shape, m)
-        nnz = [np.count_nonzero(rep.transpositions[j]) for j in range(2, m + 1)]
-        for i in range(1, m + 1):
-            costs[2 * i - 2] += rep.dim * sum(nnz[i - 1 :])
         costs[-1] += rep.dim * np.count_nonzero(rep.link_image(m))
-    costs[1:-1:2] = costs[:-2:2]  # up_i takes the generators of T_i
     costs.flags.writeable = False
     return costs
 

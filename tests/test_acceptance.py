@@ -177,11 +177,11 @@ def test_08_branching_equality():
                 rep = seminormal_rep(sh)
                 order = branch_sn(sh)
                 for w in all_perms(n - 1):
+                    y = PartialPermutation(n - 1, w)
                     expected = block_diag(
-                        [seminormal_rep(mu).evaluate(w).astype(complex) for mu in order],
-                        rep.dim,
+                        [seminormal_rep(mu).evaluate(y).astype(complex) for mu in order], rep.dim
                     )
-                    got = rep.evaluate(w + (n,))
+                    got = rep.evaluate(PartialPermutation(n, w + (n,)))
                     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 

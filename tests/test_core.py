@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -314,6 +316,18 @@ class TestGeneratorWord:
                     g = idempotent_on(n, [p for p in range(1, n + 1) if p != j])
                 cur = compose(cur, g)
             assert cur == s
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_full_rank_words_are_adjacent_transpositions(self, n):
+        # an element of S_n is a full-rank element of R_n: its word holds
+        # only t tokens, whose product rebuilds the permutation
+        for w in permutations(range(1, n + 1)):
+            word = generator_word(PP(n, w))
+            assert {kind for kind, _ in word} <= {"t"}
+            cur = tuple(range(1, n + 1))
+            for _, j in word:  # cur ∘ t_j swaps the points j-1 and j
+                cur = cur[: j - 2] + (cur[j - 1], cur[j - 2]) + cur[j:]
+            assert cur == w
 
 
 class TestMatrixView:

@@ -1,18 +1,21 @@
 import random
+import re
 from math import factorial
 
 import numpy as np
 import pytest
 
+from rookfft.core import PartialPermutation as PP
 from rookfft.counting import OpCounter
+from rookfft.rook_reps import stein_rep
 from rookfft.symmetric import (
     all_perms,
-    adjacent_word,
     branch_sn,
     clausen_perms,
+    halverson_rep,
     invariant_form,
     perm_compose,
-    perm_inverse,
+    perm_image,
     seminormal_rep,
     sn_fft,
     sn_fft_batch,
@@ -22,6 +25,11 @@ from rookfft.symmetric import (
 )
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import clausen_bound
+
+
+def image(shape, w):
+    """ρ_λ(w) for a permutation w in one-line notation."""
+    return seminormal_rep(shape).evaluate(PP.from_perm_tuple(w))
 
 
 def rand_fn(n, seed):
@@ -71,25 +79,40 @@ class TestSeminormalImages:
         assert sum(num_standard(sh) ** 2 for sh in partitions(n)) == factorial(n)
 
     def test_evaluate_is_homomorphism(self):
-        rep = seminormal_rep((2, 1))
         for u in all_perms(3):
             for v in all_perms(3):
                 assert np.allclose(
-                    rep.evaluate(u) @ rep.evaluate(v),
-                    rep.evaluate(perm_compose(u, v)),
+                    image((2, 1), u) @ image((2, 1), v),
+                    image((2, 1), perm_compose(u, v)),
                     atol=1e-10,
                 )
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_seminormal_rep_is_the_halverson_rep_at_n_equal_k(self, k):
+        for shape in partitions(k):
+            assert seminormal_rep(shape) is halverson_rep(shape, k)
+
+    def test_handed_out_images_are_read_only(self):
+        w = (2, 1, 3)
+        rep, want = seminormal_rep((2, 1)), image((2, 1), w)
+        handed = [perm_image((2, 1), w), rep.link_image(3), *rep.transpositions.values()]
+        for M in handed:
+            with pytest.raises(ValueError, match="read-only"):
+                M[:] = 0
+        fresh = image((2, 1), w)
+        fresh[:] = 0  # evaluate builds a new matrix each call
+        assert np.array_equal(image((2, 1), w), want)
+        assert np.array_equal(perm_image((2, 1), w), want)
+        assert np.array_equal(stein_rep((2, 1), 3).eval_groupoid(PP.from_perm_tuple(w)), want)
 
 
 class TestBranching:
     def test_order_realized_by_blocks(self):
         # (2,1) restricted to S_2: diag(-1, 1) = sign ⊕ trivial exactly
         assert branch_sn((2, 1)) == ((1, 1), (2,))
-        rep = seminormal_rep((2, 1))
-        w = (2, 1, 3)
-        M = rep.evaluate(w)
-        top = seminormal_rep((1, 1)).evaluate((2, 1))
-        bottom = seminormal_rep((2,)).evaluate((2, 1))
+        M = image((2, 1), (2, 1, 3))
+        top = image((1, 1), (2, 1))
+        bottom = image((2,), (2, 1))
         assert np.allclose(M, np.block([
             [top, np.zeros((1, 1))],
             [np.zeros((1, 1)), bottom],
@@ -111,30 +134,11 @@ class TestBranching:
                 expected = np.zeros((rep.dim, rep.dim))
                 at = 0
                 for mu in parts:
-                    sub = seminormal_rep(mu).evaluate(w)
+                    sub = image(mu, w)
                     d = sub.shape[0]
                     expected[at : at + d, at : at + d] = sub
                     at += d
-                assert np.allclose(rep.evaluate(lifted), expected, atol=1e-12)
-
-
-class TestWords:
-    def test_adjacent_word_rebuilds_permutation(self):
-        for n in range(1, 6):
-            for w in all_perms(n):
-                cur = tuple(range(1, n + 1))
-                for j in adjacent_word(w):
-                    t = tuple(j if v == j - 1 else j - 1 if v == j else v for v in cur)
-                    cur = t
-                # word product acts as composition: apply factors right-to-left
-                rebuilt = tuple(range(1, n + 1))
-                for j in reversed(adjacent_word(w)):
-                    rebuilt = perm_compose(
-                        tuple(j if v == j - 1 else j - 1 if v == j else v for v in range(1, n + 1)),
-                        rebuilt,
-                    )
-                assert perm_inverse(perm_inverse(w)) == w
-                assert rebuilt == w
+                assert np.allclose(image(shape, lifted), expected, atol=1e-12)
 
 
 class TestSnFFT:
@@ -157,6 +161,13 @@ class TestSnFFT:
         for shape in fast:
             assert np.allclose(fast[shape], slow[shape], atol=1e-9)
         assert counter.multiply_adds <= clausen_bound(n)
+
+    @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1), (1, 2, 4), (0, 1, 2)])
+    @pytest.mark.parametrize("transform", [sn_fft, sn_naive])
+    def test_refuses_a_key_that_is_not_a_permutation(self, transform, key):
+        message = re.escape(f"{key} is not a permutation of 1..3")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            transform({(1, 2, 3): 1.0, key: 0.5}, 3)
 
     def test_s4_bound_value(self):
         counter = OpCounter()
@@ -264,8 +275,7 @@ class TestBatchedKernel:
 class TestInvariantForm:
     @pytest.mark.parametrize("shape", [sh for k in range(6) for sh in partitions(k)])
     def test_generator_walk_matches_group_sum(self, shape):
-        rep = seminormal_rep(shape)
-        S = sum(rep.evaluate(w).T @ rep.evaluate(w) for w in all_perms(sum(shape)))
+        S = sum(image(shape, w).T @ image(shape, w) for w in all_perms(sum(shape)))
         assert np.allclose(S, np.diag(np.diag(S)), rtol=0.0, atol=1e-9 * np.abs(S).max())
         W = invariant_form(shape)
         assert W[0] == 1.0 and np.all(W > 0)

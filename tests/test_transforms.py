@@ -40,7 +40,6 @@ from rookfft.rook_reps import (
     labels,
     stein_rep,
 )
-from rookfft.symmetric import _descend_map
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     IMAGE_TABLE_BYTES,
@@ -183,7 +182,7 @@ class TestCellFormula:
                             s = compose(
                                 compose(p_out, PP.from_perm_tuple(y).extended(n)), p_in
                             )
-                            expected += f[s] * rep.evaluate(y)
+                            expected += f[s] * rep.evaluate(PP.from_perm_tuple(y))
                         d = rep.dim
                         cell = F.blocks[shape][a * d : (a + 1) * d, b * d : (b + 1) * d]
                         assert np.allclose(cell, expected, atol=1e-9)
@@ -328,8 +327,8 @@ def per_node_recursive(fd, m, counter):
         img = x.image
         i = img[m - 1]
         if i != 0:
-            vt = _descend_map(i, m)
-            key = PP(m - 1, tuple(vt[v] if v else 0 for v in img[: m - 1]))
+            # T_i⁻¹ sends i → m and j → j−1 for i < j ≤ m; i is not among img[: m - 1]
+            key = PP(m - 1, tuple(v - (v > i) for v in img[: m - 1]))
             t_buckets.setdefault(i, {})[key] = c
         elif m in img:
             i = img.index(m) + 1
