@@ -16,11 +16,14 @@ Each element is also convolved with itself (``convolve_semigroup``,
 in-process (``to_json_dict``, as the CLI would load it from a file) and
 ``from_json_dict`` parses it back; ``parse_peak_mb`` is the tracemalloc peak
 of one more, traced, parse, and ``recursive_peak_mb`` that of one more
-``recursive_fft`` call.  The flat forms of that JSON also go through
-``core.read_flat`` alone (timed like the rest; ``read_flat_peak_mb`` is its
-tracemalloc peak), and ``from_flat_seconds`` is the time per call of
-``PartialPermutation.from_flat`` on one term, the element's last flat form
-(rank n), the minimum over REPEATS loops of FROM_FLAT_CALLS calls.
+``recursive_fft`` call.  ``recursive_kept_mb`` is the tracemalloc memory a
+fresh process keeps after its first ``recursive_fft`` call on the same
+element, the tables that call caches (``KEPT_PROBE``).  The flat forms of
+that JSON also go through ``core.read_flat`` alone (timed like the rest;
+``read_flat_peak_mb`` is its tracemalloc peak), and ``from_flat_seconds``
+is the time per call of ``PartialPermutation.from_flat`` on one term, the
+element's last flat form (rank n), the minimum over REPEATS loops of
+FROM_FLAT_CALLS calls.
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
 the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
@@ -48,6 +51,8 @@ import json
 import os
 import platform
 import resource
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -87,6 +92,24 @@ REPEATS = 3
 FROM_FLAT_CALLS = 2000
 SEED = 0
 
+# run as ``python -c KEPT_PROBE n seed``: prints the bytes tracemalloc still
+# holds after one recursive_fft call on _element(n, SEMIGROUP, seed)
+KEPT_PROBE = """
+import gc, sys, tracemalloc
+import numpy as np
+from rookfft.algebra import SEMIGROUP, from_dense
+from rookfft.core import size
+from rookfft.transforms import recursive_fft
+n, seed = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(seed)
+f = from_dense(n, SEMIGROUP, rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n)))
+gc.collect()
+tracemalloc.start()
+recursive_fft(f)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
 
 def _min_time(fn, *args):
     """Wall time of one cold call, the minimum of REPEATS warm calls after
@@ -109,6 +132,14 @@ def _traced_peak_mb(fn, *args) -> float:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return round(peak / 2**20, 2)
+
+
+def _recursive_kept_mb(n: int, seed: int) -> float:
+    """``KEPT_PROBE`` in a fresh process with this one's environment, so
+    that it imports the same rookfft, in MB."""
+    out = subprocess.run([sys.executable, "-c", KEPT_PROBE, str(n), str(seed)], check=True,
+                         capture_output=True, text=True).stdout
+    return round(int(out) / 2**20, 2)
 
 
 def _from_flat_seconds(n: int, text: str) -> float:
@@ -164,6 +195,7 @@ def _row(n: int) -> dict:
     residual = float(np.abs(back.values - g.values).max(initial=0.0))
     del F, back, g
     recursive_peak_mb = _traced_peak_mb(recursive_fft, f)
+    recursive_kept_mb = _recursive_kept_mb(n, SEED + n)
     cold["convolve_semigroup"], seconds["convolve_semigroup"], _ = _min_time(
         convolve_semigroup, f, f
     )
@@ -189,7 +221,8 @@ def _row(n: int) -> dict:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
             "multiply_adds": multiply_adds, "round_trip_residual": residual,
-            "recursive_peak_mb": recursive_peak_mb, "parse_peak_mb": parse_peak_mb,
+            "recursive_peak_mb": recursive_peak_mb, "recursive_kept_mb": recursive_kept_mb,
+            "parse_peak_mb": parse_peak_mb,
             "read_flat_peak_mb": read_flat_peak_mb, "from_flat_seconds": from_flat_seconds,
             "peak_rss_mb": round(peak_mb, 1)}
 

@@ -97,14 +97,6 @@ class PartialPermutation:
     def rank(self) -> int:
         return sum(1 for v in self.image if v != 0)
 
-    def preimage(self, v: int) -> int | None:
-        if v < 1:
-            return None
-        try:
-            return self.image.index(v) + 1
-        except ValueError:
-            return None
-
     def inverse(self) -> "PartialPermutation":
         """The unique y with xyx = x and yxy = y; dom(y) = ran(x)."""
         img = [0] * self.n
@@ -141,12 +133,6 @@ class PartialPermutation:
         return PartialPermutation(n, self.image + tuple(range(self.n + 1, n + 1)))
 
     # -- group interop -------------------------------------------------------
-
-    def to_perm_tuple(self) -> tuple[int, ...]:
-        """One-line notation; requires full rank."""
-        if self.rank != self.n:
-            raise ValueError("not a full permutation")
-        return self.image
 
     @classmethod
     def from_perm_tuple(cls, w: tuple[int, ...]) -> "PartialPermutation":

@@ -108,6 +108,8 @@ class HalversonRep:
 
     def evaluate(self, s: PartialPermutation) -> np.ndarray:
         """ρ(s) via a generator word; at most 2 nonzeros per factor row."""
+        if not isinstance(s, PartialPermutation):
+            raise TypeError(f"evaluate takes a PartialPermutation, got {type(s).__name__}")
         if s.n != self.n:
             raise ValueError(f"element lives in R_{s.n}, representation in R_{self.n}")
         return self.evaluate_word(generator_word(s))
@@ -184,6 +186,32 @@ def invariant_form(shape: Shape) -> np.ndarray:
                 stack.append(s)
     w.flags.writeable = False
     return w
+
+
+@cache
+def orthogonal_scales(shape: Shape, n: int) -> np.ndarray:
+    """√E for ``halverson_rep(λ, n)``, read-only: E is the positive diagonal
+    with ρ(t_j)ᵀ = E·ρ(t_j)·E⁻¹ for every j, so that in the basis rescaled
+    by 1/√E every ρ(t_j) is symmetric (Young's orthogonal form).
+
+    A t_j that mixes two tableaux gives ρ(t_j)[r, p]/ρ(t_j)[p, r] =
+    E[p]/E[r], the ratio the invariant form fixes; one that relabels gives
+    1.  So E at a tableau is the invariant form's weight (``invariant_form``)
+    of the standard tableau it relabels, its entries replaced by their
+    ranks.  Restricted to a branch of λ in R_{n-1} (``rook_reps.branch_rn``),
+    E is a multiple of the branch's own E, the invariant form of S_k being
+    chain-adapted too.
+    """
+    k = sum(shape)
+    index = {L: j for j, L in enumerate(nstandard_tableaux(shape, k))}
+    weight = invariant_form(shape)
+    E = []
+    for L in nstandard_tableaux(shape, n):
+        rank = {e: i + 1 for i, e in enumerate(sorted(entries(L)))}
+        E.append(weight[index[tuple(tuple(rank[e] for e in row) for row in L)]])
+    out = np.sqrt(E)
+    out.flags.writeable = False
+    return out
 
 
 def branch_sn(shape: Shape) -> tuple[Shape, ...]:

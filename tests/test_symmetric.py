@@ -92,6 +92,11 @@ class TestSeminormalImages:
         for shape in partitions(k):
             assert seminormal_rep(shape) is halverson_rep(shape, k)
 
+    @pytest.mark.parametrize("s", [(2, 1, 3), [2, 1, 3], "2 1 3", None])
+    def test_evaluate_refuses_what_is_not_a_partial_permutation(self, s):
+        with pytest.raises(TypeError, match="^evaluate takes a PartialPermutation, got "):
+            seminormal_rep((2, 1)).evaluate(s)
+
     def test_handed_out_images_are_read_only(self):
         w = (2, 1, 3)
         rep, want = seminormal_rep((2, 1)), image((2, 1), w)

@@ -40,11 +40,14 @@ from rookfft.rook_reps import (
     labels,
     stein_rep,
 )
+from rookfft.symmetric import orthogonal_scales
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     IMAGE_TABLE_BYTES,
     FourierCoefficients,
+    _groups,
     _pairing,
+    _runs,
     blockwise_product,
     clausen_bound,
     fourier_invert,
@@ -398,6 +401,37 @@ class TestLevelBatchedRecursion:
                 assert np.array_equal(rebuilt, M)
                 assert np.array_equal(col_off, M[partner, at] * (partner != at))
 
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_generator_images_are_symmetric_under_one_positive_diagonal(self, m):
+        # ρ(t_j)ᵀ = E·ρ(t_j)·E⁻¹, so the level pass can run in the basis
+        # rescaled by 1/√E; on each branch E is a multiple of the branch's
+        # own, so the children's blocks are gathered as they are
+        for shape in labels(m):
+            E = orthogonal_scales(shape, m) ** 2
+            assert np.all(E > 0)
+            for M in halverson_rep(shape, m).transpositions.values():
+                assert np.allclose(M.T, E[:, None] * M / E, rtol=0.0, atol=1e-14)
+            on = 0
+            for mu in branch_rn(shape, m):
+                ratio = E[on : on + dim(mu, m - 1)] / orthogonal_scales(mu, m - 1) ** 2
+                assert np.allclose(ratio, ratio[0], rtol=1e-13, atol=0.0)
+                on += dim(mu, m - 1)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_runs_are_scaled_products_of_generator_images(self, m):
+        # entry i-1 of a group's runs is ρ(t_{i+1})···ρ(t_m) of each label,
+        # conjugated by its scales; the mask is the diagonal of ρ([m])
+        for (d, shapes, _), (keep, runs) in zip(_groups(m), _runs(m)):
+            assert runs.shape == (m - 1, len(shapes), d, d)
+            for l, shape in enumerate(shapes):
+                rep, s = halverson_rep(shape, m), orthogonal_scales(shape, m)
+                for i in range(1, m):
+                    A = np.eye(d)
+                    for j in range(i + 1, m + 1):
+                        A = A @ rep.transpositions[j]
+                    assert np.allclose(runs[i - 1, l], s[:, None] * A / s, rtol=0.0, atol=1e-12)
+                assert np.array_equal(keep[l, :, 0], np.diag(rep.link_image(m)))
+
     def test_full_support_count_at_n7(self):
         f = random_element(7, SEMIGROUP, random.Random(7))
         assert recursive_fft(f).ops.multiply_adds == 26_519_799
@@ -409,6 +443,17 @@ class TestLevelBatchedRecursion:
         assert H.ops.multiply_adds <= recursive_bound(8)
         for sh in labels(8):
             assert abs(np.trace(H.blocks[sh]) - np.trace(S.blocks[sh])) <= 1e-9
+
+    def test_full_support_r7_power_traces_match_stein(self):
+        # the families are similar block by block, so tr(F̂^p) agrees for
+        # every p; at n = 7 the naive oracle is out of reach
+        f = random_element(7, SEMIGROUP, random.Random(77))
+        H, S = recursive_fft(f), stein_fft_semigroup(f)
+        for sh in labels(7):
+            for p in (1, 2, 3):
+                want = np.trace(np.linalg.matrix_power(S.blocks[sh], p))
+                got = np.trace(np.linalg.matrix_power(H.blocks[sh], p))
+                assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def slice_kinds(n):
