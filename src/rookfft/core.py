@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial, isfinite, nan
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
@@ -111,33 +111,6 @@ class PartialPermutation:
         img = [v if (i + 1) in keep else 0 for i, v in enumerate(self.image)]
         return PartialPermutation(self.n, img)
 
-    def is_idempotent(self) -> bool:
-        return all(v == 0 or v == i + 1 for i, v in enumerate(self.image))
-
-    # -- ambient-size changes ------------------------------------------------
-
-    def extended(self, n: int) -> "PartialPermutation":
-        """Same mappings in a larger ambient set; new points unmapped."""
-        if n < self.n:
-            raise ValueError("extended() cannot shrink the ambient set")
-        return PartialPermutation(n, self.image + (0,) * (n - self.n))
-
-    def extended_fixed(self, n: int) -> "PartialPermutation":
-        """Same mappings in a larger ambient set; new points fixed.
-
-        This is the embedding R_m < R_n used by the sub-semigroup chain
-        R_n > R_{n-1} > ... > R_1.
-        """
-        if n < self.n:
-            raise ValueError("extended_fixed() cannot shrink the ambient set")
-        return PartialPermutation(n, self.image + tuple(range(self.n + 1, n + 1)))
-
-    # -- group interop -------------------------------------------------------
-
-    @classmethod
-    def from_perm_tuple(cls, w: tuple[int, ...]) -> "PartialPermutation":
-        return cls(len(w), w)
-
     # -- text forms ------------------------------------------------------------
 
     def to_flat(self) -> str:
@@ -150,13 +123,6 @@ class PartialPermutation:
         checked as by ``check_n``, as a batch of flat forms checks it."""
         check_n(n)
         return cls(n, flat_image(n, text))
-
-    def as_matrix(self) -> np.ndarray:
-        """0/1 rook matrix with a 1 at (s(b), b); display helper only."""
-        M = np.zeros((self.n, self.n), dtype=int)
-        for b, a in self.pairs():
-            M[a - 1, b - 1] = 1
-        return M
 
     # -- dunder plumbing -------------------------------------------------------
 
@@ -372,15 +338,6 @@ def refuse_flat(n: int, text) -> NoReturn:
     raise AssertionError(f"flat form {text!r} refused in a batch but not alone")
 
 
-def flat_images(n: int, texts: list) -> np.ndarray:
-    """(T, n) int8 image rows of the flat forms, each checked as by
-    ``flat_image``; the first refused term raises its ParseError."""
-    rows, refused = flat_rows(n, read_flat(texts))
-    if refused.any():
-        refuse_flat(n, texts[int(refused.argmax())])
-    return rows
-
-
 def compose(g: PartialPermutation, f: PartialPermutation) -> PartialPermutation:
     """g∘f: defined where x ∈ dom(f) and f(x) ∈ dom(g)."""
     if g.n != f.n:
@@ -488,17 +445,11 @@ def size_recursive(n: int) -> int:
 
 @cache
 def enumerate_rn(n: int) -> tuple[PartialPermutation, ...]:
-    """All elements of R_n, sorted by image tuple (the canonical order)."""
-    elems = []
-    for k in range(n + 1):
-        for dom in combinations(range(1, n + 1), k):
-            for values in permutations(range(1, n + 1), k):
-                img = [0] * n
-                for a, b in zip(dom, values):
-                    img[a - 1] = b
-                elems.append(PartialPermutation(n, img))
-    elems.sort(key=lambda s: s.image)
-    return tuple(elems)
+    """All elements of R_n, sorted by image tuple (the canonical order):
+    every position decoded from its image code (``indexing.elements_at``)."""
+    from .indexing import elements_at  # indexing imports this module
+
+    return tuple(elements_at(n, np.arange(size(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +492,6 @@ def factorize(s: PartialPermutation) -> CanonicalFactorization:
     pos_in_ran = {v: i + 1 for i, v in enumerate(r)}
     y = PartialPermutation(k, (pos_in_ran[s.image[a - 1]] for a in d))
     return CanonicalFactorization(r, y, d)
-
-
-def reassemble(fact: CanonicalFactorization, n: int) -> PartialPermutation:
-    """Inverse of factorize."""
-    k = fact.y.n
-    p_out = order_preserving(n, range(1, k + 1), fact.ran)
-    p_in = order_preserving(n, fact.dom, range(1, k + 1))
-    return compose(compose(p_out, fact.y.extended(n)), p_in)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .core import PartialPermutation, factorize, ksubset_index, ksubsets, restrictions
+from .core import PartialPermutation, factorize, ksubset_index, ksubsets
 from .symmetric import HalversonRep, halverson_rep, perm_image, seminormal_rep
 from .tableaux import Shape, corners, entries, num_standard, partitions, remove_corner
 
@@ -108,14 +108,6 @@ class SteinRep:
             d = self.base.dim
             a, b = ksubset_index(ran), ksubset_index(dom)
             out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-        return out
-
-    def eval_semigroup(self, s: PartialPermutation) -> np.ndarray:
-        """Image of s itself: the sum over all restrictions of rank k."""
-        out = np.zeros((self.dim, self.dim))
-        for t in restrictions(s):
-            if t.rank == self.k:
-                out += self.eval_groupoid(t)
         return out
 
 

@@ -48,11 +48,6 @@ from .tableaux import (
 Perm = tuple[int, ...]
 
 
-def perm_compose(u: Perm, v: Perm) -> Perm:
-    """u∘v."""
-    return tuple(u[x - 1] for x in v)
-
-
 def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(permutations(range(1, n + 1)))
 
@@ -151,8 +146,8 @@ def seminormal_rep(shape: Shape) -> HalversonRep:
 @cache
 def perm_image(shape: Shape, w: Perm) -> np.ndarray:
     """ρ_λ(w) for a permutation w of 1..|λ|, read-only.  One cache for every
-    caller and every n: the stein cells of R_n and ``sn_naive`` image the
-    same permutations of S_k over and over."""
+    n: the stein cells of every R_n image the same permutations of S_k over
+    and over."""
     M = seminormal_rep(shape).evaluate(PartialPermutation(len(w), w))
     M.flags.writeable = False
     return M
@@ -411,24 +406,6 @@ def sn_fft(
             raise ValueError(f"{w} is not a permutation of 1..{n}")
         batch[0, s] = c
     return {shape: blocks[0] for shape, blocks in sn_fft_batch(batch, n, counter).items()}
-
-
-def sn_naive(f: Mapping[Perm, complex], n: int) -> dict[Shape, np.ndarray]:
-    """Direct evaluation of all blocks; the oracle for sn_fft, which refuses
-    the same keys."""
-    column = _clausen_column(n)
-    for w in f:
-        if tuple(w) not in column:
-            raise ValueError(f"{w} is not a permutation of 1..{n}")
-    out = {}
-    for shape in partitions(n):
-        d = num_standard(shape)
-        acc = np.zeros((d, d), dtype=complex)
-        for w, c in f.items():
-            if c != 0:
-                acc += c * perm_image(shape, tuple(w))
-        out[shape] = acc
-    return out
 
 
 def sn_ifft(blocks: Mapping[Shape, np.ndarray]) -> dict[Perm, complex]:

@@ -12,26 +12,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 Shape = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
-
-
-def is_partition(shape: Shape) -> bool:
-    return all(a >= 1 for a in shape) and all(
-        shape[i] >= shape[i + 1] for i in range(len(shape) - 1)
-    )
-
-
-def normalize_shape(parts) -> Shape:
-    """Strip trailing zeros; partitions differing only in 0s are equal."""
-    shape = tuple(int(a) for a in parts)
-    while shape and shape[-1] == 0:
-        shape = shape[:-1]
-    if not is_partition(shape):
-        raise ValueError(f"{parts} is not weakly decreasing")
-    return shape
 
 
 @cache
@@ -130,11 +114,6 @@ def num_standard(shape: Shape) -> int:
             leg = sum(1 for w in shape[r + 1 :] if w > c)
             hooks *= arm + leg + 1
     return factorial(k) // hooks
-
-
-def num_nstandard(shape: Shape, n: int) -> int:
-    """Count of n-standard tableaux of shape λ ⊢ k: C(n,k)·f^λ."""
-    return comb(n, sum(shape)) * num_standard(shape)
 
 
 def last_letter_key(tab: Tableau, n: int) -> tuple[int, ...]:

@@ -74,9 +74,6 @@ class FourierCoefficients:
     blocks: dict[Shape, np.ndarray]
     ops: OpCounter = field(default_factory=OpCounter)
 
-    def block(self, shape: Shape) -> np.ndarray:
-        return self.blocks[shape]
-
     def allclose(self, other: "FourierCoefficients", tol: float = 1e-9) -> bool:
         if self.n != other.n or set(self.blocks) != set(other.blocks):
             return False
@@ -504,9 +501,13 @@ def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
 
 
 def blockwise_product(F: FourierCoefficients, G: FourierCoefficients) -> FourierCoefficients:
-    """f̂·ĝ per block, the transform-side image of convolution."""
+    """f̂·ĝ per block, the transform-side image of convolution.  Both operands
+    hold the same labels."""
     if F.n != G.n or F.family != G.family:
         raise ValueError("operands disagree in n or family")
+    for shape in [*F.blocks, *G.blocks]:
+        if shape not in F.blocks or shape not in G.blocks:
+            raise ValueError(f"missing block for label {shape}")
     return FourierCoefficients(
         F.n, F.family, {sh: F.blocks[sh] @ G.blocks[sh] for sh in F.blocks}
     )

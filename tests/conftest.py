@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from itertools import combinations, permutations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,16 +16,26 @@ from rookfft.algebra import (
     random_element,
 )
 from rookfft.core import (
+    CanonicalFactorization,
     ParseError,
     PartialPermutation,
     _check_image,
     _pairs_image,
     check_n,
+    compose,
+    flat_rows,
     json_complex,
     json_int,
+    order_preserving,
+    read_flat,
+    refuse_flat,
+    restrictions,
     size,
 )
 from rookfft.indexing import element_index
+from rookfft.rook_reps import SteinRep
+from rookfft.symmetric import Perm, _clausen_column, perm_image
+from rookfft.tableaux import Shape, num_standard, partitions
 
 
 def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraElement:
@@ -45,11 +56,100 @@ def sparse_element(n: int, terms: int, seed: int, basis: str = GROUPOID) -> Alge
     return AlgebraElement(n, basis, coeffs)
 
 
+def reference_enumerate_rn(n: int) -> tuple[PartialPermutation, ...]:
+    """All elements of R_n built as domain subsets times value
+    arrangements and sorted by image tuple: the oracle for
+    ``enumerate_rn``, which decodes image codes."""
+    elems = []
+    for k in range(n + 1):
+        for dom in combinations(range(1, n + 1), k):
+            for values in permutations(range(1, n + 1), k):
+                img = [0] * n
+                for a, b in zip(dom, values):
+                    img[a - 1] = b
+                elems.append(PartialPermutation(n, img))
+    elems.sort(key=lambda s: s.image)
+    return tuple(elems)
+
+
+def as_matrix(s: PartialPermutation) -> np.ndarray:
+    """0/1 rook matrix of s with a 1 at (s(b), b)."""
+    M = np.zeros((s.n, s.n), dtype=int)
+    for b, a in s.pairs():
+        M[a - 1, b - 1] = 1
+    return M
+
+
+def extended(s: PartialPermutation, n: int) -> PartialPermutation:
+    """s in the larger ambient set {1..n}; the new points unmapped."""
+    if n < s.n:
+        raise ValueError("extended() cannot shrink the ambient set")
+    return PartialPermutation(n, s.image + (0,) * (n - s.n))
+
+
+def extended_fixed(s: PartialPermutation, n: int) -> PartialPermutation:
+    """s in the larger ambient set {1..n}; the new points fixed.  This is
+    the embedding R_m < R_n of the chain R_n > R_{n-1} > ... > R_1."""
+    if n < s.n:
+        raise ValueError("extended_fixed() cannot shrink the ambient set")
+    return PartialPermutation(n, s.image + tuple(range(s.n + 1, n + 1)))
+
+
+def reassemble(fact: CanonicalFactorization, n: int) -> PartialPermutation:
+    """p_({1..k}->ran) ∘ y ∘ p_(dom->{1..k}): the inverse of ``factorize``."""
+    k = fact.y.n
+    p_out = order_preserving(n, range(1, k + 1), fact.ran)
+    p_in = order_preserving(n, fact.dom, range(1, k + 1))
+    return compose(compose(p_out, extended(fact.y, n)), p_in)
+
+
+def flat_images(n: int, texts: list) -> np.ndarray:
+    """(T, n) int8 image rows of the flat forms, each checked as by
+    ``flat_image``; the first refused term raises its ParseError."""
+    rows, refused = flat_rows(n, read_flat(texts))
+    if refused.any():
+        refuse_flat(n, texts[int(refused.argmax())])
+    return rows
+
+
+def eval_semigroup(rep: SteinRep, s: PartialPermutation) -> np.ndarray:
+    """Image of s itself under a stein representation: the sum of the
+    groupoid images of its restrictions of rank k."""
+    out = np.zeros((rep.dim, rep.dim))
+    for t in restrictions(s):
+        if t.rank == rep.k:
+            out += rep.eval_groupoid(t)
+    return out
+
+
+def perm_compose(u: Perm, v: Perm) -> Perm:
+    """u∘v."""
+    return tuple(u[x - 1] for x in v)
+
+
+def sn_naive(f: dict, n: int) -> dict[Shape, np.ndarray]:
+    """Direct evaluation of all blocks: the oracle for ``sn_fft``, which
+    refuses the same keys."""
+    column = _clausen_column(n)
+    for w in f:
+        if tuple(w) not in column:
+            raise ValueError(f"{w} is not a permutation of 1..{n}")
+    out = {}
+    for shape in partitions(n):
+        d = num_standard(shape)
+        acc = np.zeros((d, d), dtype=complex)
+        for w, c in f.items():
+            if c != 0:
+                acc += c * perm_image(shape, tuple(w))
+        out[shape] = acc
+    return out
+
+
 def reference_flat_image(n: int, text: str) -> tuple[int, ...]:
     """The flat form parsed one term at a time, points matched by ``\\d``:
-    the oracle for the batched ``flat_images``.  ``\\d`` also reads
-    non-ASCII digits, which the batch refuses, so compare the two on ASCII
-    digits only."""
+    the oracle for the batched parse (``read_flat``, ``flat_rows``).
+    ``\\d`` also reads non-ASCII digits, which the batch refuses, so
+    compare the two on ASCII digits only."""
     text = text.strip()
     pairs = []
     for part in text.split(";") if text else ():

@@ -14,7 +14,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from conftest import block_diag, direct_convolve_groupoid
+from conftest import block_diag, direct_convolve_groupoid, extended_fixed
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -169,7 +169,7 @@ def test_08_branching_equality():
                         [halverson_rep(mu, n - 1).evaluate(s).astype(complex) for mu in order],
                         rep.dim,
                     )
-                    got = rep.evaluate(s.extended_fixed(n))
+                    got = rep.evaluate(extended_fixed(s, n))
                     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
             for sh in partitions(n):
                 if n == 1:

@@ -1,4 +1,4 @@
-"""The batched flat-form parser (``read_flat``, ``flat_rows``, ``flat_images``)
+"""The batched flat-form parser (``read_flat``, ``flat_rows``)
 against the oracles in ``conftest.py``: the grammar regex, and the
 term-by-term parser; the one-term reader ``flat_image`` against the batch;
 the ASCII-digit rule; and the parse's memory."""
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    flat_images,
     rand_elem,
     reference_flat_image,
     reference_from_json_dict,
@@ -26,7 +27,6 @@ from rookfft.core import (
     ParseError,
     PartialPermutation,
     flat_image,
-    flat_images,
     flat_rows,
     parse_cycle_link,
     read_flat,

@@ -3,17 +3,19 @@ from math import comb
 import numpy as np
 import pytest
 
+from conftest import reference_enumerate_rn
 from rookfft.core import enumerate_rn, factorize, ksubset_index
 from rookfft.indexing import cell_index, element_index, elements_at, slice_index, without_point
 from rookfft.symmetric import clausen_perms
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_positions_follow_enumeration_order(n):
-    elems = enumerate_rn(n)
+    elems = reference_enumerate_rn(n)
     images = np.array([s.image for s in elems], dtype=np.int64).reshape(len(elems), n)
     assert np.array_equal(element_index(n, images), np.arange(len(elems)))
     assert elements_at(n, np.arange(len(elems))) == list(elems)
+    assert enumerate_rn(n) == elems
 
 
 @pytest.mark.parametrize("n", range(5))

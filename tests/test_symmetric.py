@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from conftest import perm_compose, sn_naive
 from rookfft.core import PartialPermutation as PP
 from rookfft.counting import OpCounter
 from rookfft.rook_reps import stein_rep
@@ -14,14 +15,12 @@ from rookfft.symmetric import (
     clausen_perms,
     halverson_rep,
     invariant_form,
-    perm_compose,
     perm_image,
     seminormal_rep,
     sn_fft,
     sn_fft_batch,
     sn_ifft,
     sn_ifft_batch,
-    sn_naive,
 )
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import clausen_bound
@@ -29,7 +28,7 @@ from rookfft.transforms import clausen_bound
 
 def image(shape, w):
     """ρ_λ(w) for a permutation w in one-line notation."""
-    return seminormal_rep(shape).evaluate(PP.from_perm_tuple(w))
+    return seminormal_rep(shape).evaluate(PP(len(w), w))
 
 
 def rand_fn(n, seed):
@@ -108,7 +107,7 @@ class TestSeminormalImages:
         fresh[:] = 0  # evaluate builds a new matrix each call
         assert np.array_equal(image((2, 1), w), want)
         assert np.array_equal(perm_image((2, 1), w), want)
-        assert np.array_equal(stein_rep((2, 1), 3).eval_groupoid(PP.from_perm_tuple(w)), want)
+        assert np.array_equal(stein_rep((2, 1), 3).eval_groupoid(PP(3, w)), want)
 
 
 class TestBranching:

@@ -2,12 +2,11 @@ from math import comb
 
 import pytest
 
+from rookfft.rook_reps import dim
 from rookfft.tableaux import (
     corners,
     last_letter_key,
-    normalize_shape,
     nstandard_tableaux,
-    num_nstandard,
     num_standard,
     partitions,
     remove_corner,
@@ -18,13 +17,6 @@ from rookfft.tableaux import (
 def test_partition_counts():
     assert [len(partitions(k)) for k in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-
-
-def test_trailing_zeros_are_stripped():
-    assert normalize_shape((3, 1, 0, 0)) == (3, 1)
-    assert normalize_shape(()) == ()
-    with pytest.raises(ValueError):
-        normalize_shape((1, 2))
 
 
 def test_corners():
@@ -55,7 +47,7 @@ def test_nstandard_counts(n):
     for k in range(n + 1):
         for shape in partitions(k):
             tabs = nstandard_tableaux(shape, n)
-            assert len(tabs) == num_nstandard(shape, n) == comb(n, k) * num_standard(shape)
+            assert len(tabs) == dim(shape, n) == comb(n, k) * num_standard(shape)
             assert len(set(tabs)) == len(tabs)
 
 

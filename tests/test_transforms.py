@@ -16,6 +16,7 @@ from conftest import (
     assert_product_matches_oracle,
     block_diag,
     direct_convolve_groupoid,
+    extended,
     rand_elem,
     sparse_element,
 )
@@ -182,10 +183,8 @@ class TestCellFormula:
                         rep = seminormal_rep(shape)
                         expected = np.zeros((rep.dim, rep.dim), dtype=complex)
                         for y in all_perms(k):
-                            s = compose(
-                                compose(p_out, PP.from_perm_tuple(y).extended(n)), p_in
-                            )
-                            expected += f[s] * rep.evaluate(PP.from_perm_tuple(y))
+                            s = compose(compose(p_out, extended(PP(k, y), n)), p_in)
+                            expected += f[s] * rep.evaluate(PP(k, y))
                         d = rep.dim
                         cell = F.blocks[shape][a * d : (a + 1) * d, b * d : (b + 1) * d]
                         assert np.allclose(cell, expected, atol=1e-9)
@@ -225,7 +224,7 @@ class TestFourierBasis:
                                     n,
                                     GROUPOID,
                                     {
-                                        PP.from_perm_tuple(y).extended(n): c
+                                        extended(PP(k, y), n): c
                                         for y, c in cij.items()
                                     },
                                 )
@@ -671,6 +670,16 @@ class TestAlgebraIsomorphism:
         lhs = recursive_fft(convolve_semigroup(f, g))
         rhs = blockwise_product(recursive_fft(f), recursive_fft(g))
         assert lhs.allclose(rhs, 1e-9)
+
+    def test_product_refuses_operands_with_different_labels(self):
+        # block JSON may leave labels out; the product names the first one missing
+        F = stein_fft(rand_elem(2, GROUPOID, 5))
+        data = to_json_dict(F)
+        data["blocks"] = [b for b in data["blocks"] if b["lambda"] != [2]]
+        partial = from_json_dict(data)
+        for a, b in [(F, partial), (partial, F)]:
+            with pytest.raises(ValueError, match=r"missing block for label \(2,\)"):
+                blockwise_product(a, b)
 
     @pytest.mark.parametrize("basis", [SEMIGROUP, GROUPOID])
     def test_convolutions_match_the_direct_sums_at_n6(self, basis):
