@@ -10,7 +10,7 @@ elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 ``fourier_invert`` then inverts (``round_trip_residual`` is the largest
 modulus of that inverse minus ``to_groupoid`` of the element);
 the groupoid element goes through ``stein_fft``, whose stein block set
-``fourier_invert`` inverts too.
+``fourier_invert`` inverts too, and through ``spectrum``.
 Each element is also convolved with itself (``convolve_semigroup``,
 ``convolve_groupoid``).  Last, the groupoid element becomes its element JSON
 in-process (``to_json_dict``, as the CLI would load it from a file) and
@@ -39,17 +39,22 @@ Then, for each n in CLI_NS, the command line runs in-process
 (``cli.main``, timed like the rest, its output to a file in a temporary
 directory) on the semigroup element's JSON: ``transform --algorithm stein
 --convert`` and ``transform --algorithm recursive``, and ``invert`` on the
-JSON of its ``stein_fft_semigroup`` block set.  Both input files are written
-by the standard library's ``json.dumps``, so two checkouts read the same
-bytes; each row reports their sizes and those of the outputs.
+JSON of its ``stein_fft_semigroup`` block set, and ``analyze`` under each
+association on a ballot CSV of BALLOT_VOTERS seeded ballots, one row per
+voter with count 1 (``_ballots``).  Both JSON files are written by the
+standard library's ``json.dumps`` and the CSV by its ``csv`` module, so two
+checkouts read the same bytes; each row reports their sizes and those of
+the outputs.
 Prints one JSON object.  Run it against two checkouts to compare them.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -73,6 +78,7 @@ from rookfft.algebra import (
 from rookfft import cli
 from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
+from rookfft.spectral import spectrum
 from rookfft.transforms import (
     HALVERSON,
     STEIN,
@@ -88,6 +94,7 @@ MAX_N = 8
 NAIVE_MAX_N = 7
 NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
 CLI_NS = (6, 7, 8)
+BALLOT_VOTERS = 20_000
 REPEATS = 3
 FROM_FLAT_CALLS = 2000
 SEED = 0
@@ -205,6 +212,7 @@ def _row(n: int) -> dict:
     multiply_adds["stein_fft"] = F.ops.multiply_adds
     cold["fourier_invert_stein"], seconds["fourier_invert_stein"], _ = _min_time(fourier_invert, F)
     del F
+    cold["spectrum"], seconds["spectrum"], _ = _min_time(spectrum, g)
     cold["convolve_groupoid"], seconds["convolve_groupoid"], _ = _min_time(
         convolve_groupoid, g, g
     )
@@ -243,17 +251,33 @@ def _naive_row(n: int) -> dict:
             "multiply_adds": multiply_adds, "peak_mb": peak_mb}
 
 
+def _ballots(n: int, path: Path) -> None:
+    """BALLOT_VOTERS seeded ballots on n candidates, one CSV row each: a
+    voter ranks a uniform number 0..n of them, drawn uniformly."""
+    rng = random.Random(SEED + n)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["ballot", "count"])
+        for _ in range(BALLOT_VOTERS):
+            ranked = rng.sample(range(1, n + 1), rng.randint(0, n))
+            ballot = sorted((c, position) for position, c in enumerate(ranked, start=1))
+            writer.writerow([";".join(f"{c}->{position}" for c, position in ballot), 1])
+
+
 def _cli_row(n: int, tmp: Path) -> dict:
     f, _ = _element(n, SEMIGROUP, SEED + n)
-    element, blocks = tmp / "element.json", tmp / "blocks.json"
+    element, blocks, ballots = tmp / "element.json", tmp / "blocks.json", tmp / "ballots.csv"
     element.write_text(json.dumps(to_json_dict(f)), encoding="utf-8")
     blocks.write_text(json.dumps(blocks_to_json(stein_fft_semigroup(f))), encoding="utf-8")
     del f
+    _ballots(n, ballots)
     commands = {
         "transform_stein": ["transform", "--input", str(element), "--algorithm", "stein",
                             "--convert"],
         "transform_recursive": ["transform", "--input", str(element), "--algorithm", "recursive"],
         "invert": ["invert", "--input", str(blocks)],
+        "analyze_groupoid": ["analyze", "--input", str(ballots), "--association", GROUPOID],
+        "analyze_semigroup": ["analyze", "--input", str(ballots), "--association", SEMIGROUP],
     }
     seconds, cold, output_bytes = {}, {}, {}
     for name, argv in commands.items():
@@ -263,7 +287,8 @@ def _cli_row(n: int, tmp: Path) -> dict:
             raise SystemExit(f"rookfft {' '.join(argv)} exited {code}")
         output_bytes[name] = output.stat().st_size
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    input_bytes = {"element": element.stat().st_size, "blocks": blocks.stat().st_size}
+    input_bytes = {"element": element.stat().st_size, "blocks": blocks.stat().st_size,
+                   "ballots": ballots.stat().st_size}
     return {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, "seconds": seconds,
             "cold_seconds": cold, "peak_rss_mb": round(peak_mb, 1)}
 

@@ -6,6 +6,10 @@ failure (an oracle or bound check failed, treated as a bug signal), 5 out
 of memory or too large.  Every error path prints a single line
 "ERR:<KIND>: message" to stderr.
 
+The parser is built once per process (``build_parser`` is cached), so a
+caller running many commands in one process, such as a benchmark or a
+notebook, pays for it once.
+
 All JSON is read and written by ``orjson``.  A result holding inf or nan
 (float64 overflowed on huge but finite input) is refused with exit 3
 before anything is written, as JSON has no number for it; numpy's
@@ -18,6 +22,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import orjson
@@ -77,7 +82,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(2, "USAGE", message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every
+    ``main`` call: nothing mutates it once built, and ``parse_args`` returns
+    a fresh Namespace per call, so no call sees another's arguments."""
     parser = _Parser(
         prog="rookfft",
         description="Harmonic analysis on the rook monoid R_n.",
@@ -210,7 +219,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 def _load_element(args: argparse.Namespace) -> AlgebraElement:
     path = _one_input(args)
-    if path.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         return to_function(_load_dataset(args), args.association)
     return element_from_json(_read_json(path))
 

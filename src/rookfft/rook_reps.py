@@ -54,31 +54,37 @@ def branch_rn(shape: Shape, n: int) -> tuple[Shape, ...]:
 
 
 @cache
-def halverson_similarity(shape: Shape, n: int) -> np.ndarray:
-    """U with U⁻¹·ρ_H(x)·U = ρ_S(x) for every x ∈ R_n: the change of basis
-    from the halverson family to the stein family for λ ⊢ k.  Read-only.
+def halverson_permutation(shape: Shape, n: int) -> np.ndarray:
+    """The index p with ρ_S(x) = ρ_H(x)[p][:, p] for every x ∈ R_n: the
+    change of basis from the halverson family to the stein family for
+    λ ⊢ k, a permutation of the tableaux.  Read-only.
 
     Let V₀ be the tableaux whose entries are exactly {1..k}: elements of
     rank below k act on λ as zero, and S_k acts on V₀ by its seminormal
     matrices, in the basis order of ``seminormal_rep``.  The stein basis
-    vector v of cell A is then ρ_H(p_({1..k}→A))·v, so
-    U = [ρ_H(p_({1..k}→A))[:, V₀] for A in ksubsets(n, k)], side by side.
-    ρ_H(p_({1..k}→{1..k})) keeps exactly V₀, and every other A takes one
-    generator from a subset before it in colex order: with a the least
-    point of A above 1 such that a-1 ∉ A, p_({1..k}→A) = t_a·p_({1..k}→A')
-    for A' = A with a-1 in place of a.
+    vector v of cell A is then ρ_H(p_({1..k}→A))·v, so the similarity U
+    with U⁻¹·ρ_H(x)·U = ρ_S(x) is [ρ_H(p_({1..k}→A))[:, V₀] for A in
+    ksubsets(n, k)], side by side.  ρ_H(p_({1..k}→{1..k})) keeps exactly V₀,
+    and every other A takes one generator from a subset before it in colex
+    order: with a the least point of A above 1 such that a-1 ∉ A,
+    p_({1..k}→A) = t_a·p_({1..k}→A') for A' = A with a-1 in place of a.
+    Each column of U for A' is a tableau holding a-1 but not a, and t_a
+    only relabels a-1 as a there, so it sends that column to one other
+    tableau: U is a 0/1 permutation matrix, column j the unit vector at
+    p[j], and U⁻¹·F̂·U is the gather F̂[p][:, p].
     """
     rep = halverson_rep(shape, n)
     k = sum(shape)
     first = tuple(range(1, k + 1))
     v0 = [j for j, L in enumerate(rep.basis) if entries(L) == frozenset(first)]
-    cols = {first: np.eye(rep.dim)[:, v0]}
+    rows = {first: np.array(v0, dtype=np.intp)}
     for A in ksubsets(n, k)[1:]:
         a = next(a for a in A if a > 1 and a - 1 not in A)
-        cols[A] = rep.transpositions[a] @ cols[tuple(a - 1 if b == a else b for b in A)]
-    U = np.hstack([cols[A] for A in ksubsets(n, k)])
-    U.flags.writeable = False
-    return U
+        before = rows[tuple(a - 1 if b == a else b for b in A)]
+        rows[A] = rep.transpositions[a][:, before].argmax(axis=0)
+    p = np.concatenate([rows[A] for A in ksubsets(n, k)])
+    p.flags.writeable = False
+    return p
 
 
 @dataclass

@@ -11,11 +11,16 @@ forward FFT plus O(|R_n|), with no inversion.  The projections themselves
 (``isotypic_project``) still go transform → keep one block → invert, the
 inversion over the block's rank alone.
 
-A ballot CSV is read as one batch of flat forms (``core.read_flat``, one
-numpy pass over the joined ballots for grammar and points, and
-``core.flat_rows``; points are ASCII digits only): n is inferred from the
-parsed points, the ballots become image rows, and repeated ballots merge by
-their position in ``enumerate_rn(n)``, so only distinct ballots are decoded.
+A dataset (``Dataset``) holds one read-only float vector of counts in
+``enumerate_rn(n)`` order, which ``to_function`` takes as the coefficients
+of an element.  A ballot CSV is read as one batch of flat forms
+(``core.read_flat``, one numpy pass over the joined ballots for grammar and
+points, and ``core.flat_rows``; points are ASCII digits only), its counts
+as one float array: n is inferred from the parsed points, the ballots
+become image rows, and the counts go to their positions in
+``enumerate_rn(n)`` with one ``np.add.at`` in file order, so repeated
+ballots merge.  No ballot is decoded to a ``PartialPermutation`` unless
+``Dataset.records`` is read.
 """
 
 from __future__ import annotations
@@ -53,50 +58,63 @@ from .tableaux import Shape, num_standard, partitions
 from .transforms import FourierCoefficients, invert_rank, stein_fft
 
 
-@dataclass
 class Dataset:
-    """Ballots with multiplicities; all ballots share the ambient size."""
+    """Ballots with multiplicities over R_n: ``counts[i]`` is the total count
+    of ballot ``enumerate_rn(n)[i]``, one read-only float vector.  Built from
+    (ballot, count) records, whose counts add up per ballot."""
 
-    n: int
-    records: list[tuple[PartialPermutation, float]]
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n: int, records: list[tuple[PartialPermutation, float]]):
+        images = [ballot.image for ballot, _ in records]
+        counts = terms_vector(n, images, [float(c) for _, c in records]).real.copy()
+        counts.flags.writeable = False
+        self.n, self.counts = n, counts
+
+    @property
+    def records(self) -> list[tuple[PartialPermutation, float]]:
+        """The ballots counted a nonzero number of times with their totals, in
+        ``enumerate_rn(n)`` order, decoded anew on each access."""
+        at = np.flatnonzero(self.counts)
+        return list(zip(elements_at(self.n, at), self.counts[at].tolist()))
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={self.n}, ballots={np.count_nonzero(self.counts)})"
 
 
 def ingest(path, n: int | None = None) -> Dataset:
     """Read a ballot CSV (header "ballot,count"); duplicate ballots merge.
 
-    The ballot field is the flat mapping form "a->b;c->d" ("" for the
-    all-blank ballot).  When n is not given it is inferred from the largest
-    point mentioned.  An n above MAX_N is refused (``DimensionMismatch``)
-    before any ballot is built; otherwise the first refused ballot raises a
-    ParseError that names its line.
+    The file is UTF-8, with or without a byte-order mark.  The ballot field
+    is the flat mapping form "a->b;c->d" ("" for the all-blank ballot).
+    When n is not given it is inferred from the largest point mentioned.  An
+    n above MAX_N is refused (``DimensionMismatch``) before any ballot is
+    built; otherwise the first refused row raises a ParseError that names
+    its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return _ingest_lines(fh, n)
 
 
 def _ingest_lines(fh, n: int | None) -> Dataset:
+    """The rows are checked in bulk, all counts before any ballot, and the
+    first refused row is worded by the checks of one row (``_check_row``,
+    ``refuse_flat``).  Each ballot is placed by its image row, and the counts
+    go into the vector with one ``np.add.at`` in file order."""
     rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["ballot", "count"]:
         raise ParseError('line 1: expected header "ballot,count"')
-    linenos: list[int] = []
-    texts: list[str] = []
-    counts: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            count = float(row[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad count {row[1]!r}") from None
-        if not math.isfinite(count):
-            raise ParseError(f"line {lineno}: non-finite count {row[1].strip()!r}")
-        if count < 0:
-            raise ParseError(f"line {lineno}: negative count {count}")
-        linenos.append(lineno)
-        texts.append(row[0].strip())
-        counts.append(count)
+    data = [i for i in range(1, len(rows)) if len(rows[i]) > 1 or (rows[i] and rows[i][0].strip())]
+    linenos, fields = [i + 1 for i in data], [rows[i] for i in data]  # blank rows are skipped
+    try:
+        counts = np.array([float(count) for _, count in fields])
+    except ValueError:  # a row without two fields, or a count float() refuses
+        counts = None
+    if counts is None or not (np.isfinite(counts) & (counts >= 0)).all():
+        for lineno, row in zip(linenos, fields):
+            _check_row(lineno, row)
+        raise AssertionError("a count refused in bulk but not row by row")
+    texts = [ballot.strip() for ballot, _ in fields]
     ballots = read_flat(texts)
     largest = _largest_point(ballots)  # read even when n is given, as int() may refuse a point
     if n is None:
@@ -109,10 +127,27 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
             refuse_flat(n, texts[i])
         except ParseError as exc:
             raise ParseError(f"line {linenos[i]}: {exc}") from None
-    at, merged = np.unique(element_index(n, images), return_inverse=True)
-    totals = np.zeros(len(at))
-    np.add.at(totals, merged, counts)
-    return Dataset(n, list(zip(elements_at(n, at), totals.tolist())))
+    totals = np.zeros(size(n))
+    np.add.at(totals, element_index(n, images), counts)
+    totals.flags.writeable = False
+    d = object.__new__(Dataset)
+    d.n, d.counts = n, totals
+    return d
+
+
+def _check_row(lineno: int, row: list[str]) -> None:
+    """The checks of one data row, in order: two fields, a count that
+    ``float`` reads, finite, not negative."""
+    if len(row) != 2:
+        raise ParseError(f"line {lineno}: expected 2 fields, got {len(row)}")
+    try:
+        count = float(row[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad count {row[1]!r}") from None
+    if not math.isfinite(count):
+        raise ParseError(f"line {lineno}: non-finite count {row[1].strip()!r}")
+    if count < 0:
+        raise ParseError(f"line {lineno}: negative count {count}")
 
 
 def _largest_point(ballots: FlatTerms) -> int:
@@ -129,12 +164,11 @@ def _largest_point(ballots: FlatTerms) -> int:
 
 
 def to_function(d: Dataset, association: str) -> AlgebraElement:
-    """Attach the raw counts to the chosen natural basis; counts of a
-    repeated ballot add up."""
+    """Attach the count vector to the chosen natural basis; no ballot is
+    decoded."""
     if association not in BASES:
         raise ValueError(f"unknown association model {association!r}")
-    images = [ballot.image for ballot, _ in d.records]
-    return from_dense(d.n, association, terms_vector(d.n, images, [c for _, c in d.records]))
+    return from_dense(d.n, association, d.counts)
 
 
 def _as_groupoid(f: AlgebraElement) -> AlgebraElement:

@@ -25,9 +25,10 @@ multiply-add counter:
 block set of either family by running ``stein_fft`` backwards: per rank k
 (``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
 C(n,k)² cells of every λ ⊢ k, scattered through the same cell table.  A
-halverson block set is first taken to the stein family by one similarity
-per block (``rook_reps.halverson_similarity``); no element of R_n is
-evaluated.
+halverson block set is first taken to the stein family block by block; the
+similarity is a permutation of the tableaux, so each block is one gather
+F̂[p][:, p] (``rook_reps.halverson_permutation``), with no multiply-adds,
+and no element of R_n is evaluated.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .core import (
 )
 from .counting import OpCounter
 from .indexing import cell_index, elements_at, slice_index
-from .rook_reps import branch_rn, dim, halverson_rep, halverson_similarity, labels, stein_rep
+from .rook_reps import branch_rn, dim, halverson_permutation, halverson_rep, labels, stein_rep
 from .symmetric import _coset_costs, orthogonal_scales, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
@@ -485,16 +486,17 @@ def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
 
     Each λ-block is cut into its C(n,k)² cells of d_λ×d_λ, and
     ``sn_ifft_batch`` inverts them all as one batch of S_k transforms.  A
-    halverson block F̂ is first taken to its stein block U⁻¹·F̂·U by the
-    similarity U = ``halverson_similarity(λ, n)``.
+    halverson block F̂ is first taken to its stein block U⁻¹·F̂·U =
+    F̂[p][:, p], for U the permutation matrix of p =
+    ``halverson_permutation(λ, n)``.
     """
     n, c = F.n, comb(F.n, k)
     cells = {}
     for shape in partitions(k):
         block = np.asarray(F.blocks[shape], dtype=complex)
         if F.family == HALVERSON:
-            U = halverson_similarity(shape, n)
-            block = np.linalg.solve(U, block @ U)
+            p = halverson_permutation(shape, n)
+            block = block[p][:, p]
         d = num_standard(shape)
         cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
     return sn_ifft_batch(cells, k)

@@ -24,6 +24,7 @@ from rookfft.core import (
     check_n,
     compose,
     flat_rows,
+    ksubsets,
     json_complex,
     json_int,
     order_preserving,
@@ -33,9 +34,9 @@ from rookfft.core import (
     size,
 )
 from rookfft.indexing import element_index
-from rookfft.rook_reps import SteinRep
+from rookfft.rook_reps import SteinRep, halverson_rep
 from rookfft.symmetric import Perm, _clausen_column, perm_image
-from rookfft.tableaux import Shape, num_standard, partitions
+from rookfft.tableaux import Shape, entries, num_standard, partitions
 
 
 def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraElement:
@@ -120,6 +121,22 @@ def eval_semigroup(rep: SteinRep, s: PartialPermutation) -> np.ndarray:
         if t.rank == rep.k:
             out += rep.eval_groupoid(t)
     return out
+
+
+def halverson_similarity(shape: Shape, n: int) -> np.ndarray:
+    """U with U⁻¹·ρ_H(x)·U = ρ_S(x) for every x ∈ R_n, as a matrix: the
+    columns of cell {1..k} are the unit vectors of V₀, and each other cell A
+    is ρ(t_a) times the columns of A with a-1 in place of a, as
+    ``rook_reps.halverson_permutation`` says; the oracle of its index."""
+    rep = halverson_rep(shape, n)
+    k = sum(shape)
+    first = tuple(range(1, k + 1))
+    v0 = [j for j, L in enumerate(rep.basis) if entries(L) == frozenset(first)]
+    cols = {first: np.eye(rep.dim)[:, v0]}
+    for A in ksubsets(n, k)[1:]:
+        a = next(a for a in A if a > 1 and a - 1 not in A)
+        cols[A] = rep.transpositions[a] @ cols[tuple(a - 1 if b == a else b for b in A)]
+    return np.hstack([cols[A] for A in ksubsets(n, k)])
 
 
 def perm_compose(u: Perm, v: Perm) -> Perm:

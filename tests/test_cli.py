@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rookfft
 from conftest import direct_convolve_semigroup, rand_elem, sparse_element
 from rookfft import cli
 from rookfft.algebra import (
@@ -133,6 +138,14 @@ class TestTransform:
         assert code == 0
         assert data["n"] == 2 and data["family"] == "stein"
 
+    def test_ballot_csv_suffix_in_capitals(self, capsys, tmp_path):
+        path = tmp_path / "votes.CSV"
+        path.write_text("ballot,count\n1->1,2\n,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--input", str(path), "--n", "2",
+                             "--association", GROUPOID, "--algorithm", "stein")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 2
+
     def test_malformed_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         for text in ("{not json",
@@ -228,6 +241,55 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", str(path), "--n", "2")
         assert code == 3
         assert err.startswith("ERR:PARSE:")
+
+    def test_byte_order_mark_is_read(self, capsys, tmp_path):
+        # spreadsheets' "CSV UTF-8" export starts the file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("ballot,count\n1->2,3\n1->1;2->2,5\n", encoding="utf-8")
+        marked.write_text("ballot,count\n1->2,3\n1->1;2->2,5\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfballot")
+        want = run(capsys, "analyze", "--input", str(plain))
+        assert want[0] == 0
+        assert run(capsys, "analyze", "--input", str(marked)) == want
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process: a run of commands in one
+    process prints and writes what each prints and writes alone."""
+
+    @staticmethod
+    def commands(tmp_path, out):
+        five, three = tmp_path / "five.csv", tmp_path / "three.csv"
+        five.write_text("ballot,count\n1->2;3->1,2\n5->5,1\n,4\n", encoding="utf-8")
+        three.write_text("ballot,count\n1->3,2\n2->1;3->2,1\n", encoding="utf-8")
+        element = write_element(tmp_path, "f.json", rand_elem(3, SEMIGROUP, 11))
+        blocks = str(out / "blocks.json")
+        return [
+            ["analyze", "--input", str(five), "--n", "5", "--output", str(out / "five.json")],
+            ["analyze", "--input", str(three), "--format", "csv"],  # n inferred as 3
+            ["analyze", "--n", "3"],  # no --input: a usage error
+            ["transform", "--input", element, "--algorithm", "recursive", "--output", blocks],
+            ["invert", "--input", blocks, "--output", str(out / "inverse.json")],
+        ]
+
+    def test_commands_in_one_process_match_one_process_each(self, capsys, tmp_path):
+        alone, together = tmp_path / "alone", tmp_path / "together"
+        alone.mkdir()
+        together.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(rookfft.__file__).resolve().parents[1])}
+        want = []
+        for argv in self.commands(tmp_path, alone):
+            done = subprocess.run([sys.executable, "-m", "rookfft", *argv], env=env,
+                                  capture_output=True, text=True)
+            want.append((done.returncode, done.stdout, done.stderr))
+        got = [run(capsys, *argv) for argv in self.commands(tmp_path, together)]
+        assert cli.build_parser() is cli.build_parser()
+        assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
+        assert len(got[1][1].splitlines()) == 1 + len(labels(3))  # n = 3 was inferred
+        assert got[2][2].startswith("ERR:USAGE:") and "--input" in got[2][2]
+        assert got == want
+        for name in ("five.json", "blocks.json", "inverse.json"):
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
 
 
 def assert_one_parse_error(code, err):

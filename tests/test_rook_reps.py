@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import block_diag, eval_semigroup, extended_fixed
+from conftest import block_diag, eval_semigroup, extended_fixed, halverson_similarity
 from rookfft.core import PartialPermutation, compose, enumerate_rn, size
 from rookfft.rook_reps import (
     branch_rn,
     dim,
+    halverson_permutation,
     halverson_rep,
-    halverson_similarity,
     labels,
     stein_rep,
 )
@@ -165,8 +165,18 @@ class TestSimilarity:
     def test_takes_halverson_images_to_stein_images(self, n):
         for sh in labels(n):
             U = halverson_similarity(sh, n)
-            assert U.shape == (dim(sh, n), dim(sh, n)) and not U.flags.writeable
+            assert U.shape == (dim(sh, n), dim(sh, n))
+            p = halverson_permutation(sh, n)
             h, s_rep = halverson_rep(sh, n), stein_rep(sh, n)
             for s in enumerate_rn(n):
-                assert np.allclose(np.linalg.solve(U, h.evaluate(s) @ U), eval_semigroup(s_rep, s),
-                                   rtol=0.0, atol=1e-9)
+                want = eval_semigroup(s_rep, s)
+                assert np.allclose(np.linalg.solve(U, h.evaluate(s) @ U), want, rtol=0.0, atol=1e-9)
+                assert np.allclose(h.evaluate(s)[p][:, p], want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_similarity_is_the_permutation(self, n):
+        # U is a 0/1 permutation matrix, column j the unit vector at p[j]
+        for sh in labels(n):
+            p = halverson_permutation(sh, n)
+            assert not p.flags.writeable
+            assert np.array_equal(halverson_similarity(sh, n), np.eye(dim(sh, n))[:, p])

@@ -97,6 +97,47 @@ class TestIngest:
         path.write_text("ballot,count\n1->1,2\n", encoding="utf-8")
         assert ingest(path, 2).records == [(pp(2, "1->1"), 2.0)]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "ballots.csv"
+        path.write_bytes(b"\xef\xbb\xbfballot,count\n1->1,2\n")
+        assert ingest(path, 2).records == [(pp(2, "1->1"), 2.0)]
+
+
+class TestCountVector:
+    def test_counts_in_enumeration_order_merged_in_file_order(self):
+        d = ingest_text("ballot,count\n2->1,0.1\n,4\n2->1,0.2\n1->2,1e-20\n2->1,0.3\n", n=2)
+        want = np.zeros(len(enumerate_rn(2)))
+        for s, c in [(pp(2, "2->1"), 0.1), (PP.zero(2), 4.0), (pp(2, "2->1"), 0.2),
+                     (pp(2, "1->2"), 1e-20), (pp(2, "2->1"), 0.3)]:
+            want[enumerate_rn(2).index(s)] += c
+        assert d.counts.dtype == float and not d.counts.flags.writeable
+        assert d.counts.tobytes() == want.tobytes()
+        assert d.records == [(s, c) for s, c in zip(enumerate_rn(2), want.tolist()) if c]
+
+    def test_records_leave_out_ballots_counted_zero_times(self):
+        d = ingest_text("ballot,count\n1->1,0\n2->2,3\n", n=2)
+        assert d.records == [(pp(2, "2->2"), 3.0)]
+        assert Dataset(2, [(pp(2, "1->1"), 0.0), (pp(2, "2->2"), 3.0)]).records == d.records
+
+    def test_constructor_refuses_a_complex_count(self):
+        with pytest.raises(TypeError):
+            Dataset(2, [(pp(2, "1->1"), 2 + 1j)])
+
+    def test_records_and_constructor_agree(self):
+        d = ingest_text("ballot,count\n1->2;2->1,2\n1->1,5\n1->2;2->1,1\n", n=2)
+        again = Dataset(d.n, d.records)
+        assert again.counts.tobytes() == d.counts.tobytes()
+        assert not again.counts.flags.writeable
+
+    def test_no_ballot_is_decoded_on_the_analysis_path(self, monkeypatch):
+        def decode(*_):
+            raise AssertionError("a ballot was decoded")
+
+        monkeypatch.setattr("rookfft.spectral.elements_at", decode)
+        d = ingest_text("ballot,count\n2->1;3->3,2\n1->2,1\n", n=3)
+        for association in (SEMIGROUP, GROUPOID):
+            assert analyze(d, association).parseval_residual <= 1e-9
+
 
 class TestToFunction:
     def test_single_record_each_association(self):

@@ -17,6 +17,7 @@ from conftest import (
     block_diag,
     direct_convolve_groupoid,
     extended,
+    halverson_similarity,
     rand_elem,
     sparse_element,
 )
@@ -36,8 +37,8 @@ from rookfft.indexing import ranks_at, slice_index
 from rookfft.rook_reps import (
     branch_rn,
     dim,
+    halverson_permutation,
     halverson_rep,
-    halverson_similarity,
     labels,
     stein_rep,
 )
@@ -633,8 +634,9 @@ class TestFastInversion:
         f, _, _, H = _full_support(n)
         S = stein_fft_semigroup(f)
         for shape in labels(n):
-            U = halverson_similarity(shape, n)
+            U, p = halverson_similarity(shape, n), halverson_permutation(shape, n)
             assert np.abs(np.linalg.solve(U, H.blocks[shape] @ U) - S.blocks[shape]).max() <= 1e-9
+            assert np.array_equal(H.blocks[shape][p][:, p], np.linalg.solve(U, H.blocks[shape] @ U))
 
     def test_input_blocks_are_left_unchanged(self):
         _, _, S, H = _full_support(3)
