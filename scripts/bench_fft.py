@@ -26,9 +26,16 @@ element's last flat form (rank n), the minimum over REPEATS loops of
 FROM_FLAT_CALLS calls.
 Each call runs once, timed as the cold call (caches and tables are built
 there), then REPEATS times timed; the minimum warm wall time is reported with
-the call's multiply-adds (inversion counts none).  ``from_dense`` is one timed
-call per element.  Each row also reports the process's peak RSS so far
-(``ru_maxrss``), which the row's own n dominates.
+the call's multiply-adds (inversion counts none).  Right before and right
+after the warm calls, perfbench's calibration kernel (``worker.calibrate``)
+is timed for CAL_S seconds, and ``reference_seconds`` is the warm time
+scaled by the mean of the two, in the reference seconds perfbench reports
+(``run.in_reference_s``), so that two runs minutes apart compare.
+``from_dense`` is one timed call per element.  Each row also reports the
+process's peak RSS so far (``ru_maxrss``), which the row's own n dominates.
+``half_rank`` times ``recursive_fft`` the same way on a seeded n = 5
+semigroup element that holds half of the elements of each rank (a seeded
+choice), the sparse library-caller size.
 Last, ``naive_transform`` runs in both families for each n ≤ NAIVE_MAX_N,
 halverson on the semigroup element and stein on the groupoid one, timed
 like the rest (the cold call builds the image tables) with its
@@ -65,6 +72,10 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import in_reference_s  # noqa: E402
+from worker import calibrate  # noqa: E402
+
 from rookfft.algebra import (
     GROUPOID,
     SEMIGROUP,
@@ -78,6 +89,7 @@ from rookfft.algebra import (
 from rookfft import cli
 from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
+from rookfft.indexing import ranks_at
 from rookfft.spectral import spectrum
 from rookfft.transforms import (
     HALVERSON,
@@ -96,6 +108,8 @@ NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
 CLI_NS = (6, 7, 8)
 BALLOT_VOTERS = 20_000
 REPEATS = 3
+CAL_S = 0.2
+HALF_RANK_N = 5
 FROM_FLAT_CALLS = 2000
 SEED = 0
 
@@ -118,18 +132,34 @@ print(tracemalloc.get_traced_memory()[0])
 """
 
 
-def _min_time(fn, *args):
-    """Wall time of one cold call, the minimum of REPEATS warm calls after
-    it, and the last call's result."""
-    t0 = time.perf_counter()
-    out = fn(*args)
-    cold = time.perf_counter() - t0
-    best = float("inf")
-    for _ in range(REPEATS):
+class _Clock:
+    """The timed calls of one row: per name, the wall time of one cold call
+    (``cold``), the minimum of REPEATS warm calls after it (``seconds``) and
+    that minimum in reference seconds (``reference``), from the calibration
+    kernel timed right before and right after the warm calls."""
+
+    def __init__(self):
+        self.cold, self.seconds, self.reference = {}, {}, {}
+
+    def time(self, name: str, fn, *args):
+        """Time fn(*args) under name; returns the last call's result."""
         t0 = time.perf_counter()
         out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return cold, best, out
+        self.cold[name] = time.perf_counter() - t0
+        before = calibrate(CAL_S)
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            best = min(best, time.perf_counter() - t0)
+        after = calibrate(CAL_S)
+        self.seconds[name] = best
+        self.reference[name] = in_reference_s(best, (before + after) / 2)
+        return out
+
+    def fields(self) -> dict:
+        return {"seconds": self.seconds, "cold_seconds": self.cold,
+                "reference_seconds": self.reference}
 
 
 def _traced_peak_mb(fn, *args) -> float:
@@ -189,45 +219,41 @@ def _cpu_model() -> str:
 
 
 def _row(n: int) -> dict:
-    seconds, cold, multiply_adds = {}, {}, {}
-    f, seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
-    cold["to_groupoid"], seconds["to_groupoid"], g = _min_time(to_groupoid, f)
+    clock, multiply_adds = _Clock(), {}
+    f, clock.seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
+    g = clock.time("to_groupoid", to_groupoid, f)
     multiply_adds["to_groupoid"] = _zeta_ops(f)
     for name, fn in [("stein_fft_semigroup", stein_fft_semigroup),
                      ("recursive_fft", recursive_fft)]:
-        cold[name], seconds[name], F = _min_time(fn, f)
+        F = clock.time(name, fn, f)
         multiply_adds[name] = F.ops.multiply_adds
-    name = "fourier_invert_halverson"  # F is recursive_fft's halverson block set
-    cold[name], seconds[name], back = _min_time(fourier_invert, F)
+    # F is recursive_fft's halverson block set
+    back = clock.time("fourier_invert_halverson", fourier_invert, F)
     residual = float(np.abs(back.values - g.values).max(initial=0.0))
     del F, back, g
     recursive_peak_mb = _traced_peak_mb(recursive_fft, f)
     recursive_kept_mb = _recursive_kept_mb(n, SEED + n)
-    cold["convolve_semigroup"], seconds["convolve_semigroup"], _ = _min_time(
-        convolve_semigroup, f, f
-    )
+    clock.time("convolve_semigroup", convolve_semigroup, f, f)
     del f  # free the semigroup side before the groupoid element is built
     g, _ = _element(n, GROUPOID, SEED + 100 + n)
-    cold["stein_fft"], seconds["stein_fft"], F = _min_time(stein_fft, g)
+    F = clock.time("stein_fft", stein_fft, g)
     multiply_adds["stein_fft"] = F.ops.multiply_adds
-    cold["fourier_invert_stein"], seconds["fourier_invert_stein"], _ = _min_time(fourier_invert, F)
+    clock.time("fourier_invert_stein", fourier_invert, F)
     del F
-    cold["spectrum"], seconds["spectrum"], _ = _min_time(spectrum, g)
-    cold["convolve_groupoid"], seconds["convolve_groupoid"], _ = _min_time(
-        convolve_groupoid, g, g
-    )
+    clock.time("spectrum", spectrum, g)
+    clock.time("convolve_groupoid", convolve_groupoid, g, g)
     data = to_json_dict(g)
     del g
-    cold["from_json_dict"], seconds["from_json_dict"], _ = _min_time(from_json_dict, data)
+    clock.time("from_json_dict", from_json_dict, data)
     parse_peak_mb = _traced_peak_mb(from_json_dict, data)
     texts = [term["elem"] for term in data["terms"]]
     del data
-    cold["read_flat"], seconds["read_flat"], _ = _min_time(read_flat, texts)
+    clock.time("read_flat", read_flat, texts)
     read_flat_peak_mb = _traced_peak_mb(read_flat, texts)
     from_flat_seconds = _from_flat_seconds(n, texts[-1])
     del texts
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"n": n, "size": size(n), "seconds": seconds, "cold_seconds": cold,
+    return {"n": n, "size": size(n), **clock.fields(),
             "multiply_adds": multiply_adds, "round_trip_residual": residual,
             "recursive_peak_mb": recursive_peak_mb, "recursive_kept_mb": recursive_kept_mb,
             "parse_peak_mb": parse_peak_mb,
@@ -235,8 +261,26 @@ def _row(n: int) -> dict:
             "peak_rss_mb": round(peak_mb, 1)}
 
 
+def _half_rank_row() -> dict:
+    """recursive_fft on a seeded semigroup element of R_HALF_RANK_N holding
+    half of the elements of each rank, rounded down."""
+    n = HALF_RANK_N
+    full, _ = _element(n, SEMIGROUP, SEED + 200 + n)
+    rng, ranks = np.random.default_rng(SEED + 200 + n), ranks_at(n, np.arange(size(n)))
+    values = np.zeros(size(n), dtype=complex)
+    for k in range(n + 1):
+        at = np.flatnonzero(ranks == k)
+        keep = rng.choice(at, len(at) // 2, replace=False)
+        values[keep] = full.values[keep]
+    f = from_dense(n, SEMIGROUP, values)
+    clock = _Clock()
+    F = clock.time("recursive_fft", recursive_fft, f)
+    return {"n": n, "support": f.support(), **clock.fields(),
+            "multiply_adds": {"recursive_fft": F.ops.multiply_adds}}
+
+
 def _naive_row(n: int) -> dict:
-    seconds, cold, multiply_adds, peak_mb = {}, {}, {}, {}
+    clock, multiply_adds, peak_mb = _Clock(), {}, {}
     for family, basis, seed in [(HALVERSON, SEMIGROUP, SEED + n), (STEIN, GROUPOID, SEED + 100 + n)]:
         f, _ = _element(n, basis, seed)
         if n in NAIVE_SPARSE_TERMS:
@@ -244,10 +288,10 @@ def _naive_row(n: int) -> dict:
             values = np.zeros(size(n), dtype=complex)
             values[keep] = f.values[keep]
             f = from_dense(n, basis, values)
-        cold[family], seconds[family], F = _min_time(naive_transform, f, family)
+        F = clock.time(family, naive_transform, f, family)
         multiply_adds[family] = F.ops.multiply_adds
         peak_mb[family] = _traced_peak_mb(naive_transform, f, family)
-    return {"n": n, "support": f.support(), "seconds": seconds, "cold_seconds": cold,
+    return {"n": n, "support": f.support(), **clock.fields(),
             "multiply_adds": multiply_adds, "peak_mb": peak_mb}
 
 
@@ -279,22 +323,23 @@ def _cli_row(n: int, tmp: Path) -> dict:
         "analyze_groupoid": ["analyze", "--input", str(ballots), "--association", GROUPOID],
         "analyze_semigroup": ["analyze", "--input", str(ballots), "--association", SEMIGROUP],
     }
-    seconds, cold, output_bytes = {}, {}, {}
+    clock, output_bytes = _Clock(), {}
     for name, argv in commands.items():
         output = tmp / f"{name}.out"
-        cold[name], seconds[name], code = _min_time(cli.main, [*argv, "--output", str(output)])
+        code = clock.time(name, cli.main, [*argv, "--output", str(output)])
         if code != 0:
             raise SystemExit(f"rookfft {' '.join(argv)} exited {code}")
         output_bytes[name] = output.stat().st_size
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     input_bytes = {"element": element.stat().st_size, "blocks": blocks.stat().st_size,
                    "ballots": ballots.stat().st_size}
-    return {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, "seconds": seconds,
-            "cold_seconds": cold, "peak_rss_mb": round(peak_mb, 1)}
+    return {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, **clock.fields(),
+            "peak_rss_mb": round(peak_mb, 1)}
 
 
 def main() -> None:
     rows = [_row(n) for n in range(1, MAX_N + 1)]
+    half_rank = _half_rank_row()
     naive = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
     with tempfile.TemporaryDirectory() as tmp:
         cli_rows = [_cli_row(n, Path(tmp)) for n in CLI_NS]
@@ -305,7 +350,8 @@ def main() -> None:
         "numpy": np.__version__,
     }
     print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
-                      "rows": rows, "naive": naive, "cli": cli_rows}, indent=2))
+                      "rows": rows, "half_rank": half_rank, "naive": naive, "cli": cli_rows},
+                     indent=2))
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ def halverson_permutation(shape: Shape, n: int) -> np.ndarray:
     for A in ksubsets(n, k)[1:]:
         a = next(a for a in A if a > 1 and a - 1 not in A)
         before = rows[tuple(a - 1 if b == a else b for b in A)]
-        rows[A] = rep.transpositions[a][:, before].argmax(axis=0)
+        rows[A] = rep.pairings[a].partner[before]
     p = np.concatenate([rows[A] for A in ksubsets(n, k)])
     p.flags.writeable = False
     return p

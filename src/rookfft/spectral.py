@@ -29,6 +29,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -238,14 +239,25 @@ def spectrum(f: AlgebraElement, association: str | None = None) -> SpectrumRepor
     F = stein_fft(g)
     energies: dict[Shape, float] = {}
     for shape in labels(f.n):
-        k = sum(shape)
-        w = np.tile(invariant_form(shape), math.comb(f.n, k))
+        w, inverse, factor = _plancherel_weights(shape, f.n)
         M = F.blocks[shape]
         power = M.real**2 + M.imag**2
-        energies[shape] = num_standard(shape) / math.factorial(k) * float(w @ power @ (1.0 / w))
+        energies[shape] = factor * float(w @ power @ inverse)
     total = sum(energies.values())
     residual = abs(total - float(np.vdot(g.values, g.values).real))
     return SpectrumReport(f.n, f.basis, energies, total, residual)
+
+
+@cache
+def _plancherel_weights(shape: Shape, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(W, 1/W, f^λ/k!) for λ ⊢ k in R_n: the invariant form tiled across
+    the C(n,k) subset cells, its reciprocal (both read-only) and the
+    Plancherel factor, as ``spectrum`` weighs the λ block."""
+    k = sum(shape)
+    w = np.tile(invariant_form(shape), math.comb(n, k))
+    inverse = 1.0 / w
+    w.flags.writeable = inverse.flags.writeable = False
+    return w, inverse, num_standard(shape) / math.factorial(k)
 
 
 def analyze(d: Dataset, association: str) -> SpectrumReport:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
 from math import factorial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,51 +52,79 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(permutations(range(1, n + 1)))
 
 
-def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
-    """Matrix of t_i = (i-1, i) acting on the span of an n-standard basis.
+class Pairing(NamedTuple):
+    """A generator image M = ρ(t_j) held as index pairs: t_j mixes a tableau
+    only with the one that swaps j-1 and j, so each row and column of M
+    holds its diagonal entry and at most one more, at the partner.
+    M[r, r] = diagonal[r] and M[r, partner[r]] = off[r]; an index with no
+    partner is its own, and its off entry is 0.  Read-only."""
+
+    partner: np.ndarray
+    diagonal: np.ndarray
+    off: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """M as a d×d matrix, built on each call, read-only."""
+        M = np.diag(self.diagonal)
+        M[np.arange(len(M)), self.partner] += self.off
+        M.flags.writeable = False
+        return M
+
+    def nonzeros(self) -> int:
+        return int(np.count_nonzero(self.diagonal) + np.count_nonzero(self.off))
+
+
+def transposition_image(basis: tuple[Tableau, ...], i: int) -> Pairing:
+    """ρ(t_i) for t_i = (i-1, i) acting on the span of an n-standard basis.
 
     On a basis vector indexed by L: when both i-1 and i appear in L the
     action mixes L with the swapped tableau using the inverse content
     difference 1/(ct(L(i)) - ct(L(i-1))); when exactly one appears it just
-    relabels; when neither appears it fixes the vector.  Read-only.
+    relabels; when neither appears it fixes the vector.
     """
     index = {t: j for j, t in enumerate(basis)}
     d = len(basis)
-    M = np.zeros((d, d))
+    partner, diagonal, off = np.arange(d), np.ones(d), np.zeros(d)
     for col, L in enumerate(basis):
         pos_i = find_entry(L, i)
         pos_prev = find_entry(L, i - 1)
         if pos_i is not None and pos_prev is not None:
             diff = content(*pos_i) - content(*pos_prev)
-            M[col, col] += 1.0 / diff
+            diagonal[col] = 1.0 / diff
             swapped = swap_adjacent(L, i)
             if is_standard(swapped):
-                M[index[swapped], col] += 1.0 + 1.0 / diff
+                row = index[swapped]
+                partner[row], off[row] = col, 1.0 + 1.0 / diff
         elif pos_i is not None or pos_prev is not None:
-            M[index[swap_adjacent(L, i)], col] = 1.0
-        else:
-            M[col, col] = 1.0
-    M.flags.writeable = False
-    return M
+            row = index[swap_adjacent(L, i)]
+            diagonal[col] = 0.0
+            partner[row], off[row] = col, 1.0
+    for a in (partner, diagonal, off):
+        a.flags.writeable = False
+    return Pairing(partner, diagonal, off)
 
 
 @dataclass
 class HalversonRep:
     """Chain-adapted irreducible representation of R_n on n-standard tableaux.
-    The generator images it holds are read-only."""
+
+    Each generator image ρ(t_j) is held as its ``Pairing``, at most two
+    nonzeros per row, and the image of [m] as its diagonal (``link``); a
+    dense ρ(t_j) is built on demand (``Pairing.dense``) and not kept.
+    Everything it holds is read-only."""
 
     shape: Shape
     n: int
     dim: int
     basis: tuple[Tableau, ...]
-    transpositions: dict[int, np.ndarray]
+    pairings: dict[int, Pairing]
     _links: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
-    def link_image(self, m: int) -> np.ndarray:
-        """Image of [m]: diagonal, keeping exactly the tableaux without m."""
+    def link(self, m: int) -> np.ndarray:
+        """The diagonal of ρ([m]): 1 at exactly the tableaux without m."""
         hit = self._links.get(m)
         if hit is None:
-            hit = np.diag([0.0 if m in entries(L) else 1.0 for L in self.basis])
+            hit = np.array([0.0 if m in entries(L) else 1.0 for L in self.basis])
             hit.flags.writeable = False
             self._links[m] = hit
         return hit
@@ -111,10 +139,17 @@ class HalversonRep:
 
     def evaluate_word(self, word) -> np.ndarray:
         """ρ of a generator word of R_n (``core.generator_word``), so that a
-        caller imaging one element under many labels builds its word once."""
+        caller imaging one element under many labels builds its word once.
+        Each letter updates the columns of the product so far: column c of
+        M·ρ(t_j) is M[:, c]·diagonal[c] + M[:, p]·off[p] with p the partner
+        of c, and M·ρ([j]) masks the columns."""
         M = np.eye(self.dim)
         for kind, j in word:
-            M = M @ (self.transpositions[j] if kind == "t" else self.link_image(j))
+            if kind == "t":
+                p, diagonal, off = self.pairings[j]
+                M = M * diagonal + M[:, p] * off[p]
+            else:
+                M = M * self.link(j)
         return M
 
     def eval_groupoid(self, s: PartialPermutation) -> np.ndarray:
@@ -133,8 +168,8 @@ def halverson_rep(shape: Shape, n: int) -> HalversonRep:
     if sum(shape) > n:
         raise ValueError(f"weight of {shape} exceeds n = {n}")
     basis = nstandard_tableaux(shape, n)
-    images = {j: transposition_image(basis, j) for j in range(2, n + 1)}
-    return HalversonRep(shape=shape, n=n, dim=len(basis), basis=basis, transpositions=images)
+    pairings = {j: transposition_image(basis, j) for j in range(2, n + 1)}
+    return HalversonRep(shape=shape, n=n, dim=len(basis), basis=basis, pairings=pairings)
 
 
 def seminormal_rep(shape: Shape) -> HalversonRep:
@@ -252,11 +287,12 @@ def _coset_reps(shape: Shape, inverse: bool) -> list[np.ndarray]:
     involutions."""
     rep = seminormal_rep(shape)
     m = rep.n
+    images = {j: p.dense() for j, p in rep.pairings.items()}
     out = []
     for i in range(1, m + 1):
         P = np.eye(rep.dim)
         for j in range(i + 1, m + 1):
-            P = rep.transpositions[j] @ P if inverse else P @ rep.transpositions[j]
+            P = images[j] @ P if inverse else P @ images[j]
         out.append(P)
     return out
 
@@ -305,7 +341,7 @@ def _coset_costs(shapes: tuple[Shape, ...], m: int) -> np.ndarray:
     costs = np.zeros(m, dtype=np.int64)
     for shape in shapes:
         rep = halverson_rep(shape, m)
-        nnz = [np.count_nonzero(rep.transpositions[j]) for j in range(2, m + 1)]
+        nnz = [rep.pairings[j].nonzeros() for j in range(2, m + 1)]
         for i in range(1, m + 1):
             costs[i - 1] += rep.dim * sum(nnz[i - 1 :])
     costs.flags.writeable = False

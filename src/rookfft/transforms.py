@@ -13,13 +13,16 @@ multiply-add counter:
   cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49; the recursion runs
   level by level over a dense coefficient vector, every visited node of a
   level at once, and is charged from which nodes the support occupies.
-  Within a level a slice is multiplied by one cached run of generator
-  images ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one
-  matmul; the levels run in Young's orthogonal basis, where T_i and up_i
-  share that run, and the root is rescaled to the halverson basis once.
-  The cached tables hold 8 bytes per element of R_m (``_embedding``) and
-  8·(m-1) for the runs (``_runs``), 0.59 MB over the levels of n = 6 and
-  88 MB at n = 8.
+  It starts from copies of R_4, each transformed by one product with a
+  cached table of R_4's point masses (``_codelet``).  Above R_4, within a
+  level a slice is multiplied by one cached run of generator images
+  ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one matmul;
+  the levels run in Young's orthogonal basis, where T_i and up_i share
+  that run, and the root is rescaled to the halverson basis once.  The
+  cached tables hold 8 bytes per element of R_m (``_embedding``), 8·(m-1)
+  for the runs (``_runs``) and 8·|R_4|² for the codelet: 1.06 MB over the
+  levels of n = 6 (0.59 MB of runs, 0.35 MB of codelet) and 100 MB at
+  n = 8.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set of either family by running ``stein_fft`` backwards: per rank k
@@ -64,6 +67,10 @@ FAMILIES = (STEIN, HALVERSON)
 # a family's image table is cached whole while its reals fit (|R_5|²: 19 MB;
 # |R_6|²: 1.4 GB); above that it is built per call, this much at a time
 IMAGE_TABLE_BYTES = 32 << 20
+
+# recursive_fft starts from R_4 (``_codelet``), the largest base that pays:
+# from R_5 (a 19 MB table) n = 8 would spend 12.8 G multiply-adds in it
+CODELET = 4
 
 
 @dataclass
@@ -211,51 +218,56 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     of R_{m-1} (``indexing.slice_index``).  The recursion runs level by
     level over all its nodes at once.  A level is one (|R_m| + 1, nodes)
     array: a column holds every block of one node, flattened side by side
-    in the order of ``_groups(m)``, and a zero last.  The base nodes are the
-    copies of R_2 (R_n itself when n ≤ 2), transformed by one product with
-    the naive oracle's table of R_2 (``_image_table``).  At each level m ≥ 3
+    in the order of ``_groups(m)``, and a zero last.  At each level m ≥ 3
     the 2m subtransforms of every node are reassembled block-diagonally for
     free thanks to chain adaptation and multiplied by the image of the
     slice's coset word ρ(t_{i+1})···ρ(t_m), or of [m] (``_level``).  Only
     nodes whose part of f holds a nonzero are visited.  The levels run in
     Young's orthogonal basis, each label's basis rescaled by 1/√E
     (``symmetric.orthogonal_scales``), where every ρ(t_j) is symmetric, so
-    that a slice T_i and a slice up_i take one cached run (``_runs``);
-    R_2's scales are all 1, and only the root's blocks are rescaled back,
-    F[a, b]·s[b]/s[a].  The blocks agree with a product by one generator
-    image at a time to within 1e-12 of the largest entry.
+    that a slice T_i and a slice up_i take one cached run (``_runs``), and
+    only the root's blocks are rescaled back, F[a, b]·s[b]/s[a].  The
+    blocks agree with a product by one generator image at a time to within
+    1e-12 of the largest entry.
+
+    The recursion starts from the copies of R_b, b = min(n, ``CODELET``):
+    the nodes of level b are transformed by one real product with a cached
+    (|R_b|, |R_b|) table (``_codelet``), which holds, in the orthogonal
+    basis, what the base of R_2 and the levels 3..b give for each point
+    mass of R_b; for n ≤ 2 it is the naive oracle's image table.
 
     Ops are charged from that occupancy, as a recursion over the visited
-    nodes alone would spend them: nnz(f)·|R_2| for the base cases, nnz ×
-    columns for every sparse generator product of a visited slice (whatever
-    dense kernel carries it out, ``counting``), and one addition per block
-    entry for every visited slice after a node's first; on full support
-    T(n) ≤ 2n·T(n-1) + 2n²|R_n|.  The root's rescaling is a change of basis
-    and is not charged.
+    nodes alone would spend them: nnz(f)·|R_2| for the base cases of R_2,
+    nnz × columns for every sparse generator product of a visited slice
+    (whatever dense kernel carries it out, ``counting``), and one addition
+    per block entry for every visited slice after a node's first; on full
+    support T(n) ≤ 2n·T(n-1) + 2n²|R_n|.  The walk still goes down to R_2
+    so that the levels below R_b are charged from their nodes' ids alone
+    (``_charge_codelet``).  The codelet product does more arithmetic than
+    it is charged: |R_4|² = 43,681 multiply-adds per real part of a full
+    R_4 node against the 8,487 the recursion charges it, as level 8's dense
+    runs do more than their sparse count.  The root's rescaling is a change
+    of basis and is not charged.
     """
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
     n = f.n
     values = f.values
     support = np.flatnonzero(values)
-    # walk each term down the chain: its slice at every level, the top
-    # level's as the lowest digit of its node id, and its point of R_2
-    nodes, points, weight = np.zeros(len(support), dtype=np.int64), support, 1
-    for m in range(n, 2, -1):
-        slices, points = slice_index(m)[points].T
-        nodes += _digits(m)[slices] * weight
-        weight *= 2 * m
-    base = min(n, 2)
+    b = min(n, CODELET)
+    # walk each term down to R_b: its slice at every level as a digit of its
+    # node id, the top level's lowest, and its point of R_b
+    nodes = np.zeros(len(support), dtype=np.int64)
+    nodes, points, weight = _walk(nodes, support, 1, n, b)
+    _charge_codelet(nodes, points, weight, b, counter)
     nodes, row = np.unique(nodes, return_inverse=True)
-    functions = np.zeros((len(nodes), size(base)), dtype=complex)
-    functions[row, points] = values[support]
-    counter.add(len(support) * size(base))
-    product = functions @ _image_table(HALVERSON, base)
+    functions = np.zeros((size(b), len(nodes)), dtype=complex)
+    functions[points, row] = values[support]
+    level = np.empty((size(b) + 1, len(nodes)), dtype=complex)
+    level[-1] = 0
+    np.matmul(_codelet(b), functions.view(float), out=level[:-1].view(float))
     del functions
-    level = np.zeros((size(base) + 1, len(nodes)), dtype=complex)
-    level[:-1] = product.T
-    del product
-    for m in range(3, n + 1):
+    for m in range(b + 1, n + 1):
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, counter)
     # the root is the one node left, or none when f = 0; its blocks go back
@@ -266,6 +278,64 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
         blocks = root[at : at + len(shapes) * d * d].reshape(-1, d, d)
         blocks *= s / s.transpose(0, 2, 1)
     return FourierCoefficients(n, HALVERSON, _blocks(n, root), counter)
+
+
+def _walk(
+    nodes: np.ndarray, points: np.ndarray, weight: int, top: int, bottom: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each point of R_top down the chain to R_bottom: at every level m from
+    top down to bottom + 1, its slice's digit (``_digits``) is added to its
+    node id at the weight of that level, and the point becomes its point in
+    the slice (``indexing.slice_index``).  Returns the node ids, the points
+    of R_bottom and the weight of the level below."""
+    for m in range(top, bottom, -1):
+        slices, points = slice_index(m)[points].T
+        nodes = nodes + _digits(m)[slices] * weight
+        weight *= 2 * m
+    return nodes, points, weight
+
+
+def _charge_codelet(
+    nodes: np.ndarray, points: np.ndarray, weight: int, b: int, counter: OpCounter
+) -> None:
+    """Charge what the recursion below the R_b nodes would spend, from node
+    ids alone: the walk goes on down to R_2, each term pays |R_2| at the
+    base, and each level m = 3..b pays as ``_level`` charges it
+    (``_visit``)."""
+    nodes, _, weight = _walk(nodes, points, weight, b, 2)
+    counter.add(len(nodes) * size(min(b, 2)))
+    # a bare np.unique imports numpy.ma, which the process would keep
+    nodes = np.unique(nodes, return_inverse=True)[0]
+    for m in range(3, b + 1):
+        weight //= 2 * m
+        _, nodes, _ = _visit(nodes, weight, m, counter)
+
+
+@cache
+def _codelet(b: int) -> np.ndarray:
+    """(|R_b|, |R_b|) reals for b ≤ ``CODELET``, read-only: column x holds
+    the blocks of the point mass at x ∈ R_b in the orthogonal basis, side by
+    side in the order of ``_columns(b)``, so that the transform of any
+    function on R_b is one product with it.  For b ≤ 2 this is the naive
+    oracle's image table of R_b (``_image_table``), transposed.  Above, it
+    is the recursion of ``recursive_fft`` run on all |R_b| point masses as
+    one batch, each point mass's index the lowest digit of its node ids:
+    the walk down to R_2, the image table of R_2 and ``_level`` for
+    m = 3..b.  R_4's table is 349 KB."""
+    points = np.arange(size(b))
+    nodes, points, weight = _walk(points, points, size(b), b, 2)
+    nodes, row = np.unique(nodes, return_inverse=True)
+    base = min(b, 2)
+    functions = np.zeros((len(nodes), size(base)))
+    functions[row, points] = 1.0
+    level = np.zeros((size(base) + 1, len(nodes)), dtype=complex)
+    level[:-1] = (functions @ _image_table(HALVERSON, base)).T
+    for m in range(3, b + 1):
+        weight //= 2 * m
+        nodes, level = _level(level, nodes, weight, m, OpCounter())
+    out = np.ascontiguousarray(level[:-1].real)
+    out.flags.writeable = False
+    return out
 
 
 @cache
@@ -351,25 +421,9 @@ def _slice_costs(m: int) -> np.ndarray:
     costs[1:-1:2] = cosets[:-1]  # up_i takes the generators of T_i
     for shape in labels(m):
         rep = halverson_rep(shape, m)
-        costs[-1] += rep.dim * np.count_nonzero(rep.link_image(m))
+        costs[-1] += rep.dim * np.count_nonzero(rep.link(m))
     costs.flags.writeable = False
     return costs
-
-
-def _pairing(shape: Shape, m: int, j: int) -> tuple[np.ndarray, ...]:
-    """ρ_λ(t_j) on R_m as a diagonal plus one partner per index: t_j mixes a
-    tableau only with the one that swaps j-1 and j, so each row and column
-    holds the diagonal entry and at most one more, at the partner.  Returns
-    the partners p, the diagonal, M[r, p(r)] and M[p(r), r] (0 where an
-    index has no partner)."""
-    M = halverson_rep(shape, m).transpositions[j]
-    at = np.arange(len(M))
-    diagonal = np.diag(M).copy()
-    off = M - np.diag(diagonal)
-    partner = at.copy()
-    rows, cols = np.nonzero(off)
-    partner[cols] = rows
-    return partner, diagonal, off[at, partner], off[partner, at]
 
 
 @cache
@@ -380,25 +434,40 @@ def _runs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     the orthogonal basis (``orthogonal_scales``), where every ρ(t_j) is
     symmetric.  Each run is built from the one after it, A_m = I and
     A_i = ρ(t_{i+1})·A_{i+1}, a diagonal plus one partner row per row
-    (``_pairing``), so the build costs O(m·|R_m|).  The runs take
+    (``symmetric.Pairing``), so the build costs O(m·|R_m|).  The runs take
     8·|R_m|·(m-1) bytes: 0.53 MB at m = 6, 6.3 MB at m = 7, 81 MB at
     m = 8.  Read-only."""
     out = []
     for d, shapes, _ in _groups(m):
-        keep = np.concatenate([np.diag(halverson_rep(shape, m).link_image(m)) for shape in shapes])
+        reps = [halverson_rep(shape, m) for shape in shapes]
+        keep = np.concatenate([rep.link(m) for rep in reps])
         scales = [orthogonal_scales(shape, m) for shape in shapes]
         runs = np.empty((m - 1, len(shapes) * d, d))
         A = np.tile(np.eye(d), (len(shapes), 1))
         for j in range(m, 1, -1):
-            parts = [_pairing(shape, m, j) for shape in shapes]
-            partner = np.concatenate([p[0] + l * d for l, p in enumerate(parts)])
-            diagonal = np.concatenate([p[1] for p in parts])
-            off = np.concatenate([s * p[2] / s[p[0]] for s, p in zip(scales, parts)])
+            parts = [rep.pairings[j] for rep in reps]
+            partner = np.concatenate([p.partner + l * d for l, p in enumerate(parts)])
+            diagonal = np.concatenate([p.diagonal for p in parts])
+            off = np.concatenate([s * p.off / s[p.partner] for s, p in zip(scales, parts)])
             A = runs[j - 2] = diagonal[:, None] * A + off[:, None] * A[partner]
         keep, runs = keep.reshape(-1, d, 1), runs.reshape(m - 1, len(shapes), d, d)
         keep.flags.writeable = runs.flags.writeable = False
         out.append((keep, runs))
     return tuple(out)
+
+
+def _visit(
+    nodes: np.ndarray, weight: int, m: int, counter: OpCounter
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The visited nodes of level m-1 → their slice digits, the visited
+    nodes of level m and each child's column among them, charging the
+    level: each visited slice its ``_slice_costs``, and one addition per
+    block entry for every visited slice after a node's first."""
+    digits, parent = np.divmod(nodes, weight)
+    nodes, column = np.unique(parent, return_inverse=True)
+    slices = np.argsort(_digits(m))[digits]
+    counter.add(int(_slice_costs(m)[slices].sum()) + (len(slices) - len(nodes)) * size(m))
+    return digits, nodes, column
 
 
 def _level(
@@ -424,10 +493,7 @@ def _level(
     transposed.  The slices are taken in slice order, so each parent sums
     its children in that order.
     """
-    digits, parent = np.divmod(nodes, weight)
-    nodes, column = np.unique(parent, return_inverse=True)
-    slices = np.argsort(_digits(m))[digits]
-    counter.add(int(_slice_costs(m)[slices].sum()) + (len(slices) - len(nodes)) * size(m))
+    digits, nodes, column = _visit(nodes, weight, m, counter)
     starts = np.searchsorted(digits, np.arange(2 * m + 1))
     embedding = _embedding(m)
     out = np.zeros((size(m) + 1, len(nodes)), dtype=complex)

@@ -36,7 +36,17 @@ from rookfft.core import (
 from rookfft.indexing import element_index
 from rookfft.rook_reps import SteinRep, halverson_rep
 from rookfft.symmetric import Perm, _clausen_column, perm_image
-from rookfft.tableaux import Shape, entries, num_standard, partitions
+from rookfft.tableaux import (
+    Shape,
+    Tableau,
+    content,
+    entries,
+    find_entry,
+    is_standard,
+    num_standard,
+    partitions,
+    swap_adjacent,
+)
 
 
 def rand_elem(n: int, basis: str, seed: int, support: str = "full") -> AlgebraElement:
@@ -135,8 +145,37 @@ def halverson_similarity(shape: Shape, n: int) -> np.ndarray:
     cols = {first: np.eye(rep.dim)[:, v0]}
     for A in ksubsets(n, k)[1:]:
         a = next(a for a in A if a > 1 and a - 1 not in A)
-        cols[A] = rep.transpositions[a] @ cols[tuple(a - 1 if b == a else b for b in A)]
+        cols[A] = rep.pairings[a].dense() @ cols[tuple(a - 1 if b == a else b for b in A)]
     return np.hstack([cols[A] for A in ksubsets(n, k)])
+
+
+def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
+    """Dense matrix of t_i = (i-1, i) acting on the span of an n-standard
+    basis, entry by entry: the reference for the pairings
+    ``symmetric.transposition_image`` builds.
+
+    On a basis vector indexed by L: when both i-1 and i appear in L the
+    action mixes L with the swapped tableau using the inverse content
+    difference 1/(ct(L(i)) - ct(L(i-1))); when exactly one appears it just
+    relabels; when neither appears it fixes the vector.
+    """
+    index = {t: j for j, t in enumerate(basis)}
+    d = len(basis)
+    M = np.zeros((d, d))
+    for col, L in enumerate(basis):
+        pos_i = find_entry(L, i)
+        pos_prev = find_entry(L, i - 1)
+        if pos_i is not None and pos_prev is not None:
+            diff = content(*pos_i) - content(*pos_prev)
+            M[col, col] += 1.0 / diff
+            swapped = swap_adjacent(L, i)
+            if is_standard(swapped):
+                M[index[swapped], col] += 1.0 + 1.0 / diff
+        elif pos_i is not None or pos_prev is not None:
+            M[index[swap_adjacent(L, i)], col] = 1.0
+        else:
+            M[col, col] = 1.0
+    return M
 
 
 def perm_compose(u: Perm, v: Perm) -> Perm:

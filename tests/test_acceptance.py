@@ -144,15 +144,15 @@ def test_07_schur_sparsity():
         for n in range(1, 6):
             for sh in labels(n):
                 rep = halverson_rep(sh, n)
-                for M in rep.transpositions.values():
+                for M in (p.dense() for p in rep.pairings.values()):
                     nz = np.abs(M) > 1e-12
                     assert nz.sum(axis=0).max() <= 2
                     assert nz.sum(axis=1).max() <= 2
-                link_nz = np.abs(rep.link_image(n)) > 1e-12
+                link_nz = np.abs(np.diag(rep.link(n))) > 1e-12
                 assert link_nz.sum(axis=1).max() <= 1
             for sh in partitions(n):
                 rep = seminormal_rep(sh)
-                for M in rep.transpositions.values():
+                for M in (p.dense() for p in rep.pairings.values()):
                     nz = np.abs(M) > 1e-12
                     assert nz.sum(axis=0).max() <= 2
                     assert nz.sum(axis=1).max() <= 2

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import block_diag, eval_semigroup, extended_fixed, halverson_similarity
-from rookfft.core import PartialPermutation, compose, enumerate_rn, size
+from conftest import (
+    block_diag,
+    eval_semigroup,
+    extended_fixed,
+    halverson_similarity,
+    transposition_image,
+)
+from rookfft.core import PartialPermutation, compose, enumerate_rn, generator_word, size
 from rookfft.rook_reps import (
     branch_rn,
     dim,
@@ -75,13 +81,13 @@ class TestBranching:
 class TestHalverson:
     def test_rank_one_label_at_n1(self):
         rep = halverson_rep((1,), 1)
-        assert rep.transpositions == {}
-        assert np.array_equal(rep.link_image(1), [[0.0]])
+        assert rep.pairings == {}
+        assert np.array_equal(rep.link(1), [0.0])
         assert np.array_equal(rep.evaluate(PP.zero(1)), [[0.0]])
 
     def test_sign_label_at_n2(self):
         rep = halverson_rep((1, 1), 2)
-        assert np.array_equal(rep.transpositions[2], [[-1.0]])
+        assert np.array_equal(rep.pairings[2].dense(), [[-1.0]])
 
     def test_empty_label_is_trivial_action(self):
         rep = halverson_rep((), 3)
@@ -106,15 +112,40 @@ class TestHalverson:
                         Ms @ rep.evaluate(t), rep.evaluate(compose(s, t)), atol=1e-9
                     )
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_pairings_densify_to_the_dense_reference(self, n):
+        # every generator image is held as its pairing, which builds the
+        # entry-by-entry dense matrix exactly, with as many nonzeros
+        for sh in labels(n):
+            rep = halverson_rep(sh, n)
+            assert sorted(rep.pairings) == list(range(2, n + 1))
+            for j, pairing in rep.pairings.items():
+                M = transposition_image(rep.basis, j)
+                assert np.array_equal(rep.pairings[j].dense(), M)
+                assert pairing.nonzeros() == np.count_nonzero(M)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_words_by_column_updates_match_dense_products(self, n):
+        # evaluate_word updates columns through the pairings; the product of
+        # the dense reference matrices, letter by letter, agrees
+        for sh in labels(n):
+            rep = halverson_rep(sh, n)
+            dense = {j: transposition_image(rep.basis, j) for j in range(2, n + 1)}
+            for s in enumerate_rn(n):
+                want = np.eye(rep.dim)
+                for kind, j in generator_word(s):
+                    want = want @ (dense[j] if kind == "t" else np.diag(rep.link(j)))
+                assert np.allclose(rep.evaluate(s), want, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_schur_sparsity(self, n):
         for sh in labels(n):
             rep = halverson_rep(sh, n)
-            for M in rep.transpositions.values():
+            for M in (p.dense() for p in rep.pairings.values()):
                 nz = np.abs(M) > 1e-12
                 assert nz.sum(axis=0).max() <= 2
                 assert nz.sum(axis=1).max() <= 2
-            link = np.abs(rep.link_image(n)) > 1e-12
+            link = np.abs(np.diag(rep.link(n))) > 1e-12
             assert link.sum(axis=1).max() <= 1
 
 

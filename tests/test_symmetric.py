@@ -38,15 +38,15 @@ def rand_fn(n, seed):
 
 class TestSeminormalImages:
     def test_trivial_and_sign(self):
-        assert np.array_equal(seminormal_rep((2,)).transpositions[2], [[1.0]])
-        assert np.array_equal(seminormal_rep((1, 1)).transpositions[2], [[-1.0]])
+        assert np.array_equal(seminormal_rep((2,)).pairings[2].dense(), [[1.0]])
+        assert np.array_equal(seminormal_rep((1, 1)).pairings[2].dense(), [[-1.0]])
 
     def test_standard_rep_of_s3(self):
         rep = seminormal_rep((2, 1))
         assert rep.dim == 2
-        assert np.allclose(rep.transpositions[2], np.diag([-1.0, 1.0]))
+        assert np.allclose(rep.pairings[2].dense(), np.diag([-1.0, 1.0]))
         # off-diagonal entries are 1 ± 1/(content difference) on the swap pair
-        assert np.allclose(rep.transpositions[3], [[0.5, 0.5], [1.5, -0.5]])
+        assert np.allclose(rep.pairings[3].dense(), [[0.5, 0.5], [1.5, -0.5]])
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generator_relations(self, n):
@@ -54,21 +54,21 @@ class TestSeminormalImages:
             rep = seminormal_rep(shape)
             eye = np.eye(rep.dim)
             for j in range(2, n + 1):
-                M = rep.transpositions[j]
+                M = rep.pairings[j].dense()
                 assert np.allclose(M @ M, eye, atol=1e-10)
             for j in range(2, n):
-                A, B = rep.transpositions[j], rep.transpositions[j + 1]
+                A, B = rep.pairings[j].dense(), rep.pairings[j + 1].dense()
                 assert np.allclose(A @ B @ A, B @ A @ B, atol=1e-10)
             for j in range(2, n + 1):
                 for i in range(2, j - 1):
-                    A, B = rep.transpositions[i], rep.transpositions[j]
+                    A, B = rep.pairings[i].dense(), rep.pairings[j].dense()
                     assert np.allclose(A @ B, B @ A, atol=1e-10)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_schur_sparsity(self, n):
         for shape in partitions(n):
             rep = seminormal_rep(shape)
-            for M in rep.transpositions.values():
+            for M in (p.dense() for p in rep.pairings.values()):
                 nz = np.abs(M) > 1e-12
                 assert nz.sum(axis=0).max() <= 2
                 assert nz.sum(axis=1).max() <= 2
@@ -99,7 +99,9 @@ class TestSeminormalImages:
     def test_handed_out_images_are_read_only(self):
         w = (2, 1, 3)
         rep, want = seminormal_rep((2, 1)), image((2, 1), w)
-        handed = [perm_image((2, 1), w), rep.link_image(3), *rep.transpositions.values()]
+        pairings = rep.pairings.values()
+        stored = [a for pairing in pairings for a in pairing]
+        handed = [perm_image((2, 1), w), rep.link(3), *(p.dense() for p in pairings), *stored]
         for M in handed:
             with pytest.raises(ValueError, match="read-only"):
                 M[:] = 0

@@ -20,6 +20,7 @@ from conftest import (
     halverson_similarity,
     rand_elem,
     sparse_element,
+    transposition_image,
 )
 from rookfft.algebra import (
     GROUPOID,
@@ -47,8 +48,12 @@ from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     IMAGE_TABLE_BYTES,
     FourierCoefficients,
+    CODELET,
+    HALVERSON,
+    _codelet,
+    _columns,
     _groups,
-    _pairing,
+    _image_table,
     _runs,
     blockwise_product,
     clausen_bound,
@@ -347,7 +352,7 @@ def per_node_recursive(fd, m, counter):
         rep = halverson_rep(shape, m)
         order = branch_rn(shape, m)
         d = rep.dim
-        images = rep.transpositions
+        images = {j: p.dense() for j, p in rep.pairings.items()}
         acc = np.zeros((d, d), dtype=complex)
         for i, sub in sub_t.items():
             D = block_diag([sub[mu] for mu in order], d)
@@ -356,7 +361,7 @@ def per_node_recursive(fd, m, counter):
                 counter.add(int(np.count_nonzero(images[j])) * d)
             acc += D
         if sub_link is not None:
-            keep = np.diag(rep.link_image(m))
+            keep = rep.link(m)
             acc += keep[:, None] * block_diag([sub_link[mu] for mu in order], d)
             counter.add(int(np.count_nonzero(keep)) * d)
         for i, sub in sub_up.items():
@@ -390,16 +395,18 @@ class TestLevelBatchedRecursion:
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_generator_images_pair_indices(self, m):
-        # the level pass applies ρ(t_j) through one partner per index
+        # the level pass applies ρ(t_j) through one partner per index: the
+        # partners are an involution, and the stored entries are the dense
+        # reference's diagonal and its entry at each row's partner
         for shape in labels(m):
+            rep = halverson_rep(shape, m)
             for j in range(2, m + 1):
-                M = halverson_rep(shape, m).transpositions[j]
-                partner, diagonal, row_off, col_off = _pairing(shape, m, j)
+                M = transposition_image(rep.basis, j)
+                partner, diagonal, off = rep.pairings[j]
                 at = np.arange(len(M))
-                rebuilt = np.diag(diagonal)
-                rebuilt[at, partner] += row_off
-                assert np.array_equal(rebuilt, M)
-                assert np.array_equal(col_off, M[partner, at] * (partner != at))
+                assert np.array_equal(partner[partner], at)
+                assert np.array_equal(diagonal, np.diag(M))
+                assert np.array_equal(off, M[at, partner] * (partner != at))
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_generator_images_are_symmetric_under_one_positive_diagonal(self, m):
@@ -409,7 +416,8 @@ class TestLevelBatchedRecursion:
         for shape in labels(m):
             E = orthogonal_scales(shape, m) ** 2
             assert np.all(E > 0)
-            for M in halverson_rep(shape, m).transpositions.values():
+            rep = halverson_rep(shape, m)
+            for M in (p.dense() for p in rep.pairings.values()):
                 assert np.allclose(M.T, E[:, None] * M / E, rtol=0.0, atol=1e-14)
             on = 0
             for mu in branch_rn(shape, m):
@@ -428,9 +436,26 @@ class TestLevelBatchedRecursion:
                 for i in range(1, m):
                     A = np.eye(d)
                     for j in range(i + 1, m + 1):
-                        A = A @ rep.transpositions[j]
+                        A = A @ rep.pairings[j].dense()
                     assert np.allclose(runs[i - 1, l], s[:, None] * A / s, rtol=0.0, atol=1e-12)
-                assert np.array_equal(keep[l, :, 0], np.diag(rep.link_image(m)))
+                assert np.array_equal(keep[l, :, 0], rep.link(m))
+
+    @pytest.mark.parametrize("b", [3, CODELET])
+    def test_codelet_is_the_oracle_table_in_the_orthogonal_basis(self, b):
+        # column x of the codelet is the halverson image of x, each block
+        # conjugated by its label's scales: F[a, c]·s[a]/s[c]
+        factor = np.concatenate([
+            (s[:, None] / s).ravel()
+            for s in (orthogonal_scales(shape, b) for shape in _columns(b))
+        ])
+        want = (_image_table(HALVERSON, b) * factor).T
+        table = _codelet(b)
+        assert table.shape == (size(b), size(b)) and not table.flags.writeable
+        assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_full_support_count_at_n6(self):
+        f = random_element(6, SEMIGROUP, random.Random(6))
+        assert recursive_fft(f).ops.multiply_adds == 1_709_513
 
     def test_full_support_count_at_n7(self):
         f = random_element(7, SEMIGROUP, random.Random(7))
