@@ -13,9 +13,21 @@ at most (2/3)k(k+1)²k!.
 Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).  The
 FFT reads a function on S_k as a vector in Clausen order (``clausen_perms``),
 in which every coset of S_{m-1} in S_m is a contiguous run, so each level
-of the recursion is one reshape of a batch of such vectors.  The inverse
-(``sn_ifft_batch``) runs the same levels backwards, recovering each coset's
-subgroup transform by Fourier inversion on S_{m-1}.
+of the recursion is one reshape of a batch of such vectors.  It starts from
+S_b, b = min(k, 5), with one product by a cached (b!, b!) real table of
+S_b's point masses (``_codelet``, built by running level b on the b! point
+masses after the table of S_{b-1}), so that for k ≤ 5 the transform of a
+batch is that one product.  The op counter is still charged the
+recursion's sparse count at every level 2..k, although the table does
+more arithmetic: b!² = 14,400 multiply-adds per real part of a full S_5
+node against the 4,760 charged.
+The inverse (``sn_ifft_batch``) runs the levels above S_b backwards,
+recovering each coset's subgroup transform by Fourier inversion on
+S_{m-1}, then takes one product with the inverse table
+(``_inverse_codelet``), which is derived from the forward one: the
+seminormal basis is orthogonal for the invariant form W
+(``invariant_form``), so inverting weighs the forward table's entries by
+(d_λ/b!)·W_i/W_j.
 """
 
 from __future__ import annotations
@@ -348,22 +360,36 @@ def _coset_costs(shapes: tuple[Shape, ...], m: int) -> np.ndarray:
     return costs
 
 
+# the S_k FFT starts from S_5 (``_codelet``): measured against S_4 and S_6,
+# S_5 is the fastest base at n = 5..7, and S_6's table would take 4 MB
+CODELET = 5
+
+
 def sn_fft_batch(
     batch: np.ndarray, k: int, counter: OpCounter | None = None
 ) -> dict[Shape, np.ndarray]:
     """Transforms on S_k of a batch of functions, one row each in Clausen order.
 
-    Clausen's recursion run level by level over the whole batch: at level m
-    the m subgroup transforms of every coset node are reassembled
-    block-diagonally and multiplied by the dense images of the coset
-    representatives, one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)).  Returns a
-    (rows, d_λ, d_λ) stack per λ ⊢ k, in ``partitions(k)`` order.
+    Clausen's recursion from S_b, b = min(k, ``CODELET``): the batch, read
+    as rows·k!/b! functions on the cosets of S_b, is multiplied once by the
+    cached (b!, b!) table of S_b's point masses (``_codelet``), which gives
+    the level-b stacks of every λ ⊢ b.  Each level m = b+1..k above it
+    reassembles the m subgroup transforms of every coset node
+    block-diagonally and multiplies them by the dense images of the coset
+    representatives, one matmul per (λ ⊢ m, μ ∈ branch_sn(λ))
+    (``_clausen_level``).  For k ≤ 5 the whole transform is the one
+    product.  Returns a (rows, d_λ, d_λ) stack per λ ⊢ k, in
+    ``partitions(k)`` order.
 
     The counter is charged what a sparse recursion over the nonzero entries
-    costs: a node of level m is visited only when its coset holds a nonzero
-    value, each visited child coset T_i pays its sparse left-multiplications
-    (``_coset_costs``), and each child after the first pays one addition per
-    block entry (Σ_λ d_λ² = m!).
+    costs, at every level 2..k: a node of level m is visited only when its
+    coset holds a nonzero value, each visited child coset T_i pays its
+    sparse left-multiplications (``_coset_costs``), and each child after
+    the first pays one addition per block entry (Σ_λ d_λ² = m!).  The
+    table does more arithmetic than it is charged: b!² multiply-adds per
+    real part of an S_b node, 14,400 at b = 5 against the 4,760 the
+    recursion charges a full S_5 node, as the dense coset images above S_b
+    do more than their sparse count.
     """
     if counter is None:
         counter = OpCounter()
@@ -371,21 +397,15 @@ def sn_fft_batch(
     if batch.ndim != 2 or batch.shape[1] != factorial(k):
         raise ValueError(f"batch must have {factorial(k)} columns, got shape {batch.shape}")
     occupied = (batch != 0).ravel()
-    level = {shape: batch.reshape(-1, 1, 1).copy() for shape in partitions(min(k, 1))}
     for m in range(2, k + 1):
         children = occupied.reshape(-1, m)
         occupied = children.any(axis=1)
         visits = int(children.sum(axis=0) @ _coset_costs(partitions(m), m))
         counter.add(visits + (int(children.sum()) - int(occupied.sum())) * factorial(m))
-        nodes = len(occupied)
-        nxt = {}
-        for shape in partitions(m):
-            d = num_standard(shape)
-            out = np.empty((nodes, d, d), dtype=complex)
-            for offset, dm, mu, Q in _coset_images(shape):
-                out[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
-            nxt[shape] = out
-        level = nxt
+    b = min(k, CODELET)
+    level = _from_codelet(batch, b)
+    for m in range(b + 1, k + 1):
+        level = _clausen_level(level, m)
     return level
 
 
@@ -393,13 +413,19 @@ def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
     """Inverse of ``sn_fft_batch``: a (rows, d_λ, d_λ) stack per λ ⊢ k → the
     (rows, k!) functions on S_k, one row each in Clausen order.
 
-    The levels of ``sn_fft_batch`` run backwards.  At level m the transform
-    of each child coset T_i·S_{m−1} of a node is recovered by Fourier
-    inversion on the subgroup S_{m−1} (Schur orthogonality):
+    The levels of ``sn_fft_batch`` above S_b, b = min(k, ``CODELET``), run
+    backwards.  At level m the transform of each child coset T_i·S_{m−1} of
+    a node is recovered by Fourier inversion on the subgroup S_{m−1}
+    (Schur orthogonality):
 
         child_i[μ] = Σ_{λ∋μ} (d_λ/(m·d_μ))·[ρ_λ(T_i)⁻¹·F̂_λ]_{μ rows, μ cols},
 
-    one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole stack.
+    one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole stack.  The
+    level-b stacks then take one product with the cached inverse table of
+    S_b (``_inverse_codelet``), b!² multiply-adds per real part of a node;
+    that table is the forward one transposed, its entries weighted through
+    the invariant form, not the inverse levels run on point masses.  Like
+    every inversion, this charges no counter.
     """
     stacks = {}
     for shape in partitions(k):
@@ -408,19 +434,113 @@ def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
         if stack.ndim != 3 or stack.shape[1:] != (d, d):
             raise ValueError(f"stack for {shape} must be (rows, {d}, {d}), got {stack.shape}")
         stacks[shape] = stack
-    for m in range(k, 1, -1):
-        below: dict[Shape, np.ndarray] = {}
-        for shape in partitions(m):
-            F = stacks[shape]
-            for offset, dm, mu, R in _coset_inverse_rows(shape):
-                child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
-                if mu in below:
-                    below[mu] += child
-                else:
-                    below[mu] = child
-        stacks = below
-    (last,) = stacks.values()
-    return last.reshape(-1, factorial(k))
+    b = min(k, CODELET)
+    for m in range(k, b, -1):
+        stacks = _clausen_inverse_level(stacks, m)
+    nodes = len(stacks[partitions(b)[0]])
+    entries = np.empty((factorial(b), nodes), dtype=complex)
+    for shape, at, d in _entries(b):
+        entries[at : at + d * d] = stacks[shape].reshape(nodes, d * d).T
+    del stacks
+    values = np.empty_like(entries)
+    np.matmul(_inverse_codelet(b), entries.view(float), out=values.view(float))
+    return values.T.reshape(-1, factorial(k))
+
+
+def _from_codelet(batch: np.ndarray, b: int) -> dict[Shape, np.ndarray]:
+    """The level-b stacks of a batch read as functions on the cosets of S_b,
+    one row of b! values each: one real product with ``_codelet(b)``."""
+    functions = np.ascontiguousarray(batch.reshape(-1, factorial(b)).T)
+    entries = np.empty_like(functions)
+    np.matmul(_codelet(b), functions.view(float), out=entries.view(float))
+    del functions
+    # each stack is copied out of the product, which no block keeps alive
+    level = {}
+    for shape, at, d in _entries(b):
+        level[shape] = entries[at : at + d * d].T.copy().reshape(-1, d, d)
+    return level
+
+
+def _clausen_level(level: Mapping[Shape, np.ndarray], m: int) -> dict[Shape, np.ndarray]:
+    """Level m of Clausen's recursion: the (nodes·m, d_μ, d_μ) stacks of the
+    μ ⊢ m−1, each run of m the cosets T_1·S_{m−1}, …, T_m·S_{m−1} of one
+    node and each stack C-contiguous, to the (nodes, d_λ, d_λ) stacks of the
+    λ ⊢ m."""
+    nodes = len(level[partitions(m - 1)[0]]) // m
+    out = {}
+    for shape in partitions(m):
+        d = num_standard(shape)
+        F = np.empty((nodes, d, d), dtype=complex)
+        for offset, dm, mu, Q in _coset_images(shape):
+            F[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
+        out[shape] = F
+    return out
+
+
+def _clausen_inverse_level(stacks: Mapping[Shape, np.ndarray], m: int) -> dict[Shape, np.ndarray]:
+    """``_clausen_level`` backwards: the (nodes, d_λ, d_λ) stacks of the
+    λ ⊢ m to the (nodes·m, d_μ, d_μ) stacks of the μ ⊢ m−1.  A function of
+    its own, so that its last operands are freed before the next level."""
+    below: dict[Shape, np.ndarray] = {}
+    for shape in partitions(m):
+        F = stacks[shape]
+        for offset, dm, mu, R in _coset_inverse_rows(shape):
+            child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
+            if mu in below:
+                below[mu] += child
+            else:
+                below[mu] = child
+    return below
+
+
+@cache
+def _entries(b: int) -> tuple[tuple[Shape, int, int], ...]:
+    """(λ, first row, d_λ) per λ ⊢ b: the λ block of a transform on S_b
+    flattened into rows at..at+d_λ² of a codelet column."""
+    out, at = [], 0
+    for shape in partitions(b):
+        d = num_standard(shape)
+        out.append((shape, at, d))
+        at += d * d
+    return tuple(out)
+
+
+@cache
+def _codelet(b: int) -> np.ndarray:
+    """(b!, b!) reals for b ≤ ``CODELET``, read-only: column x holds the
+    blocks ρ_λ(w) of the point mass at w = ``clausen_perms(b)[x]``, each
+    flattened, side by side in ``partitions(b)`` order (``_entries``), so
+    that the transform of any function on S_b is one product with it.  It
+    is Clausen's recursion run on all b! point masses as one batch: the
+    table of S_{b−1} gives their level-(b−1) stacks, and ``_clausen_level``
+    runs level b, so the naive oracle still referees the levels 2..b.
+    S_5's table is 115 KB."""
+    if b <= 1:
+        out = np.ones((1, 1))
+        out.flags.writeable = False
+        return out
+    level = _clausen_level(_from_codelet(np.eye(factorial(b), dtype=complex), b - 1), b)
+    blocks = [level[shape].reshape(factorial(b), d * d) for shape, _, d in _entries(b)]
+    out = np.ascontiguousarray(np.concatenate(blocks, axis=1).real.T)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _inverse_codelet(b: int) -> np.ndarray:
+    """The inverse of ``_codelet(b)``, read-only, derived from it without
+    running the inverse levels.  Fourier inversion reads f(w) =
+    Σ_λ (d_λ/b!)·tr(ρ_λ(w)⁻¹·F̂_λ), and the seminormal basis is orthogonal
+    for the invariant form W (``invariant_form``), ρ(w)⁻¹ = W⁻¹·ρ(w)ᵀ·W; so
+    f(w) = Σ_{λ,i,j} (d_λ/b!)·(W_i/W_j)·ρ_λ(w)[i, j]·F̂_λ[i, j], the
+    forward table's column w weighted entry by entry."""
+    weights = []
+    for shape, _, d in _entries(b):
+        w = invariant_form(shape)
+        weights.append(np.outer(w, 1.0 / w).ravel() * (d / factorial(b)))
+    out = np.ascontiguousarray((_codelet(b) * np.concatenate(weights)[:, None]).T)
+    out.flags.writeable = False
+    return out
 
 
 def sn_fft(

@@ -7,7 +7,11 @@ multiply-add counter:
   support × Σ_λ dim(λ)² operations (≤ |R_n|² on full support);
 * ``stein_fft`` consumes the groupoid basis and runs one symmetric-group
   FFT per (range, domain) cell, batched per rank over a dense coefficient
-  vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops;
+  vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops; each rank's batch
+  starts with one product by a cached table of S_5's point masses, or of
+  S_k's for k < 5, which is the whole S_k FFT for k ≤ 5
+  (``symmetric.sn_fft_batch``), charged the recursion's count though the
+  product does more arithmetic;
 * ``recursive_fft`` consumes the semigroup basis directly, splitting R_n
   into 2n-1 translated copies of R_{n-1} plus a rank-dropping slice, with
   cost T(n) ≤ 2n·T(n-1) + 2n²|R_n| and T(2) ≤ 49; the recursion runs
@@ -27,11 +31,13 @@ multiply-add counter:
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set of either family by running ``stein_fft`` backwards: per rank k
 (``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
-C(n,k)² cells of every λ ⊢ k, scattered through the same cell table.  A
-halverson block set is first taken to the stein family block by block; the
-similarity is a permutation of the tableaux, so each block is one gather
-F̂[p][:, p] (``rook_reps.halverson_permutation``), with no multiply-adds,
-and no element of R_n is evaluated.
+C(n,k)² cells of every λ ⊢ k, scattered through the same cell table; its
+levels above S_5 run backwards, and one product with the inverse of the
+S_5 table, derived from the forward table through the invariant form,
+finishes each rank.  A halverson block set is first taken to the stein
+family block by block; the similarity is a permutation of the tableaux, so
+each block is one gather F̂[p][:, p] (``rook_reps.halverson_permutation``),
+with no multiply-adds, and no element of R_n is evaluated.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 from hypothesis import strategies as st
@@ -33,9 +34,17 @@ from rookfft.core import (
     restrictions,
     size,
 )
+from rookfft.counting import OpCounter
 from rookfft.indexing import element_index
 from rookfft.rook_reps import SteinRep, halverson_rep
-from rookfft.symmetric import Perm, _clausen_column, perm_image
+from rookfft.symmetric import (
+    Perm,
+    _clausen_column,
+    _coset_costs,
+    _coset_images,
+    _coset_inverse_rows,
+    perm_image,
+)
 from rookfft.tableaux import (
     Shape,
     Tableau,
@@ -199,6 +208,52 @@ def sn_naive(f: dict, n: int) -> dict[Shape, np.ndarray]:
                 acc += c * perm_image(shape, tuple(w))
         out[shape] = acc
     return out
+
+
+def reference_sn_fft_batch(
+    batch: np.ndarray, k: int, counter: OpCounter | None = None
+) -> dict[Shape, np.ndarray]:
+    """Clausen's recursion run level by level from S_1, every level 2..k a
+    matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole batch, charged from
+    occupancy: the oracle for ``sn_fft_batch``, which starts from a cached
+    S_5 table."""
+    if counter is None:
+        counter = OpCounter()
+    batch = np.asarray(batch, dtype=complex)
+    occupied = (batch != 0).ravel()
+    level = {shape: batch.reshape(-1, 1, 1).copy() for shape in partitions(min(k, 1))}
+    for m in range(2, k + 1):
+        children = occupied.reshape(-1, m)
+        occupied = children.any(axis=1)
+        visits = int(children.sum(axis=0) @ _coset_costs(partitions(m), m))
+        counter.add(visits + (int(children.sum()) - int(occupied.sum())) * factorial(m))
+        nodes = len(occupied)
+        nxt = {}
+        for shape in partitions(m):
+            d = num_standard(shape)
+            out = np.empty((nodes, d, d), dtype=complex)
+            for offset, dm, mu, Q in _coset_images(shape):
+                out[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
+            nxt[shape] = out
+        level = nxt
+    return level
+
+
+def reference_sn_ifft_batch(level: dict, k: int) -> np.ndarray:
+    """The levels of ``reference_sn_fft_batch`` run backwards down to S_1,
+    each child coset recovered by Fourier inversion on S_{m−1}: the oracle
+    for ``sn_ifft_batch``."""
+    stacks = {shape: np.asarray(level[shape], dtype=complex) for shape in partitions(k)}
+    for m in range(k, 1, -1):
+        below: dict[Shape, np.ndarray] = {}
+        for shape in partitions(m):
+            F = stacks[shape]
+            for offset, dm, mu, R in _coset_inverse_rows(shape):
+                child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
+                below[mu] = below[mu] + child if mu in below else child
+        stacks = below
+    (last,) = stacks.values()
+    return last.reshape(-1, factorial(k))
 
 
 def reference_flat_image(n: int, text: str) -> tuple[int, ...]:

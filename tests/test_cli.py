@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +24,12 @@ from rookfft.algebra import (
 from rookfft.cli import main
 from rookfft.core import PartialPermutation, size
 from rookfft.rook_reps import dim, labels
-from rookfft.transforms import from_json_dict as fc_from_json, naive_transform, stein_fft
+from rookfft.transforms import (
+    fourier_invert,
+    from_json_dict as fc_from_json,
+    naive_transform,
+    stein_fft,
+)
 
 
 def run(capsys, *argv):
@@ -375,14 +381,26 @@ class TestOverflowRefused:
         self.run_refused(capsys, tmp_path, "convolve", "--input", path, "--input", path)
 
     def test_invert(self, capsys, tmp_path):
+        # entries of modulus near 1e308 may have a finite inverse; signs
+        # aligned to the inverse row of one element make its coefficient
+        # overflow: 1.7e308 times that row's sum of moduli, 4/3 at n = 3
         code, out, _ = run(capsys, "transform", "--algorithm", "stein", "--input",
                            write_element(tmp_path, "f.json", rand_elem(3, GROUPOID, 3)))
         assert code == 0
         data = json.loads(out)
-        for block in data["blocks"]:
-            for row in block["rows"]:
-                for entry in row:
-                    entry["re"] = entry["im"] = 1.7e308
+        entries = [entry for block in data["blocks"] for row in block["rows"] for entry in row]
+
+        def inverse(values):
+            for entry, v in zip(entries, values):
+                entry["re"], entry["im"] = v.real, v.imag
+            return fourier_invert(fc_from_json(data)).values
+
+        rows = np.array([inverse(unit) for unit in np.eye(len(entries), dtype=complex)]).T
+        signs = np.where(rows[np.abs(rows).sum(axis=1).argmax()] < 0, -1.0, 1.0)
+        scaled_down = inverse(1.7 * (1 + 1j) * signs)
+        assert np.abs(scaled_down.real).max() > np.finfo(float).max / 1e308
+        for entry, sign in zip(entries, signs):
+            entry["re"] = entry["im"] = sign * 1.7e308
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         self.run_refused(capsys, tmp_path, "invert", "--input", str(path))

@@ -5,11 +5,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import perm_compose, sn_naive
+from conftest import perm_compose, reference_sn_fft_batch, reference_sn_ifft_batch, sn_naive
 from rookfft.core import PartialPermutation as PP
 from rookfft.counting import OpCounter
 from rookfft.rook_reps import stein_rep
 from rookfft.symmetric import (
+    _codelet,
+    _inverse_codelet,
     all_perms,
     branch_sn,
     clausen_perms,
@@ -276,6 +278,41 @@ class TestBatchedKernel:
         stacks[(2, 1)] = stacks[(2, 1)][:, :1]
         with pytest.raises(ValueError, match="must be"):
             sn_ifft_batch(stacks, 3)
+
+
+class TestCodelet:
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_table_columns_are_the_naive_images(self, b):
+        table = _codelet(b)
+        assert table.shape == (factorial(b), factorial(b)) and not table.flags.writeable
+        for x, w in enumerate(clausen_perms(b).tolist()):
+            want = np.concatenate([perm_image(shape, tuple(w)).ravel() for shape in partitions(b)])
+            assert np.abs(table[:, x] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("b", range(6))
+    def test_inverse_table_inverts_the_table(self, b):
+        inverse = _inverse_codelet(b)
+        assert not inverse.flags.writeable
+        assert np.abs(inverse @ _codelet(b) - np.eye(factorial(b))).max() <= 1e-12
+        assert np.abs(_codelet(b) @ inverse - np.eye(factorial(b))).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_levels_above_the_codelet_match_the_levels_from_s2(self, k):
+        rng = np.random.default_rng(90 + k)
+        batch = rng.uniform(-1, 1, (4, factorial(k))) + 1j * rng.uniform(-1, 1, (4, factorial(k)))
+        batch[1, rng.random(factorial(k)) < 0.9] = 0  # a sparse row
+        batch[2, rng.random(factorial(k)) < 0.999] = 0  # a sparser row
+        batch[3] = 0  # an empty row
+        counter, reference = OpCounter(), OpCounter()
+        fast = sn_fft_batch(batch, k, counter)
+        want = reference_sn_fft_batch(batch, k, reference)
+        assert list(fast) == list(want) == list(partitions(k))
+        scale = max(np.abs(stack).max() for stack in want.values())
+        for shape in want:
+            assert np.abs(fast[shape] - want[shape]).max() <= 1e-12 * scale
+        assert counter.multiply_adds == reference.multiply_adds
+        back = sn_ifft_batch(want, k)
+        assert np.abs(back - reference_sn_ifft_batch(want, k)).max() <= 1e-12 * np.abs(batch).max()
 
 
 class TestInvariantForm:

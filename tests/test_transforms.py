@@ -163,6 +163,11 @@ class TestSteinFFT:
         assert np.allclose(F.blocks[(2,)], 0.0)
         assert np.allclose(F.blocks[(1, 1)], 0.0)
 
+    @pytest.mark.parametrize("n, count", [(6, 350_600), (7, 5_726_322)])
+    def test_full_support_count(self, n, count):
+        f = random_element(n, GROUPOID, random.Random(n))
+        assert stein_fft(f).ops.multiply_adds == count
+
     def test_requires_groupoid(self):
         with pytest.raises(BasisMismatch):
             stein_fft(rand_elem(2, SEMIGROUP, 1))
