@@ -17,10 +17,11 @@ of the recursion is one reshape of a batch of such vectors.  It starts from
 S_b, b = min(k, 5), with one product by a cached (b!, b!) real table of
 S_b's point masses (``_codelet``, built by running level b on the b! point
 masses after the table of S_{b-1}), so that for k ≤ 5 the transform of a
-batch is that one product.  The op counter is still charged the
-recursion's sparse count at every level 2..k, although the table does
-more arithmetic: b!² = 14,400 multiply-adds per real part of a full S_5
-node against the 4,760 charged.
+batch is that one product; the levels above it read real tables cut from
+Young's orthogonal runs (``coset_runs``, as ``recursive_fft`` does).  The
+op counter is still charged the recursion's sparse count at every level
+2..k, although the table does more arithmetic: b!² = 14,400 multiply-adds
+per real part of a full S_5 node against the 4,760 charged.
 The inverse (``sn_ifft_batch``) runs the levels above S_b backwards,
 recovering each coset's subgroup transform by Fourier inversion on
 S_{m-1}, then takes one product with the inverse table
@@ -293,54 +294,50 @@ def _clausen_column(k: int) -> dict[Perm, int]:
     return {tuple(int(v) for v in w): s for s, w in enumerate(clausen_perms(k))}
 
 
-def _coset_reps(shape: Shape, inverse: bool) -> list[np.ndarray]:
-    """ρ_λ(T_i) = ρ(t_{i+1})···ρ(t_m) for i = 1..m, or with inverse their
-    inverses ρ(t_m)···ρ(t_{i+1}): seminormal transposition images are
-    involutions."""
+def coset_runs(reps: list[HalversonRep]) -> np.ndarray:
+    """(m-1, L, d, d) reals for L reps of R_m of dimension d: entry i-1 holds
+    each rep's run A_i = ρ(t_{i+1})···ρ(t_m) in Young's orthogonal basis
+    (``orthogonal_scales``), where every ρ(t_j) is symmetric.  Each run is
+    built from the one after it, A_m = I and A_i = ρ(t_{i+1})·A_{i+1}, a
+    diagonal plus one partner row per row (``Pairing``), in O(m·L·d²).
+    Both FFTs read it: ``transforms._runs`` and ``_coset_images``."""
+    m, d = reps[0].n, reps[0].dim
+    scales = [orthogonal_scales(rep.shape, m) for rep in reps]
+    runs = np.empty((m - 1, len(reps) * d, d))
+    A = np.tile(np.eye(d), (len(reps), 1))
+    for j in range(m, 1, -1):
+        parts = [rep.pairings[j] for rep in reps]
+        partner = np.concatenate([p.partner + l * d for l, p in enumerate(parts)])
+        diagonal = np.concatenate([p.diagonal for p in parts])
+        off = np.concatenate([s * p.off / s[p.partner] for s, p in zip(scales, parts)])
+        A = runs[j - 2] = diagonal[:, None] * A + off[:, None] * A[partner]
+    return runs.reshape(m - 1, len(reps), d, d)
+
+
+@cache
+def _coset_images(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray, np.ndarray], ...]:
+    """For λ ⊢ m: (offset, d_μ, μ, Q, R) per μ in branch_sn(λ), Q and R real
+    and read-only.  Q[:, i·d_μ + c] = ρ_λ(T_{i+1})[:, offset + c] for
+    i = 0..m−1, the columns of the coset images that meet the μ block, side
+    by side; R[i·d_μ + r, :] = (d_λ/(m·d_μ))·ρ_λ(T_{i+1})⁻¹[offset + r, :],
+    the rows of their inverses, scaled for Fourier inversion on S_{m−1}.
+    Both are cut from the orthogonal runs (``coset_runs``), R transposed as
+    A_i⁻¹ = A_iᵀ, and scaled back by ρ_λ(T_i) = S⁻¹·A_i·S, S the diagonal
+    of ``orthogonal_scales(λ, m)``."""
     rep = seminormal_rep(shape)
-    m = rep.n
-    images = {j: p.dense() for j, p in rep.pairings.items()}
-    out = []
-    for i in range(1, m + 1):
-        P = np.eye(rep.dim)
-        for j in range(i + 1, m + 1):
-            P = images[j] @ P if inverse else P @ images[j]
-        out.append(P)
-    return out
-
-
-@cache
-def _coset_images(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray], ...]:
-    """For λ ⊢ m: (offset, d_μ, μ, Q) per μ in branch_sn(λ), with
-    Q[:, i·d_μ + s] = ρ_λ(T_{i+1})[:, offset + s] for i = 0..m−1: the columns
-    of the coset representative images that meet the μ block of the
-    subgroup transform, side by side."""
-    images = _coset_reps(shape, inverse=False)
+    m, d = rep.n, rep.dim
+    s = orthogonal_scales(shape, m)
+    runs = np.concatenate([coset_runs([rep])[:, 0], np.eye(d)[None]])
     parts, offset = [], 0
     for mu in branch_sn(shape):
-        d = num_standard(mu)
-        Q = np.concatenate([P[:, offset : offset + d] for P in images], axis=1)
-        parts.append((offset, d, mu, Q.astype(complex)))
-        offset += d
-    return tuple(parts)
-
-
-@cache
-def _coset_inverse_rows(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray], ...]:
-    """For λ ⊢ m: (offset, d_μ, μ, R) per μ in branch_sn(λ), with
-    R[i·d_μ + s, :] = (d_λ/(m·d_μ))·ρ_λ(T_{i+1})⁻¹[offset + s, :] for
-    i = 0..m−1: the rows of the inverse coset images that meet the μ block,
-    stacked and scaled for Fourier inversion on S_{m−1}.  Read-only."""
-    images = _coset_reps(shape, inverse=True)
-    m, d_shape = len(images), num_standard(shape)
-    parts, offset = [], 0
-    for mu in branch_sn(shape):
-        d = num_standard(mu)
-        R = np.concatenate([P[offset : offset + d] for P in images]) * (d_shape / (m * d))
-        R = R.astype(complex)
-        R.flags.writeable = False
-        parts.append((offset, d, mu, R))
-        offset += d
+        dm = num_standard(mu)
+        A = np.concatenate(runs[:, :, offset : offset + dm], axis=1)
+        col = np.tile(s[offset : offset + dm], m)
+        Q = A * col / s[:, None]
+        R = A.T * (s / col[:, None]) * (d / (m * dm))
+        Q.flags.writeable = R.flags.writeable = False
+        parts.append((offset, dm, mu, Q, R))
+        offset += dm
     return tuple(parts)
 
 
@@ -375,8 +372,8 @@ def sn_fft_batch(
     cached (b!, b!) table of S_b's point masses (``_codelet``), which gives
     the level-b stacks of every λ ⊢ b.  Each level m = b+1..k above it
     reassembles the m subgroup transforms of every coset node
-    block-diagonally and multiplies them by the dense images of the coset
-    representatives, one matmul per (λ ⊢ m, μ ∈ branch_sn(λ))
+    block-diagonally and multiplies them by the images of the coset
+    representatives, one real matmul per (λ ⊢ m, μ ∈ branch_sn(λ))
     (``_clausen_level``).  For k ≤ 5 the whole transform is the one
     product.  Returns a (rows, d_λ, d_λ) stack per λ ⊢ k, in
     ``partitions(k)`` order.
@@ -388,8 +385,8 @@ def sn_fft_batch(
     the first pays one addition per block entry (Σ_λ d_λ² = m!).  The
     table does more arithmetic than it is charged: b!² multiply-adds per
     real part of an S_b node, 14,400 at b = 5 against the 4,760 the
-    recursion charges a full S_5 node, as the dense coset images above S_b
-    do more than their sparse count.
+    recursion charges a full S_5 node, as the dense tables above S_b do
+    more than their sparse count.
     """
     if counter is None:
         counter = OpCounter()
@@ -420,7 +417,8 @@ def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
 
         child_i[μ] = Σ_{λ∋μ} (d_λ/(m·d_μ))·[ρ_λ(T_i)⁻¹·F̂_λ]_{μ rows, μ cols},
 
-    one matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole stack.  The
+    one real matmul per (λ ⊢ m, μ ∈ branch_sn(λ)) over the whole stack,
+    each stack made C-contiguous first to be read as reals.  The
     level-b stacks then take one product with the cached inverse table of
     S_b (``_inverse_codelet``), b!² multiply-adds per real part of a node;
     that table is the forward one transposed, its entries weighted through
@@ -430,7 +428,7 @@ def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
     stacks = {}
     for shape in partitions(k):
         d = num_standard(shape)
-        stack = np.asarray(level[shape], dtype=complex)
+        stack = np.ascontiguousarray(level[shape], dtype=complex)
         if stack.ndim != 3 or stack.shape[1:] != (d, d):
             raise ValueError(f"stack for {shape} must be (rows, {d}, {d}), got {stack.shape}")
         stacks[shape] = stack
@@ -465,14 +463,15 @@ def _clausen_level(level: Mapping[Shape, np.ndarray], m: int) -> dict[Shape, np.
     """Level m of Clausen's recursion: the (nodes·m, d_μ, d_μ) stacks of the
     μ ⊢ m−1, each run of m the cosets T_1·S_{m−1}, …, T_m·S_{m−1} of one
     node and each stack C-contiguous, to the (nodes, d_λ, d_λ) stacks of the
-    λ ⊢ m."""
+    λ ⊢ m, by the tables Q of ``_coset_images``."""
     nodes = len(level[partitions(m - 1)[0]]) // m
     out = {}
     for shape in partitions(m):
         d = num_standard(shape)
         F = np.empty((nodes, d, d), dtype=complex)
-        for offset, dm, mu, Q in _coset_images(shape):
-            F[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
+        for offset, dm, mu, Q, _ in _coset_images(shape):
+            below = level[mu].reshape(nodes, m * dm, dm).view(float)
+            F[:, :, offset : offset + dm] = np.matmul(Q, below).view(complex)
         out[shape] = F
     return out
 
@@ -484,8 +483,9 @@ def _clausen_inverse_level(stacks: Mapping[Shape, np.ndarray], m: int) -> dict[S
     below: dict[Shape, np.ndarray] = {}
     for shape in partitions(m):
         F = stacks[shape]
-        for offset, dm, mu, R in _coset_inverse_rows(shape):
-            child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
+        for offset, dm, mu, _, R in _coset_images(shape):
+            child = np.matmul(R, F[:, :, offset : offset + dm].view(float))
+            child = child.view(complex).reshape(-1, dm, dm)
             if mu in below:
                 below[mu] += child
             else:

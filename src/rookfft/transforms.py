@@ -20,7 +20,8 @@ multiply-add counter:
   It starts from copies of R_4, each transformed by one product with a
   cached table of R_4's point masses (``_codelet``).  Above R_4, within a
   level a slice is multiplied by one cached run of generator images
-  ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one matmul;
+  ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one matmul
+  (``symmetric.coset_runs``, which the S_k FFT's levels read too);
   the levels run in Young's orthogonal basis, where T_i and up_i share
   that run, and the root is rescaled to the halverson basis once.  The
   cached tables hold 8 bytes per element of R_m (``_embedding``), 8·(m-1)
@@ -32,12 +33,13 @@ multiply-add counter:
 block set of either family by running ``stein_fft`` backwards: per rank k
 (``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
 C(n,k)² cells of every λ ⊢ k, scattered through the same cell table; its
-levels above S_5 run backwards, and one product with the inverse of the
-S_5 table, derived from the forward table through the invariant form,
-finishes each rank.  A halverson block set is first taken to the stein
-family block by block; the similarity is a permutation of the tableaux, so
-each block is one gather F̂[p][:, p] (``rook_reps.halverson_permutation``),
-with no multiply-adds, and no element of R_n is evaluated.
+levels above S_5 run backwards on the transposed runs, and one product
+with the inverse of the S_5 table, derived from the forward table through
+the invariant form, finishes each rank.  A halverson block set is first
+taken to the stein family block by block; the similarity is a permutation
+of the tableaux, so each block is one gather F̂[p][:, p]
+(``rook_reps.halverson_permutation``), with no multiply-adds, and no
+element of R_n is evaluated.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .core import (
 from .counting import OpCounter
 from .indexing import cell_index, elements_at, slice_index
 from .rook_reps import branch_rn, dim, halverson_permutation, halverson_rep, labels, stein_rep
-from .symmetric import _coset_costs, orthogonal_scales, sn_fft_batch, sn_ifft_batch
+from .symmetric import _coset_costs, coset_runs, orthogonal_scales, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -435,28 +437,16 @@ def _slice_costs(m: int) -> np.ndarray:
 @cache
 def _runs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per group of ``_groups(m)``, with L labels of dimension d: the
-    diagonal of [m] as an (L, d, 1) array, and an (m-1, L, d, d) real array
-    whose entry i-1 holds the run A_i = ρ(t_{i+1})···ρ(t_m) of each label in
-    the orthogonal basis (``orthogonal_scales``), where every ρ(t_j) is
-    symmetric.  Each run is built from the one after it, A_m = I and
-    A_i = ρ(t_{i+1})·A_{i+1}, a diagonal plus one partner row per row
-    (``symmetric.Pairing``), so the build costs O(m·|R_m|).  The runs take
-    8·|R_m|·(m-1) bytes: 0.53 MB at m = 6, 6.3 MB at m = 7, 81 MB at
+    diagonal of [m] as an (L, d, 1) array, and the (m-1, L, d, d) runs
+    A_i = ρ(t_{i+1})···ρ(t_m) of its labels in the orthogonal basis, built
+    by ``symmetric.coset_runs``, which the S_k FFT reads too.  The runs
+    take 8·|R_m|·(m-1) bytes: 0.53 MB at m = 6, 6.3 MB at m = 7, 81 MB at
     m = 8.  Read-only."""
     out = []
     for d, shapes, _ in _groups(m):
         reps = [halverson_rep(shape, m) for shape in shapes]
-        keep = np.concatenate([rep.link(m) for rep in reps])
-        scales = [orthogonal_scales(shape, m) for shape in shapes]
-        runs = np.empty((m - 1, len(shapes) * d, d))
-        A = np.tile(np.eye(d), (len(shapes), 1))
-        for j in range(m, 1, -1):
-            parts = [rep.pairings[j] for rep in reps]
-            partner = np.concatenate([p.partner + l * d for l, p in enumerate(parts)])
-            diagonal = np.concatenate([p.diagonal for p in parts])
-            off = np.concatenate([s * p.off / s[p.partner] for s, p in zip(scales, parts)])
-            A = runs[j - 2] = diagonal[:, None] * A + off[:, None] * A[partner]
-        keep, runs = keep.reshape(-1, d, 1), runs.reshape(m - 1, len(shapes), d, d)
+        keep = np.concatenate([rep.link(m) for rep in reps]).reshape(-1, d, 1)
+        runs = coset_runs(reps)
         keep.flags.writeable = runs.flags.writeable = False
         out.append((keep, runs))
     return tuple(out)

@@ -42,7 +42,6 @@ from rookfft.symmetric import (
     _clausen_column,
     _coset_costs,
     _coset_images,
-    _coset_inverse_rows,
     perm_image,
 )
 from rookfft.tableaux import (
@@ -232,7 +231,7 @@ def reference_sn_fft_batch(
         for shape in partitions(m):
             d = num_standard(shape)
             out = np.empty((nodes, d, d), dtype=complex)
-            for offset, dm, mu, Q in _coset_images(shape):
+            for offset, dm, mu, Q, _ in _coset_images(shape):
                 out[:, :, offset : offset + dm] = Q @ level[mu].reshape(nodes, m * dm, dm)
             nxt[shape] = out
         level = nxt
@@ -248,7 +247,7 @@ def reference_sn_ifft_batch(level: dict, k: int) -> np.ndarray:
         below: dict[Shape, np.ndarray] = {}
         for shape in partitions(m):
             F = stacks[shape]
-            for offset, dm, mu, R in _coset_inverse_rows(shape):
+            for offset, dm, mu, _, R in _coset_images(shape):
                 child = (R @ F[:, :, offset : offset + dm]).reshape(-1, dm, dm)
                 below[mu] = below[mu] + child if mu in below else child
         stacks = below

@@ -11,6 +11,7 @@ from rookfft.counting import OpCounter
 from rookfft.rook_reps import stein_rep
 from rookfft.symmetric import (
     _codelet,
+    _coset_images,
     _inverse_codelet,
     all_perms,
     branch_sn,
@@ -313,6 +314,53 @@ class TestCodelet:
         assert counter.multiply_adds == reference.multiply_adds
         back = sn_ifft_batch(want, k)
         assert np.abs(back - reference_sn_ifft_batch(want, k)).max() <= 1e-12 * np.abs(batch).max()
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_levels_above_the_codelet_match_the_naive_sums(self, k):
+        # an oracle that reads no coset table: sn_naive sums perm_image, the
+        # product of generator images along each permutation's word
+        rng = np.random.default_rng(70 + k)
+        perms = [tuple(w) for w in clausen_perms(k).tolist()]
+        batch = np.zeros((5, factorial(k)), dtype=complex)
+        batch[[0, 1, 2], rng.choice(factorial(k), 3, replace=False)] = 1.0  # point masses
+        terms = rng.choice(factorial(k), 5, replace=False)
+        batch[3, terms] = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+        fast = sn_fft_batch(batch, k)  # row 4 stays zero
+        for row, values in enumerate(batch):
+            want = sn_naive({perms[x]: values[x] for x in np.flatnonzero(values)}, k)
+            scale = max(np.abs(M).max() for M in want.values())
+            for shape in partitions(k):
+                assert np.abs(fast[shape][row] - want[shape]).max() <= 1e-12 * scale
+        assert np.abs(sn_ifft_batch(fast, k) - batch).max() <= 1e-12
+
+
+class TestCosetImages:
+    @pytest.mark.parametrize("shape", [sh for m in range(2, 8) for sh in partitions(m)])
+    def test_tables_are_cut_from_the_dense_coset_images(self, shape):
+        # ρ(t_{i+1})···ρ(t_m) multiplied out from dense generator images,
+        # and inverted as dense matrices
+        rep = seminormal_rep(shape)
+        m, d = rep.n, rep.dim
+        products = []
+        for i in range(1, m + 1):
+            P = np.eye(d)
+            for j in range(i + 1, m + 1):
+                P = P @ rep.pairings[j].dense()
+            products.append(P)
+        inverses = [np.linalg.inv(P) for P in products]
+        parts = _coset_images(shape)
+        assert [mu for _, _, mu, _, _ in parts] == list(branch_sn(shape))
+        at = 0
+        for offset, dm, mu, Q, R in parts:
+            assert (offset, dm) == (at, num_standard(mu))
+            at += dm
+            cut = slice(offset, offset + dm)
+            want_Q = np.hstack([P[:, cut] for P in products])
+            want_R = np.vstack([P[cut] for P in inverses]) * (d / (m * dm))
+            for table, want in ((Q, want_Q), (R, want_R)):
+                assert table.dtype == float and not table.flags.writeable
+                assert table.shape == want.shape
+                assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestInvariantForm:

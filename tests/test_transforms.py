@@ -43,7 +43,8 @@ from rookfft.rook_reps import (
     labels,
     stein_rep,
 )
-from rookfft.symmetric import orthogonal_scales
+from rookfft.spectral import spectrum
+from rookfft.symmetric import _coset_images, orthogonal_scales
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     IMAGE_TABLE_BYTES,
@@ -444,6 +445,16 @@ class TestLevelBatchedRecursion:
                         A = A @ rep.pairings[j].dense()
                     assert np.allclose(runs[i - 1, l], s[:, None] * A / s, rtol=0.0, atol=1e-12)
                 assert np.array_equal(keep[l, :, 0], rep.link(m))
+
+    def test_stein_paths_build_no_runs(self):
+        # the runs hold 81 MB at m = 8: the S_k FFT builds its own tables
+        # (symmetric._coset_images) without filling recursive_fft's cache
+        _runs.cache_clear()
+        _coset_images.cache_clear()
+        f = random_element(6, GROUPOID, random.Random(66))
+        fourier_invert(stein_fft(f))
+        spectrum(f)
+        assert _runs.cache_info().currsize == 0
 
     @pytest.mark.parametrize("b", [3, CODELET])
     def test_codelet_is_the_oracle_table_in_the_orthogonal_basis(self, b):
