@@ -5,9 +5,10 @@ Fourier inversion on full-support inputs, and of the naive oracle.
 
 For each n ≤ MAX_N, two seeded full-support coefficient vectors become
 elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
-``enumerate_rn``.  The semigroup element goes through ``to_groupoid``,
-``stein_fft_semigroup`` and ``recursive_fft``, whose halverson block set
-``fourier_invert`` then inverts (``round_trip_residual`` is the largest
+``enumerate_rn``.  The semigroup element goes through ``to_groupoid``
+(whose image goes back through ``to_semigroup``), ``stein_fft_semigroup``
+and ``recursive_fft``, whose halverson block set ``fourier_invert`` then
+inverts (``round_trip_residual`` is the largest
 modulus of that inverse minus ``to_groupoid`` of the element);
 the groupoid element goes through ``stein_fft``, whose stein block set
 ``fourier_invert`` inverts too, and through ``spectrum``.
@@ -22,12 +23,13 @@ element, the tables that call caches (``KEPT_PROBE``).  The flat forms of
 that JSON also go through ``core.read_flat`` alone (timed like the rest;
 ``read_flat_peak_mb`` is its tracemalloc peak), and ``from_flat_seconds``
 is the time per call of ``PartialPermutation.from_flat`` on one term, the
-element's last flat form (rank n), the minimum over REPEATS loops of
+element's last flat form (rank n), the minimum over MIN_CALLS loops of
 FROM_FLAT_CALLS calls.
 Each call runs once, timed as the cold call (caches and tables are built
-there), then REPEATS times timed; the minimum warm wall time is reported with
-the call's multiply-adds (inversion counts none).  Right before and right
-after the warm calls, perfbench's calibration kernel (``worker.calibrate``)
+there), then warm until the warm calls have taken WARM_S seconds or made
+WARM_CALLS calls, and never fewer than MIN_CALLS; the minimum warm wall
+time is reported with the call's multiply-adds (inversion counts none).
+Right before and right after the warm calls, perfbench's calibration kernel (``worker.calibrate``)
 is timed for CAL_S seconds, and ``reference_seconds`` is the warm time
 scaled by the mean of the two, in the reference seconds perfbench reports
 (``run.in_reference_s``), so that two runs minutes apart compare.
@@ -36,6 +38,11 @@ process's peak RSS so far (``ru_maxrss``), which the row's own n dominates.
 ``half_rank`` times ``recursive_fft`` the same way on a seeded n = 5
 semigroup element that holds half of the elements of each rank (a seeded
 choice), the sparse library-caller size.
+``zeta`` holds, for each n in ZETA_NS, two fresh processes
+(``ZETA_PROBE``) that each make one ``to_groupoid`` call on a one-term
+semigroup element: ``cold_seconds`` is the untraced call's wall time, the
+tables built, and ``kept_mb`` the tracemalloc memory the traced call keeps,
+the tables it caches (the zeta steps and the cell layout they index).
 Last, ``naive_transform`` runs in both families for each n ≤ NAIVE_MAX_N,
 halverson on the semigroup element and stein on the groupoid one, timed
 like the rest (the cold call builds the image tables) with its
@@ -85,11 +92,12 @@ from rookfft.algebra import (
     from_json_dict,
     to_groupoid,
     to_json_dict,
+    to_semigroup,
 )
 from rookfft import cli
 from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
-from rookfft.indexing import ranks_at
+from rookfft.indexing import cell_index
 from rookfft.spectral import spectrum
 from rookfft.transforms import (
     HALVERSON,
@@ -107,11 +115,14 @@ NAIVE_MAX_N = 7
 NAIVE_SPARSE_TERMS = {6: 400, 7: 40}
 CLI_NS = (6, 7, 8)
 BALLOT_VOTERS = 20_000
-REPEATS = 3
+WARM_S = 0.2
+WARM_CALLS = 15
+MIN_CALLS = 3
 CAL_S = 0.2
 HALF_RANK_N = 5
 FROM_FLAT_CALLS = 2000
 SEED = 0
+ZETA_NS = (6, 7, 8)
 
 # run as ``python -c KEPT_PROBE n seed``: prints the bytes tracemalloc still
 # holds after one recursive_fft call on _element(n, SEMIGROUP, seed)
@@ -131,11 +142,32 @@ gc.collect()
 print(tracemalloc.get_traced_memory()[0])
 """
 
+# run as ``python -c ZETA_PROBE n trace``: one to_groupoid call on a one-term
+# semigroup element of R_n, in a process that has built no table; prints its
+# seconds and, with trace 1, the bytes tracemalloc still holds after it
+ZETA_PROBE = """
+import gc, json, sys, time, tracemalloc
+from rookfft.algebra import SEMIGROUP, AlgebraElement, to_groupoid
+from rookfft.core import PartialPermutation
+n, trace = int(sys.argv[1]), sys.argv[2] == "1"
+f = AlgebraElement(n, SEMIGROUP, {PartialPermutation.from_pairs(n, [(1, 3), (2, 5), (n, n)]): 1.0})
+gc.collect()
+if trace:
+    tracemalloc.start()
+t0 = time.perf_counter()
+g = to_groupoid(f)
+seconds = time.perf_counter() - t0
+del g
+gc.collect()
+print(json.dumps({"seconds": seconds, "kept": tracemalloc.get_traced_memory()[0]}))
+"""
+
 
 class _Clock:
     """The timed calls of one row: per name, the wall time of one cold call
-    (``cold``), the minimum of REPEATS warm calls after it (``seconds``) and
-    that minimum in reference seconds (``reference``), from the calibration
+    (``cold``), the minimum of the warm calls after it (``seconds``: until
+    they took WARM_S or made WARM_CALLS calls, at least MIN_CALLS) and that
+    minimum in reference seconds (``reference``), from the calibration
     kernel timed right before and right after the warm calls."""
 
     def __init__(self):
@@ -147,11 +179,12 @@ class _Clock:
         out = fn(*args)
         self.cold[name] = time.perf_counter() - t0
         before = calibrate(CAL_S)
-        best = float("inf")
-        for _ in range(REPEATS):
+        best, calls, spent = float("inf"), 0, 0.0
+        while calls < MIN_CALLS or (spent < WARM_S and calls < WARM_CALLS):
             t0 = time.perf_counter()
             out = fn(*args)
-            best = min(best, time.perf_counter() - t0)
+            took = time.perf_counter() - t0
+            best, calls, spent = min(best, took), calls + 1, spent + took
         after = calibrate(CAL_S)
         self.seconds[name] = best
         self.reference[name] = in_reference_s(best, (before + after) / 2)
@@ -179,11 +212,22 @@ def _recursive_kept_mb(n: int, seed: int) -> float:
     return round(int(out) / 2**20, 2)
 
 
+def _zeta_row(n: int) -> dict:
+    """``ZETA_PROBE`` at n in two fresh processes with this one's
+    environment, untraced and traced."""
+    cold, kept = (
+        json.loads(subprocess.run([sys.executable, "-c", ZETA_PROBE, str(n), trace], check=True,
+                                  capture_output=True, text=True).stdout)
+        for trace in ("0", "1")
+    )
+    return {"n": n, "cold_seconds": cold["seconds"], "kept_mb": round(kept["kept"] / 2**20, 2)}
+
+
 def _from_flat_seconds(n: int, text: str) -> float:
-    """Seconds per ``from_flat`` call on one term: the minimum over REPEATS
+    """Seconds per ``from_flat`` call on one term: the minimum over MIN_CALLS
     loops of FROM_FLAT_CALLS calls."""
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(MIN_CALLS):
         t0 = time.perf_counter()
         for _ in range(FROM_FLAT_CALLS):
             PartialPermutation.from_flat(n, text)
@@ -222,6 +266,7 @@ def _row(n: int) -> dict:
     clock, multiply_adds = _Clock(), {}
     f, clock.seconds["from_dense"] = _element(n, SEMIGROUP, SEED + n)
     g = clock.time("to_groupoid", to_groupoid, f)
+    clock.time("to_semigroup", to_semigroup, g)
     multiply_adds["to_groupoid"] = _zeta_ops(f)
     for name, fn in [("stein_fft_semigroup", stein_fft_semigroup),
                      ("recursive_fft", recursive_fft)]:
@@ -266,10 +311,10 @@ def _half_rank_row() -> dict:
     half of the elements of each rank, rounded down."""
     n = HALF_RANK_N
     full, _ = _element(n, SEMIGROUP, SEED + 200 + n)
-    rng, ranks = np.random.default_rng(SEED + 200 + n), ranks_at(n, np.arange(size(n)))
+    rng = np.random.default_rng(SEED + 200 + n)
     values = np.zeros(size(n), dtype=complex)
     for k in range(n + 1):
-        at = np.flatnonzero(ranks == k)
+        at = np.sort(cell_index(n, k).ravel())
         keep = rng.choice(at, len(at) // 2, replace=False)
         values[keep] = full.values[keep]
     f = from_dense(n, SEMIGROUP, values)
@@ -349,9 +394,10 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    print(json.dumps({"repeats": REPEATS, "seed": SEED, "machine": machine,
-                      "rows": rows, "half_rank": half_rank, "naive": naive, "cli": cli_rows},
-                     indent=2))
+    timing = {"warm_s": WARM_S, "warm_calls": WARM_CALLS, "min_calls": MIN_CALLS}
+    print(json.dumps({"timing": timing, "seed": SEED, "machine": machine, "rows": rows,
+                      "zeta": [_zeta_row(n) for n in ZETA_NS], "half_rank": half_rank,
+                      "naive": naive, "cli": cli_rows}, indent=2))
 
 
 if __name__ == "__main__":

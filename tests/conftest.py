@@ -35,7 +35,7 @@ from rookfft.core import (
     size,
 )
 from rookfft.counting import OpCounter
-from rookfft.indexing import element_index
+from rookfft.indexing import element_index, image_codes
 from rookfft.rook_reps import SteinRep, halverson_rep
 from rookfft.symmetric import (
     Perm,
@@ -318,6 +318,31 @@ def reference_from_json_dict(data: dict) -> np.ndarray:
     values = np.zeros(size(n), dtype=complex)
     np.add.at(values, element_index(n, np.array(images, dtype=np.int64).reshape(len(images), n)), coeffs)
     return values
+
+
+def reference_without_point(n: int, positions: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of these positions, the ones whose element has p in its domain
+    (p counted from 0), and the positions of those elements with the pair at
+    p removed, found by one searchsorted over the image codes each."""
+    codes = image_codes(n)
+    weight = (n + 1) ** (n - 1 - p)
+    digit = codes[positions] // weight % (n + 1)
+    kept = np.flatnonzero(digit)
+    return positions[kept], np.searchsorted(codes, codes[positions[kept]] - digit[kept] * weight)
+
+
+def reference_spread(f: AlgebraElement, signed: bool) -> np.ndarray:
+    """Σ_{x ≥ t} f(x) into slot t, times (−1)^(rk x − rk t) when signed, as
+    a Yates pass over the domain points p = 1..n that pushes every nonzero
+    value at an x with p in its domain onto x without p: the per-point
+    pass, the oracle for ``algebra._spread`` at any n (its work follows the
+    support, so sparse inputs at n = 8 are cheap)."""
+    out = f.values.copy()
+    sign = -1.0 if signed else 1.0
+    for p in range(f.n):
+        sources, targets = reference_without_point(f.n, np.flatnonzero(out), p)
+        np.add.at(out, targets, sign * out[sources])
+    return out
 
 
 def direct_convolve_semigroup(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

@@ -1,16 +1,23 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import rookfft
 from conftest import (
     assert_product_matches_oracle,
     direct_convolve_groupoid,
     direct_convolve_semigroup,
     partial_perms,
     rand_elem,
+    reference_spread,
     sparse_element,
 )
 from rookfft.algebra import (
@@ -274,6 +281,67 @@ class TestDenseBasisChange:
         assert g.coeffs == {t: 1.5 - 2j for t in restrictions(x)}
         assert counter.multiply_adds == 8
         assert back.coeffs == f.coeffs
+
+    @pytest.mark.parametrize("n, support", [(6, "full"), (6, "sparse"), (7, "full"), (7, "sparse")])
+    def test_matches_per_point_pass(self, n, support):
+        f = rand_elem(n, SEMIGROUP, 340 + n, support)
+        g = rand_elem(n, GROUPOID, 350 + n, support)
+        assert_matches_per_point_pass(f, g)
+
+    @pytest.mark.parametrize("terms", [1, 300])
+    def test_matches_per_point_pass_at_n8(self, terms):
+        f = sparse_element(8, terms, 360 + terms, SEMIGROUP)
+        g = sparse_element(8, terms, 370 + terms, GROUPOID)
+        assert_matches_per_point_pass(f, g)
+
+
+def assert_matches_per_point_pass(f, g):
+    """Both basis changes agree with the per-point pass within 1e-12 of the
+    largest entry (the additions are associated differently)."""
+    for got, want in (
+        (to_groupoid(f), reference_spread(f, signed=False)),
+        (to_semigroup(g), reference_spread(g, signed=True)),
+    ):
+        assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# run as ``python -c ZETA_PROBE n``: both basis changes of one term of R_n in
+# a fresh process, so that every table they read is built in the traced
+# region; prints the traced peak, the bytes kept once the results are
+# dropped, and the bytes of the cell layout among them
+ZETA_PROBE = """
+import gc, json, sys, tracemalloc
+from rookfft.algebra import SEMIGROUP, AlgebraElement, to_groupoid, to_semigroup
+from rookfft.core import PartialPermutation
+from rookfft.indexing import cell_layout
+n = int(sys.argv[1])
+x = PartialPermutation.from_pairs(n, [(1, 3), (2, 5), (n, n)])
+f = AlgebraElement(n, SEMIGROUP, {x: 1.5 - 2j})
+gc.collect()
+tracemalloc.start()
+back = to_semigroup(to_groupoid(f))
+peak = tracemalloc.get_traced_memory()[1]
+assert back.coeffs == f.coeffs
+del back
+gc.collect()
+kept = tracemalloc.get_traced_memory()[0]
+print(json.dumps({"peak": peak, "kept": kept, "cells": cell_layout(n).nbytes}))
+"""
+
+
+class TestZetaMemory:
+    @pytest.mark.parametrize("n, kept_mb", [(6, 0.3), (8, 36)])
+    def test_one_term_tables_built_in_a_fresh_process(self, n, kept_mb):
+        # the step tables hold Σ_k k·|R_{n,k}| int32 positions (0.21 MiB at
+        # n=6, 31.96 MiB at n=8); the cell layout they index is the groupoid
+        # FFT's own (0.05 MiB at n=6, 5.5 MiB at n=8) and is counted apart
+        src = str(Path(rookfft.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", ZETA_PROBE, str(n)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        probe = json.loads(out)
+        assert probe["peak"] < 100 * 2**20
+        assert probe["kept"] - probe["cells"] <= kept_mb * 2**20
 
 
 @pytest.mark.parametrize("n", range(9))

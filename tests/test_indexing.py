@@ -5,7 +5,7 @@ import pytest
 
 from conftest import reference_enumerate_rn
 from rookfft.core import enumerate_rn, factorize, ksubset_index
-from rookfft.indexing import cell_index, element_index, elements_at, slice_index, without_point
+from rookfft.indexing import cell_index, cell_layout, element_index, elements_at, slice_index, zeta_steps
 from rookfft.symmetric import clausen_perms
 
 
@@ -33,16 +33,18 @@ def test_cells_hold_the_canonical_factorization(n):
                 assert y.image == perms[column]
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_without_point_removes_one_pair(n):
+@pytest.mark.parametrize("n", range(6))
+def test_zeta_steps_drop_the_jth_smallest_domain_point(n):
     elems = enumerate_rn(n)
-    everything = np.arange(len(elems))
-    for p in range(n):
-        sources, targets = without_point(n, everything, p)
-        assert [elems[i] for i in sources] == [x for x in elems if x.image[p]]
-        for i, t in zip(sources, targets):
+    assert sorted(cell_layout(n).tolist()) == list(range(len(elems)))
+    steps = zeta_steps(n)
+    assert len(steps) == n
+    for j, (sources, targets) in zip(range(n, 0, -1), steps):
+        assert sources.dtype == targets.dtype == np.int32 and sources.shape == targets.shape
+        assert sorted(sources.tolist()) == [i for i, x in enumerate(elems) if x.rank >= j]
+        for i, t in zip(sources.tolist(), targets.tolist()):
             image = list(elems[i].image)
-            image[p] = 0
+            image[elems[i].dom()[j - 1] - 1] = 0
             assert elems[t].image == tuple(image)
 
 
