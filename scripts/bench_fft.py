@@ -58,7 +58,11 @@ association on a ballot CSV of BALLOT_VOTERS seeded ballots, one row per
 voter with count 1 (``_ballots``).  Both JSON files are written by the
 standard library's ``json.dumps`` and the CSV by its ``csv`` module, so two
 checkouts read the same bytes; each row reports their sizes and those of
-the outputs.
+the outputs.  For each n in FRESH_NS the row's ``fresh`` field times the
+two transforms and ``invert`` once more each, every one in a fresh
+process (``CLI_PROBE``, which runs ``python -m rookfft`` as its one child):
+its wall time, start-up and tables included, and its peak RSS
+(``RUSAGE_CHILDREN``).
 Prints one JSON object.  Run it against two checkouts to compare them.
 """
 
@@ -123,6 +127,8 @@ HALF_RANK_N = 5
 FROM_FLAT_CALLS = 2000
 SEED = 0
 ZETA_NS = (6, 7, 8)
+FRESH_NS = (8,)
+FRESH_COMMANDS = ("transform_stein", "transform_recursive", "invert")
 
 # run as ``python -c KEPT_PROBE n seed``: prints the bytes tracemalloc still
 # holds after one recursive_fft call on _element(n, SEMIGROUP, seed)
@@ -160,6 +166,18 @@ seconds = time.perf_counter() - t0
 del g
 gc.collect()
 print(json.dumps({"seconds": seconds, "kept": tracemalloc.get_traced_memory()[0]}))
+"""
+
+
+# run as ``python -c CLI_PROBE args...``: runs ``python -m rookfft args...``
+# as its one child and prints the child's exit code, wall time and peak RSS
+CLI_PROBE = """
+import json, resource, subprocess, sys, time
+t0 = time.perf_counter()
+code = subprocess.run([sys.executable, "-m", "rookfft", *sys.argv[1:]], stdout=subprocess.DEVNULL).returncode
+seconds = time.perf_counter() - t0
+peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
+print(json.dumps({"code": code, "seconds": seconds, "peak_rss_mb": peak_kib / 1024}))
 """
 
 
@@ -221,6 +239,16 @@ def _zeta_row(n: int) -> dict:
         for trace in ("0", "1")
     )
     return {"n": n, "cold_seconds": cold["seconds"], "kept_mb": round(kept["kept"] / 2**20, 2)}
+
+
+def _fresh_cli(argv: list[str]) -> dict:
+    """``CLI_PROBE`` on argv in a fresh process with this one's environment,
+    so that it runs the same rookfft."""
+    probe = json.loads(subprocess.run([sys.executable, "-c", CLI_PROBE, *argv], check=True,
+                                      capture_output=True, text=True).stdout)
+    if probe["code"] != 0:
+        raise SystemExit(f"rookfft {' '.join(argv)} exited {probe['code']}")
+    return {"seconds": probe["seconds"], "peak_rss_mb": round(probe["peak_rss_mb"], 1)}
 
 
 def _from_flat_seconds(n: int, text: str) -> float:
@@ -378,8 +406,12 @@ def _cli_row(n: int, tmp: Path) -> dict:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     input_bytes = {"element": element.stat().st_size, "blocks": blocks.stat().st_size,
                    "ballots": ballots.stat().st_size}
-    return {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, **clock.fields(),
-            "peak_rss_mb": round(peak_mb, 1)}
+    row = {"n": n, "input_bytes": input_bytes, "output_bytes": output_bytes, **clock.fields(),
+           "peak_rss_mb": round(peak_mb, 1)}
+    if n in FRESH_NS:
+        row["fresh"] = {name: _fresh_cli([*commands[name], "--output", str(tmp / f"{name}.fresh")])
+                        for name in FRESH_COMMANDS}
+    return row
 
 
 def main() -> None:

@@ -12,12 +12,15 @@ like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
 ``PartialPermutation`` keys (``coeffs``, ``items()``) are decoded from the
 nonzero slots on demand, through the image codes of ``indexing``.
 
-The element JSON parser reads all terms in bulk: one batch of flat forms
-(``core.read_flat``, ``core.flat_rows``: one numpy pass over the joined
-text checks the grammar and pulls out the points; points are ASCII digits
-only), ``re`` and ``im`` checked as whole lists, and all rows placed with
-one ``element_index`` call.  The checks of one term only word the error
-of the first term refused.
+The element JSON parser goes through the term dicts once per field:
+``elem``, ``re`` and ``im`` each come out in one C-level pass
+(``core.json_fields``).  The flat forms are then read as one batch
+(``core.read_flat``: one numpy pass over the joined text checks the
+grammar and pulls out the points, ASCII digits only), and
+``indexing.flat_positions`` computes each term's image code straight from
+its points, so no image row is built.  ``re`` and ``im`` are checked as
+whole lists, and the coefficients placed with one ``np.add.at``.  The
+checks of one term only word the error of the first term refused.
 
 Both convolutions run through the convolution theorem (``stein_fft``, a
 product per block, ``fourier_invert``), so they cost the transforms' time
@@ -40,15 +43,15 @@ from .core import (
     PartialPermutation,
     check_n,
     flat_image,
-    flat_rows,
     json_complex,
+    json_fields,
     json_int,
     json_numbers,
     read_flat,
     size,
 )
 from .counting import OpCounter
-from .indexing import cell_index, element_index, elements_at, flat_forms, zeta_steps
+from .indexing import cell_index, element_index, elements_at, flat_forms, flat_positions, zeta_steps
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -286,10 +289,12 @@ def to_json_dict(f: AlgebraElement) -> dict:
 
 
 def from_json_dict(data: dict) -> AlgebraElement:
-    """The element of the JSON form.  Every term is checked in bulk: the
-    flat forms in one batch (``read_flat``, ``flat_rows``), ``re`` and ``im``
-    for type and finiteness as whole lists.  The first refused term, in file
-    order, is then worded by the checks of one term (``_term``)."""
+    """The element of the JSON form.  Each field of the terms is taken out
+    in one C-level pass (``json_fields``), and every term is checked in
+    bulk: the flat forms in one batch (``read_flat``, ``flat_positions``),
+    ``re`` and ``im`` for type and finiteness as whole lists.  The first
+    refused term, in file order, is then worded by the checks of one term
+    (``_term``)."""
     try:
         n = json_int(data["n"], "n")
         basis = data["basis"]
@@ -299,10 +304,14 @@ def from_json_dict(data: dict) -> AlgebraElement:
     if not isinstance(terms, list):
         raise ParseError(f"bad algebra element JSON: terms must be a list, not {type(terms).__name__}")
     check_n(n)
-    objects = [t if isinstance(t, dict) else {} for t in terms]  # {} has no "elem": refused
-    rows, refused = flat_rows(n, read_flat([t.get("elem") for t in objects]))
-    real, refused_re = json_numbers([t.get("re", 0.0) for t in objects])
-    imag, refused_im = json_numbers([t.get("im", 0.0) for t in objects])
+    fields = {"elem": None, "re": 0.0, "im": 0.0}
+    try:
+        elems, real, imag = json_fields(terms, fields)
+    except TypeError:  # a term that is no object reads as {}, which has no "elem": refused
+        elems, real, imag = json_fields([t if isinstance(t, dict) else {} for t in terms], fields)
+    at, refused = flat_positions(n, read_flat(elems))
+    real, refused_re = json_numbers(real)
+    imag, refused_im = json_numbers(imag)
     refused |= refused_re | refused_im
     if refused.any():
         first = int(refused.argmax())
@@ -310,7 +319,9 @@ def from_json_dict(data: dict) -> AlgebraElement:
         raise AssertionError(f"term {first} refused in bulk but not alone")
     coeffs = np.empty(len(terms), dtype=complex)
     coeffs.real, coeffs.imag = real, imag
-    return from_dense(n, basis, terms_vector(n, rows, coeffs))
+    values = np.zeros(size(n), dtype=complex)
+    np.add.at(values, at, coeffs)
+    return from_dense(n, basis, values)
 
 
 def _term(n: int, term) -> None:

@@ -5,9 +5,9 @@ composition (equivalently, 0/1 matrices with at most one 1 per row and
 column).  This module provides the elements themselves, composition and
 semigroup inverses, the natural partial order with its Möbius function,
 enumeration and counting formulas, Munn's cycle-link notation, the flat
-form "a->b;c->d" (read in batches: ``read_flat``, ``flat_rows``), and the
-canonical factorization of an element through the symmetric group on its
-rank.
+form "a->b;c->d" (read in batches: ``read_flat``, then
+``indexing.flat_positions``), and the canonical factorization of an
+element through the symmetric group on its rank.
 
 Elements are immutable and hashable so they can key sparse coefficient maps.
 """
@@ -17,8 +17,9 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, factorial, isfinite, nan
+from operator import countOf, itemgetter
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
@@ -219,6 +220,9 @@ for _prev, _token, _next in [
 ]:
     _FITS[_prev * 36 + _token * 6 + _next] = 1
 _FITS = bytes(_FITS)
+# the arguments of bytes.translate that keep only the digits, each as its value
+_POINT = (bytes(range(256)).replace(b"0123456789", bytes(range(10))),
+          bytes(range(48)) + bytes(range(58, 256)))
 _SLICE = 1 << 13  # terms per grammar pass, so that its per-byte arrays stay small
 
 
@@ -239,15 +243,24 @@ def read_flat(texts: list) -> FlatTerms:
     with a nonzero digit before its last one is above 9, whatever its
     length, and a run longer than ``int`` reads
     (``sys.get_int_max_str_digits``) is refused as ``int`` refuses it;
-    both read as 10."""
-    # an empty batch is one empty slice, so that there is something to concatenate
-    parts = [_read_slice(texts[i : i + _SLICE]) for i in range(0, max(len(texts), 1), _SLICE)]
-    grammatical, pairs, points = (np.concatenate(p) for p in zip(*parts))
-    return FlatTerms(texts, grammatical, pairs, points)
+    both read as 10.  Each slice is placed in the output as it is read, its
+    points appended to one buffer, so that the output is held once."""
+    grammatical = np.empty(len(texts), dtype=bool)
+    pairs = np.empty(len(texts), dtype=np.int32)
+    points = bytearray()
+    for i in range(0, len(texts), _SLICE):
+        part = slice(i, i + _SLICE)
+        grammatical[part], pairs[part], slice_points = _read_slice(texts[part])
+        points.extend(slice_points)
+    return FlatTerms(texts, grammatical, pairs, np.frombuffer(points, np.uint8))
 
 
 def _read_slice(texts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``read_flat``'s grammatical, pairs and points of a few terms."""
+    """``read_flat``'s grammatical, pairs and points of a few terms.  When
+    the text holds no whitespace and every byte fits as a token, which no
+    point of two digits or more does, each digit is a point and the bytes
+    give the points as they are (``_POINT``); otherwise ``_tokens`` reads
+    the tokens and points."""
     grammatical = np.ones(len(texts), dtype=bool)
     try:
         joined = "\0".join(["", *texts, ""])  # a term end before and after each term
@@ -256,13 +269,44 @@ def _read_slice(texts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         texts = [t if ok else "" for t, ok in zip(texts, grammatical)]
         joined = "\0".join(["", *texts, ""])
     data = joined.encode() if joined.isascii() else _one_byte_per_char(joined)
-    text = np.frombuffer(data, np.uint8)
-    kind = np.frombuffer(data.translate(_CLASS), np.uint8)
-    if data.count(0) > len(texts) + 1:  # a term holds a "\0": place the term ends by length
+    classes = data.translate(_CLASS)
+    kind = np.frombuffer(classes, np.uint8)
+    ends = np.flatnonzero(kind == _END)
+    if len(ends) > len(texts) + 1:  # a term holds a "\0": place the term ends by length
         kind = kind.copy()
-        kind[kind == _END] = _OTHER
+        kind[ends] = _OTHER
         lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        kind[np.cumsum(np.concatenate([[0], lengths + 1]))] = _END
+        ends = np.cumsum(np.concatenate([[0], lengths + 1]))
+        kind[ends] = _END
+    points, tokens = None, kind
+    if _SPACE not in classes:  # each byte a token: a point of two digits or more does not fit
+        fits = _fits(tokens)
+        if 0 not in fits:
+            points = np.frombuffer(data.translate(*_POINT), np.uint8)
+    if points is None:
+        points, tokens = _tokens(np.frombuffer(data, np.uint8), kind)
+        ends = np.flatnonzero(tokens == _END)
+        fits = _fits(tokens)
+    if 0 in fits:
+        faults = np.flatnonzero(np.frombuffer(fits, np.uint8) == 0) + 1
+        grammatical[np.searchsorted(ends, faults) - 1] = False
+    # a grammatical term of p pairs has 5p - 1 tokens, so its ends are 5p apart ("": 1)
+    pairs = np.where(grammatical, np.diff(ends) // 5, 0).astype(np.int32)
+    if not grammatical.all():
+        points = points[np.repeat(grammatical, np.add.reduceat(tokens == _DIGIT, ends[:-1]))]
+    return grammatical, pairs, points
+
+
+def _fits(tokens: np.ndarray) -> bytes:
+    """1 for each token that fits its two neighbours (``_FITS``), 0 for
+    each that does not; the first and last token have none."""
+    return (tokens[:-2] * 36 + tokens[1:-1] * 6 + tokens[2:]).tobytes().translate(_FITS)
+
+
+def _tokens(text: np.ndarray, kind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points and the token classes of a slice's bytes that hold
+    whitespace or a point of more than one digit: the whitespace is
+    dropped and each digit run is one token."""
     space = kind == _SPACE
     if space.any():
         after_space = np.concatenate([[False], space[:-1]])
@@ -276,26 +320,16 @@ def _read_slice(texts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     last = digit.copy()
     last[:-1] &= ~inner
     points = np.compress(last, text) - 48
-    tokens = kind
-    if inner.any():  # only multi-digit points get here
-        tokens = np.compress(np.append(~inner, True), kind)  # a digit run is one token
-        at = np.flatnonzero(inner)
-        run = np.searchsorted(np.flatnonzero(last), at)
-        points[run[text[at] != 48]] = 10
-        runs, inner_digits = np.unique(run, return_counts=True)
-        limit = sys.get_int_max_str_digits()
-        if limit:
-            points[runs[inner_digits >= limit]] = 10
-    fits = (tokens[:-2] * 36 + tokens[1:-1] * 6 + tokens[2:]).tobytes().translate(_FITS)
-    ends = np.flatnonzero(tokens == _END)
-    if 0 in fits:
-        faults = np.flatnonzero(np.frombuffer(fits, np.uint8) == 0) + 1
-        grammatical[np.searchsorted(ends, faults) - 1] = False
-    # a grammatical term of p pairs has 5p - 1 tokens, so its ends are 5p apart ("": 1)
-    pairs = np.where(grammatical, np.diff(ends) // 5, 0).astype(np.int32)
-    if not grammatical.all():
-        points = points[np.repeat(grammatical, np.add.reduceat(tokens == _DIGIT, ends[:-1]))]
-    return grammatical, pairs, points
+    if not inner.any():
+        return points, kind
+    at = np.flatnonzero(inner)
+    run = np.searchsorted(np.flatnonzero(last), at)
+    points[run[text[at] != 48]] = 10
+    runs, inner_digits = np.unique(run, return_counts=True)
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        points[runs[inner_digits >= limit]] = 10
+    return points, np.compress(np.append(~inner, True), kind)  # a digit run is one token
 
 
 def _one_byte_per_char(text: str) -> bytes:
@@ -307,29 +341,6 @@ def _one_byte_per_char(text: str) -> bytes:
     out = np.minimum(codes, 128).astype(np.uint8)
     out[np.isin(codes, wide[[chr(c).isspace() for c in wide]])] = 32
     return out.tobytes()
-
-
-def flat_rows(n: int, terms: FlatTerms) -> tuple[np.ndarray, np.ndarray]:
-    """(T, n) int8 image rows of the terms on {1..n}, and a (T,) mask of the
-    terms refused: ungrammatical, a point outside 1..n, a domain point mapped
-    twice, or a repeated image point.  A refused term's row is meaningless.
-    n is checked as by ``check_n``, so a point read as 10 is always outside."""
-    check_n(n)
-    count = len(terms.texts)
-    a, b = terms.points[0::2], terms.points[1::2]
-    term = np.repeat(np.arange(count, dtype=np.int32), terms.pairs)
-    inside = (a - 1 < n) & (b - 1 < n)  # 0 wraps round to 255
-    refused = ~terms.grammatical
-    refused[term[~inside]] = True
-    term, a, b = term[inside], a[inside] - 1, b[inside] - 1
-    rows = np.zeros((count, n), dtype=np.int8)
-    rows[term, a] = b + 1
-    used = np.zeros((count, n), dtype=bool)
-    used[term, b] = True
-    # a domain point mapped twice fills fewer slots than pairs, a repeated image fewer images
-    refused |= np.count_nonzero(rows, axis=1) != terms.pairs
-    refused |= np.count_nonzero(used, axis=1) != terms.pairs
-    return rows, refused
 
 
 def refuse_flat(n: int, text) -> NoReturn:
@@ -400,13 +411,25 @@ def json_complex(entry: dict) -> complex:
     return complex(real, imag)
 
 
+def json_fields(objects: list, fields: dict) -> list[list]:
+    """The values of each field over a list of JSON objects (dicts, as the
+    JSON reader gives them), the field's default in ``fields`` where an
+    object leaves it out, in one C-level pass per field (``itemgetter``, or
+    ``dict.get`` once a field is left out).  Raises TypeError when an entry
+    is no object."""
+    try:
+        return [list(map(itemgetter(key), objects)) for key in fields]
+    except KeyError:
+        return [list(map(dict.get, objects, repeat(key), repeat(default))) for key, default in fields.items()]
+
+
 def json_numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
     """The JSON numbers as float64, and a mask of the entries refused: no
     JSON number (a string, a bool, null, …), non-finite, or an integer too
     large for a float.  Refused entries read as nan.  It accepts exactly
     the values ``json_complex`` accepts, a whole list at a time."""
-    if set(map(type, values)) <= {float}:
-        out = np.array(values, dtype=float)
+    if countOf(map(type, values), float) == len(values):
+        out = np.fromiter(values, float, len(values))
     else:
         out = np.array([_json_float(v) for v in values], dtype=float)
     return out, ~np.isfinite(out)

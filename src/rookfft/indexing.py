@@ -4,9 +4,11 @@ The hot paths hold a function on R_n as a complex vector indexed like
 ``enumerate_rn(n)``.  An element is located by its image code
 Σ_p img[p]·(n+1)^(n-1-p), which grows with the image tuple, so the sorted
 codes of R_n are in canonical order and ``np.searchsorted`` maps a code to
-its position.  The rank-k elements are generated as x = p_A·y·p_B⁻¹ over
-range subsets A, domain subsets B (colex order) and y ∈ S_k (Clausen
-order), which is the (cell, column) layout the groupoid FFT consumes.
+its position.  ``flat_positions`` computes the codes of flat-form terms
+straight from their points, with no image row.  The rank-k elements are
+generated as x = p_A·y·p_B⁻¹ over range subsets A, domain subsets B
+(colex order) and y ∈ S_k (Clausen order), which is the (cell, column)
+layout the groupoid FFT consumes.
 
 The recursive FFT splits R_m into 2m translated copies of R_{m-1}
 (``slice_index``); composing those tables down the chain places every
@@ -34,7 +36,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import PartialPermutation, ksubsets, size
+from .core import FlatTerms, PartialPermutation, check_n, ksubsets, size
 from .symmetric import clausen_perms
 
 
@@ -75,6 +77,55 @@ def image_codes(n: int) -> np.ndarray:
 def element_index(n: int, images: np.ndarray) -> np.ndarray:
     """Positions in enumerate_rn(n) of the elements with these image rows."""
     return np.searchsorted(image_codes(n), images @ _powers(n))
+
+
+_BITS = 28  # low bits of a flat_positions word: the bits of MAX_N = 8 pairs sum below 2^28
+_TERMS = 1 << 16  # terms per flat_positions pass
+
+
+def flat_positions(n: int, terms: FlatTerms) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in enumerate_rn(n) of flat-form terms (``read_flat``) on
+    {1..n}, and a (T,) mask of the terms refused: ungrammatical, a point
+    outside 1..n, a domain point mapped twice, or a repeated image point.
+    A refused term's position is meaningless.  n is checked as by
+    ``check_n``, so a point read as 10 is always outside.
+
+    The codes come straight from the points, one word per pair.  A pair
+    a->b (points are 0..10) is looked up at a·11 + b in a table of 121
+    words: its part b·(n+1)^(n-a) of the image code shifted past _BITS
+    bits, plus the bits 2^a + 2^(16+b); or 1 when a point lies outside
+    1..n.  A term's pairs are one run of the points, so each term's sum
+    and union of words are one ``reduceat`` each over the runs, _TERMS
+    terms at a time, so that the per-pair arrays stay small.  A term of
+    at most n pairs, all inside, sums to below 2^_BITS in the low bits, so
+    the code is the sum shifted back, and its low bits equal their union
+    exactly when no point repeats.  A term of more than n pairs has a
+    point outside or repeats one.
+    """
+    check_n(n)
+    point = np.arange(11, dtype=np.int64)
+    inside = (point >= 1) & (point <= n)
+    code = ((n + 1) ** np.maximum(n - point, 0))[:, None] * point
+    bits = (1 << point[:, None]) + (1 << (16 + point))
+    word_of = np.where(inside[:, None] & inside, (code << _BITS) + bits, 1).ravel()
+    low = (1 << _BITS) - 1
+    codes = np.zeros(len(terms.pairs), dtype=np.int64)
+    refused = ~terms.grammatical
+    done = 0  # pairs of the terms before the slice
+    for at in range(0, len(codes), _TERMS):
+        pairs = terms.pairs[at : at + _TERMS]
+        count = int(pairs.sum())
+        runs = np.flatnonzero(pairs)
+        if len(runs):
+            points = terms.points[2 * done : 2 * (done + count)]
+            words = word_of[points[0::2] * 11 + points[1::2]]
+            starts = (np.cumsum(pairs) - pairs)[runs]
+            sums = np.add.reduceat(words, starts)
+            union = np.bitwise_or.reduceat(words, starts)
+            codes[at + runs] = sums >> _BITS
+            refused[at + runs] |= (pairs[runs] > n) | ((sums ^ union) & low != 0) | (union & 1 == 1)
+        done += count
+    return np.searchsorted(image_codes(n), codes), refused
 
 
 def elements_at(n: int, positions: np.ndarray) -> list[PartialPermutation]:

@@ -15,9 +15,10 @@ A dataset (``Dataset``) holds one read-only float vector of counts in
 ``enumerate_rn(n)`` order, which ``to_function`` takes as the coefficients
 of an element.  A ballot CSV is read as one batch of flat forms
 (``core.read_flat``, one numpy pass over the joined ballots for grammar and
-points, and ``core.flat_rows``; points are ASCII digits only), its counts
-as one float array: n is inferred from the parsed points, the ballots
-become image rows, and the counts go to their positions in
+points, and ``indexing.flat_positions``, which computes each ballot's image
+code from its points; points are ASCII digits only), its counts as one
+float array: n is inferred from the parsed points, and the counts go to
+the ballots' positions in
 ``enumerate_rn(n)`` with one ``np.add.at`` in file order, so repeated
 ballots merge.  No ballot is decoded to a ``PartialPermutation`` unless
 ``Dataset.records`` is read.
@@ -47,12 +48,11 @@ from .core import (
     ParseError,
     PartialPermutation,
     check_n,
-    flat_rows,
     read_flat,
     refuse_flat,
     size,
 )
-from .indexing import cell_index, element_index, elements_at
+from .indexing import cell_index, elements_at, flat_positions
 from .rook_reps import labels
 from .symmetric import invariant_form
 from .tableaux import Shape, num_standard, partitions
@@ -100,7 +100,7 @@ def ingest(path, n: int | None = None) -> Dataset:
 def _ingest_lines(fh, n: int | None) -> Dataset:
     """The rows are checked in bulk, all counts before any ballot, and the
     first refused row is worded by the checks of one row (``_check_row``,
-    ``refuse_flat``).  Each ballot is placed by its image row, and the counts
+    ``refuse_flat``).  Each ballot is placed by its image code, and the counts
     go into the vector with one ``np.add.at`` in file order."""
     rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["ballot", "count"]:
@@ -121,7 +121,7 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
     if n is None:
         n = largest
     check_n(n)
-    images, refused = flat_rows(n, ballots)
+    at, refused = flat_positions(n, ballots)
     if refused.any():
         i = int(refused.argmax())
         try:
@@ -129,7 +129,7 @@ def _ingest_lines(fh, n: int | None) -> Dataset:
         except ParseError as exc:
             raise ParseError(f"line {linenos[i]}: {exc}") from None
     totals = np.zeros(size(n))
-    np.add.at(totals, element_index(n, images), counts)
+    np.add.at(totals, at, counts)
     totals.flags.writeable = False
     d = object.__new__(Dataset)
     d.n, d.counts = n, totals

@@ -24,7 +24,6 @@ from rookfft.core import (
     _pairs_image,
     check_n,
     compose,
-    flat_rows,
     ksubsets,
     json_complex,
     json_int,
@@ -35,8 +34,8 @@ from rookfft.core import (
     size,
 )
 from rookfft.counting import OpCounter
-from rookfft.indexing import element_index, image_codes
-from rookfft.rook_reps import SteinRep, halverson_rep
+from rookfft.indexing import element_index, flat_positions, image_codes
+from rookfft.rook_reps import SteinRep, halverson_rep, labels
 from rookfft.symmetric import (
     Perm,
     _clausen_column,
@@ -122,13 +121,20 @@ def reassemble(fact: CanonicalFactorization, n: int) -> PartialPermutation:
     return compose(compose(p_out, extended(fact.y, n)), p_in)
 
 
+def image_rows(n: int, positions: np.ndarray) -> np.ndarray:
+    """(T, n) int64 image rows of the elements at these positions of
+    enumerate_rn(n), decoded from their image codes."""
+    powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return image_codes(n)[positions][:, None] // powers % (n + 1)
+
+
 def flat_images(n: int, texts: list) -> np.ndarray:
-    """(T, n) int8 image rows of the flat forms, each checked as by
+    """(T, n) image rows of the flat forms, each checked as by
     ``flat_image``; the first refused term raises its ParseError."""
-    rows, refused = flat_rows(n, read_flat(texts))
+    at, refused = flat_positions(n, read_flat(texts))
     if refused.any():
         refuse_flat(n, texts[int(refused.argmax())])
-    return rows
+    return image_rows(n, at)
 
 
 def eval_semigroup(rep: SteinRep, s: PartialPermutation) -> np.ndarray:
@@ -257,7 +263,7 @@ def reference_sn_ifft_batch(level: dict, k: int) -> np.ndarray:
 
 def reference_flat_image(n: int, text: str) -> tuple[int, ...]:
     """The flat form parsed one term at a time, points matched by ``\\d``:
-    the oracle for the batched parse (``read_flat``, ``flat_rows``).
+    the oracle for the batched parse (``read_flat``, ``flat_positions``).
     ``\\d`` also reads non-ASCII digits, which the batch refuses, so
     compare the two on ASCII digits only."""
     text = text.strip()
@@ -318,6 +324,22 @@ def reference_from_json_dict(data: dict) -> np.ndarray:
     values = np.zeros(size(n), dtype=complex)
     np.add.at(values, element_index(n, np.array(images, dtype=np.int64).reshape(len(images), n)), coeffs)
     return values
+
+
+def reference_block_json(F) -> dict:
+    """The block JSON written block by block and row by row, one
+    ``tolist`` per block: the oracle for ``transforms.to_json_dict``."""
+    data: dict = {"n": F.n, "family": F.family, "ops": F.ops.multiply_adds, "blocks": []}
+    for shape in labels(F.n):
+        M = np.asarray(F.blocks[shape], dtype=complex)
+        data["blocks"].append({
+            "lambda": list(shape),
+            "k": sum(shape),
+            "dim": int(M.shape[0]),
+            "rows": [[{"re": re, "im": im} for re, im in zip(real, imag)]
+                     for real, imag in zip(M.real.tolist(), M.imag.tolist())],
+        })
+    return data
 
 
 def reference_without_point(n: int, positions: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

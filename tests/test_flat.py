@@ -1,4 +1,4 @@
-"""The batched flat-form parser (``read_flat``, ``flat_rows``)
+"""The batched flat-form parser (``read_flat``, ``flat_positions``)
 against the oracles in ``conftest.py``: the grammar regex, and the
 term-by-term parser; the one-term reader ``flat_image`` against the batch;
 the ASCII-digit rule; and the parse's memory."""
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     flat_images,
+    image_rows,
     rand_elem,
     reference_flat_image,
     reference_from_json_dict,
@@ -27,11 +28,12 @@ from rookfft.core import (
     ParseError,
     PartialPermutation,
     flat_image,
-    flat_rows,
     parse_cycle_link,
     read_flat,
     size,
 )
+from rookfft.indexing import _TERMS, flat_positions
+from rookfft.transforms import _json_block
 
 # Unicode whitespace that str.strip() and the regex \s both remove
 _space = st.sampled_from(["", "", " ", "\t", "\n", "\x1c", "\u00a0", "\u2003", "\u3000"])
@@ -62,13 +64,13 @@ def test_batch_agrees_with_the_term_by_term_parser(n, texts):
     """The same rows for a batch the old parser takes; otherwise the same
     error, of the same type, for the same first refused term."""
     want = [_reference_or_error(n, t) for t in texts]
-    rows, refused = flat_rows(n, read_flat(texts))
+    at, refused = flat_positions(n, read_flat(texts))
     assert refused.tolist() == [isinstance(w, ValueError) for w in want]
     first = next((w for w in want if isinstance(w, ValueError)), None)
     if first is None:
         got = flat_images(n, texts)
         assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(len(want), n))
-        assert np.array_equal(rows, got)
+        assert np.array_equal(image_rows(n, at), got)
     else:
         with pytest.raises(ValueError) as got:
             flat_images(n, texts)
@@ -86,14 +88,15 @@ def test_twenty_thousand_ascii_strings_refused_as_before():
     texts += [f"{rng.randint(0, 4)}->{rng.randint(0, 4)}" for _ in range(2_000)]
     for n in (0, 3):
         want = [_reference_or_error(n, t) for t in texts]
-        rows, refused = flat_rows(n, read_flat(texts))
+        at, refused = flat_positions(n, read_flat(texts))
         assert refused.tolist() == [isinstance(w, ValueError) for w in want]
         for i in np.flatnonzero(refused)[::40]:  # the message, on a sample of the refused
             with pytest.raises(ParseError) as got:
                 PartialPermutation.from_flat(n, texts[i])
             assert str(got.value) == str(want[i])
         read = [w for w in want if not isinstance(w, ValueError)]
-        assert np.array_equal(rows[~refused], np.array(read, dtype=np.int64).reshape(len(read), n))
+        read = np.array(read, dtype=np.int64).reshape(len(read), n)
+        assert np.array_equal(image_rows(n, at[~refused]), read)
 
 
 def _assert_reads_as_the_regex(texts):
@@ -293,3 +296,70 @@ class TestElementJsonErrors:
         with pytest.raises(ValueError) as got:
             from_json_dict(data)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def _assert_refused_as_the_reference(self, terms):
+        data = {"n": 3, "basis": SEMIGROUP, "terms": terms}
+        with pytest.raises(ValueError) as want:
+            reference_from_json_dict(data)
+        with pytest.raises(ValueError) as got:
+            from_json_dict(data)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [
+        {"elem": "1->3;2->3", "re": 1.0},
+        {"elem": "1->1", "re": "1.5"},
+        {"elem": "1->1", "im": float("nan")},
+        {"re": 1.0},
+    ])
+    @pytest.mark.parametrize("later", ["1->1", None, [], 7])
+    def test_refused_term_before_a_non_object_term_is_reported(self, bad, later):
+        """A term that is no object makes the fields come out of the
+        objects again; the refused dict term before it is still the one
+        reported."""
+        self._assert_refused_as_the_reference([*self.good, bad, *self.good, later])
+
+    @pytest.mark.parametrize("terms", [
+        [{"elem": "1->2;2->1"}],
+        [{"elem": "1->2;2->1", "re": 0.5, "im": -1.0}, {"elem": "3->3", "re": 2.0}],
+        [{"elem": "1->2;2->1", "re": 0.5, "im": -1.0}, {"elem": "3->3", "im": 2.0}],
+        [{"elem": "3->3", "im": 2.0}, {"elem": ""}, {"elem": "1->1", "re": -1.5, "im": 0.25}],
+    ])
+    def test_terms_without_re_or_im_read_as_zero(self, terms):
+        data = {"n": 3, "basis": SEMIGROUP, "terms": terms}
+        assert np.array_equal(from_json_dict(data).values,
+                              from_dense(3, SEMIGROUP, reference_from_json_dict(data)).values)
+
+    def test_entries_without_re_or_im_read_as_zero_in_the_block_reader(self):
+        rows = [[{"re": 0.5, "im": -1.0}, {"re": 2.0}], [{"im": 3.0}, {}]]
+        assert _json_block(rows).tolist() == [[0.5 - 1j, 2 + 0j], [3j, 0j]]
+
+    def test_extra_keys_are_ignored(self):
+        extra = {"note": "x", "rank": 2, "elem2": "1->1", "re ": "no number"}
+        terms = [{"elem": "1->2;2->1", "re": 0.5, "im": -1.0}, {"elem": "3->3", "re": 2.0},
+                 {"elem": "", "im": 1.0}]
+        data = {"n": 3, "basis": SEMIGROUP, "terms": terms}
+        loud = {**data, "terms": [{**extra, **t} for t in terms]}
+        assert np.array_equal(from_json_dict(loud).values, from_json_dict(data).values)
+        rows = [[{"re": 0.5, "im": -1.0}, {"re": 2.0}], [{"im": 3.0}, {}]]
+        loud_rows = [[{**extra, **e} for e in row] for row in rows]
+        assert _json_block(loud_rows).tobytes() == _json_block(rows).tobytes()
+
+
+def test_positions_across_term_slices():
+    """``flat_positions`` runs _TERMS terms at a time: refused, blank and
+    zero-map terms on both sides of each boundary keep their mask and the
+    others their rows."""
+    rng = random.Random(24)
+    n = 4
+    count = 2 * _TERMS + 3
+    points = range(1, n + 1)
+    texts = [";".join(f"{a}->{b}" for a, b in zip(rng.sample(points, k), rng.sample(points, k)))
+             for k in (rng.randint(0, n) for _ in range(count))]
+    odd = ["", " ", "1->1;1->2", "1->5", "x", "2->1;3->1", None, "1->1;2->2;3->3;4->4", "01->04"]
+    for at in (0, _TERMS - 1, _TERMS, _TERMS + 1, 2 * _TERMS - 1, 2 * _TERMS, count - 1):
+        texts[at] = rng.choice(odd)
+    want = [_reference_or_error(n, t) if isinstance(t, str) else ParseError() for t in texts]
+    at, refused = flat_positions(n, read_flat(texts))
+    assert refused.tolist() == [isinstance(w, ValueError) for w in want]
+    read = [w for w in want if not isinstance(w, ValueError)]
+    assert np.array_equal(image_rows(n, at[~refused]), np.array(read, dtype=np.int64).reshape(len(read), n))

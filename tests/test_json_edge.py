@@ -1,17 +1,28 @@
 """The array-fed JSON edge: the element writer spells flat forms from image
-digits, the block reader checks re/im as whole lists, and the halverson
-image rows build one generator word per element; each against the
-term-by-term path it replaced."""
+digits, the block writer slices its rows from one list of entries, the
+block reader checks re/im as whole lists, and the halverson image rows
+build one generator word per element; each against the term-by-term path
+it replaced."""
 
 import numpy as np
+import orjson
 import pytest
 
-from conftest import rand_elem
+from conftest import rand_elem, reference_block_json
 from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, from_json_dict, to_json_dict
 from rookfft.core import enumerate_rn, json_complex, size
 from rookfft.indexing import elements_at, flat_forms
 from rookfft.rook_reps import halverson_rep
-from rookfft.transforms import HALVERSON, _columns, _image_rows, _json_block
+from rookfft.transforms import (
+    HALVERSON,
+    FourierCoefficients,
+    _columns,
+    _image_rows,
+    _json_block,
+    recursive_fft,
+    stein_fft,
+    to_json_dict as blocks_to_json,
+)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -34,6 +45,26 @@ def test_element_json_matches_the_term_by_term_writer(n, basis, seed):
     assert repr(data) == repr({"n": n, "basis": basis, "terms": expected})  # -0.0 too
     assert all(type(t["re"]) is float and type(t["im"]) is float for t in data["terms"])
     assert np.array_equal(from_json_dict(data).values, f.values)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_block_writer_matches_the_per_row_writer(n):
+    """Bit for bit, signed zeros included, in both families: n = 0 is one
+    1×1 block, and every n has 1×1 blocks."""
+    for F in (stein_fft(rand_elem(n, GROUPOID, n)), recursive_fft(rand_elem(n, SEMIGROUP, n))):
+        blocks = {}
+        for i, (shape, M) in enumerate(F.blocks.items()):
+            M = M.copy()
+            M.flat[i % M.size] = complex(-0.0, 0.5) if i % 2 else complex(0.25, -0.0)
+            M.flat[-1] = -0.0
+            blocks[shape] = M
+        G = FourierCoefficients(n, F.family, blocks, F.ops)
+        got, want = blocks_to_json(G), reference_block_json(G)
+        assert repr(got) == repr(want)  # -0.0 too
+        assert orjson.dumps(got) == orjson.dumps(want)
+        assert all(type(e["re"]) is float and type(e["im"]) is float
+                   for block in got["blocks"] for row in block["rows"] for e in row)
+        assert any(len(block["rows"]) == 1 for block in got["blocks"])
 
 
 def _per_entry(rows):
