@@ -427,10 +427,18 @@ def json_numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
     """The JSON numbers as float64, and a mask of the entries refused: no
     JSON number (a string, a bool, null, …), non-finite, or an integer too
     large for a float.  Refused entries read as nan.  It accepts exactly
-    the values ``json_complex`` accepts, a whole list at a time."""
-    if countOf(map(type, values), float) == len(values):
-        out = np.fromiter(values, float, len(values))
-    else:
+    the values ``json_complex`` accepts, a whole list at a time: a list of
+    exact ``int`` and ``float`` entries alone is read in one pass, and any
+    other list, or one with an integer too large for a float, entry by
+    entry."""
+    out = None
+    floats = countOf(map(type, values), float)
+    if floats == len(values) or floats + countOf(map(type, values), int) == len(values):
+        try:
+            out = np.fromiter(values, float, len(values))
+        except OverflowError:
+            pass
+    if out is None:
         out = np.array([_json_float(v) for v in values], dtype=float)
     return out, ~np.isfinite(out)
 

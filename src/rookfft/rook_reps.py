@@ -2,17 +2,22 @@
 
 Two equivalent families, both indexed by partitions λ ⊢ k for 0 ≤ k ≤ n:
 
-* the tensor-up family ("stein"), built from a seminormal representation ρ
-  of S_k placed into a C(n,k)×C(n,k) grid of d_ρ×d_ρ cells indexed by
-  k-subsets: the groupoid basis element for s of rank k maps to ρ(y) in
-  cell (ran(s), dom(s)) and every other element of the basis to 0;
+* the tensor-up family ("stein"), built from Young's orthogonal
+  representation ρ of S_k placed into a C(n,k)×C(n,k) grid of d_ρ×d_ρ
+  cells indexed by k-subsets: the groupoid basis element for s of rank k
+  maps to ρ(y) in cell (ran(s), dom(s)) and every other element of the
+  basis to 0;
 
-* the tableau family ("halverson"), acting on n-standard tableaux with the
-  seminormal content coefficients, extended by the rank-dropping generator
-  [n] = (1)(2)..(n-1)[n] which kills every tableau containing n.  With the
-  generalized last-letter basis order these matrices are chain-adapted to
-  R_n > R_{n-1} > ... > R_1, which the recursive transform relies on.
-  It lives in ``symmetric`` (at n = k it is the seminormal family of S_k).
+* the tableau family ("halverson"), acting on n-standard tableaux with
+  the content coefficients of Young's orthogonal form, extended by the
+  rank-dropping generator [n] = (1)(2)..(n-1)[n] which kills every tableau
+  containing n.  With the generalized last-letter basis order these
+  matrices are chain-adapted to R_n > R_{n-1} > ... > R_1, which the
+  recursive transform relies on.  It lives in ``symmetric`` (at n = k it
+  is the orthogonal family of S_k).
+
+In both, ρ(w)⁻¹ = ρ(w)ᵀ for every w ∈ S_k, and the two are related by a
+permutation of the tableaux (``halverson_permutation``).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def halverson_permutation(shape: Shape, n: int) -> np.ndarray:
     λ ⊢ k, a permutation of the tableaux.  Read-only.
 
     Let V₀ be the tableaux whose entries are exactly {1..k}: elements of
-    rank below k act on λ as zero, and S_k acts on V₀ by its seminormal
+    rank below k act on λ as zero, and S_k acts on V₀ by its orthogonal
     matrices, in the basis order of ``seminormal_rep``.  The stein basis
     vector v of cell A is then ρ_H(p_({1..k}→A))·v, so the similarity U
     with U⁻¹·ρ_H(x)·U = ρ_S(x) is [ρ_H(p_({1..k}→A))[:, V₀] for A in
@@ -89,7 +94,7 @@ def halverson_permutation(shape: Shape, n: int) -> np.ndarray:
 
 @dataclass
 class SteinRep:
-    """Tensor-up irreducible representation of R_n from a seminormal ρ on S_k."""
+    """Tensor-up irreducible representation of R_n from Young's orthogonal ρ on S_k."""
 
     shape: Shape
     n: int

@@ -7,7 +7,8 @@ groupoid basis) the dataset becomes an algebra element, which decomposes
 into isotypic components, one per label λ ⊢ k ≤ n.  Energies are reported
 under ⟨·,·⟩₂, the inner product that makes distinct isotypic components
 orthogonal, and come from a Plancherel formula on the stein blocks: one
-forward FFT plus O(|R_n|), with no inversion.  The projections themselves
+forward FFT plus O(|R_n|), with no inversion, since the blocks are in
+Young's orthogonal form, where ρ(w)⁻¹ = ρ(w)ᵀ.  The projections themselves
 (``isotypic_project``) still go transform → keep one block → invert, the
 inversion over the block's rank alone.
 
@@ -30,7 +31,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .core import (
 )
 from .indexing import cell_index, elements_at, flat_positions
 from .rook_reps import labels
-from .symmetric import invariant_form
 from .tableaux import Shape, num_standard, partitions
 from .transforms import FourierCoefficients, invert_rank, stein_fft
 
@@ -222,11 +221,11 @@ def spectrum(f: AlgebraElement, association: str | None = None) -> SpectrumRepor
     With g the groupoid image of f and F̂ = stein_fft(g), the projection onto
     λ ⊢ k has energy
 
-        ⟨p_λ,p_λ⟩₂ = (f^λ/k!) · Σ_ij |F̂_λ[i,j]|² · W_i/W_j,
+        ⟨p_λ,p_λ⟩₂ = (f^λ/k!) · ‖F̂_λ‖²_F,
 
-    the S_k Plancherel formula summed over the C(n,k)² subset cells, where W
-    is the seminormal invariant form (``invariant_form``) tiled across the
-    cells.  That is one forward FFT plus O(|R_n|); no inversion runs.
+    the S_k Plancherel formula summed over the C(n,k)² subset cells, which
+    needs no weights as every ρ_λ(w) is orthogonal.  That is one forward
+    FFT plus O(|R_n|); no inversion runs.
 
     The association model is the basis carrying the raw values; passing a
     different one is an error (convert explicitly instead).
@@ -239,25 +238,12 @@ def spectrum(f: AlgebraElement, association: str | None = None) -> SpectrumRepor
     F = stein_fft(g)
     energies: dict[Shape, float] = {}
     for shape in labels(f.n):
-        w, inverse, factor = _plancherel_weights(shape, f.n)
         M = F.blocks[shape]
-        power = M.real**2 + M.imag**2
-        energies[shape] = factor * float(w @ power @ inverse)
+        factor = num_standard(shape) / math.factorial(sum(shape))
+        energies[shape] = factor * float(np.vdot(M, M).real)
     total = sum(energies.values())
     residual = abs(total - float(np.vdot(g.values, g.values).real))
     return SpectrumReport(f.n, f.basis, energies, total, residual)
-
-
-@cache
-def _plancherel_weights(shape: Shape, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(W, 1/W, f^λ/k!) for λ ⊢ k in R_n: the invariant form tiled across
-    the C(n,k) subset cells, its reciprocal (both read-only) and the
-    Plancherel factor, as ``spectrum`` weighs the λ block."""
-    k = sum(shape)
-    w = np.tile(invariant_form(shape), math.comb(n, k))
-    inverse = 1.0 / w
-    w.flags.writeable = inverse.flags.writeable = False
-    return w, inverse, num_standard(shape) / math.factorial(k)
 
 
 def analyze(d: Dataset, association: str) -> SpectrumReport:

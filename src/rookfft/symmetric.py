@@ -1,14 +1,16 @@
-"""Seminormal representations of S_k and R_n, and a divide-and-conquer FFT on S_k.
+"""Young's orthogonal representations of S_k and R_n, and a divide-and-conquer FFT on S_k.
 
 ``halverson_rep(λ, n)`` acts on n-standard tableaux; at n = |λ| it is
-Young's seminormal representation of S_k, and ``seminormal_rep(λ)`` is that
-same object (an element of S_k is a full-rank element of R_k).  The
-matrices are chain-adapted to S_k > S_{k-1} > ... > S_1 (restriction to
-the subgroup fixing k is literally block-diagonal in lower-level
-representations), which is what lets the FFT assemble subgroup transforms
-for free and pay only for sparse multiplications by images of the coset
-representatives T_i = t_{i+1}···t_k.  The resulting multiply-add count is
-at most (2/3)k(k+1)²k!.
+Young's orthogonal representation of S_k, and ``seminormal_rep(λ)`` is that
+same object (an element of S_k is a full-rank element of R_k).  Every
+generator image ρ(t_j) is a symmetric involution, so ρ(w)⁻¹ = ρ(w)ᵀ for
+every permutation w.  The matrices are chain-adapted to S_k > S_{k-1} >
+... > S_1 (restriction to the subgroup fixing k is literally
+block-diagonal in lower-level representations), which is what lets the
+FFT assemble subgroup transforms for free and pay only for sparse
+multiplications by images of the coset representatives
+T_i = t_{i+1}···t_k.  The resulting multiply-add count is at most
+(2/3)k(k+1)²k!.
 
 Permutations are tuples in one-line notation: w = (w(1), ..., w(k)).  The
 FFT reads a function on S_k as a vector in Clausen order (``clausen_perms``),
@@ -18,17 +20,15 @@ S_b, b = min(k, 5), with one product by a cached (b!, b!) real table of
 S_b's point masses (``_codelet``, built by running level b on the b! point
 masses after the table of S_{b-1}), so that for k ≤ 5 the transform of a
 batch is that one product; the levels above it read real tables cut from
-Young's orthogonal runs (``coset_runs``, as ``recursive_fft`` does).  The
-op counter is still charged the recursion's sparse count at every level
+the runs of generator images (``coset_runs``, as ``recursive_fft`` does).
+The op counter is still charged the recursion's sparse count at every level
 2..k, although the table does more arithmetic: b!² = 14,400 multiply-adds
 per real part of a full S_5 node against the 4,760 charged.
 The inverse (``sn_ifft_batch``) runs the levels above S_b backwards,
 recovering each coset's subgroup transform by Fourier inversion on
 S_{m-1}, then takes one product with the inverse table
-(``_inverse_codelet``), which is derived from the forward one: the
-seminormal basis is orthogonal for the invariant form W
-(``invariant_form``), so inverting weighs the forward table's entries by
-(d_λ/b!)·W_i/W_j.
+(``_inverse_codelet``), which is the forward one transposed, its entries
+weighted by d_λ/b!.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, sqrt
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -91,9 +91,11 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> Pairing:
     """ρ(t_i) for t_i = (i-1, i) acting on the span of an n-standard basis.
 
     On a basis vector indexed by L: when both i-1 and i appear in L the
-    action mixes L with the swapped tableau using the inverse content
-    difference 1/(ct(L(i)) - ct(L(i-1))); when exactly one appears it just
-    relabels; when neither appears it fixes the vector.
+    action mixes L with the swapped tableau in Young's orthogonal form,
+    1/r on the diagonal and √(1 − 1/r²) at the partner, with r =
+    ct(L(i)) - ct(L(i-1)) the content difference; when exactly one appears
+    it just relabels; when neither appears it fixes the vector.  So every
+    ρ(t_i) is a symmetric involution.
     """
     index = {t: j for j, t in enumerate(basis)}
     d = len(basis)
@@ -107,7 +109,7 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> Pairing:
             swapped = swap_adjacent(L, i)
             if is_standard(swapped):
                 row = index[swapped]
-                partner[row], off[row] = col, 1.0 + 1.0 / diff
+                partner[row], off[row] = col, sqrt(1.0 - 1.0 / diff**2)
         elif pos_i is not None or pos_prev is not None:
             row = index[swap_adjacent(L, i)]
             diagonal[col] = 0.0
@@ -186,8 +188,9 @@ def halverson_rep(shape: Shape, n: int) -> HalversonRep:
 
 
 def seminormal_rep(shape: Shape) -> HalversonRep:
-    """The seminormal representation of S_k indexed by λ ⊢ k:
-    ``halverson_rep(λ, k)``, the same cached object."""
+    """Young's orthogonal representation of S_k indexed by λ ⊢ k:
+    ``halverson_rep(λ, k)``, the same cached object.  The name predates
+    the orthogonal form; perfbench's span list (``spans.py``) names it."""
     return halverson_rep(shape, sum(shape))
 
 
@@ -199,62 +202,6 @@ def perm_image(shape: Shape, w: Perm) -> np.ndarray:
     M = seminormal_rep(shape).evaluate(PartialPermutation(len(w), w))
     M.flags.writeable = False
     return M
-
-
-@cache
-def invariant_form(shape: Shape) -> np.ndarray:
-    """Diagonal W of the invariant form Σ_w ρ(w)ᵀρ(w) of seminormal_rep(shape).
-
-    The form is diagonal in the seminormal basis, and ρ(t_i)ᵀ·W·ρ(t_i) = W
-    fixes the ratio of the two weights each generator mixes:
-    w(t_i·L) = w(L)·(r-1)/(r+1) with r = ct(L(i)) - ct(L(i-1)).  A walk over
-    adjacent swaps from the first tableau therefore reaches every weight
-    without summing over S_k.  Scaled so that w(basis[0]) = 1; every weight
-    is positive, since a swap that stays standard has |r| ≥ 2.
-    """
-    k = sum(shape)
-    basis = nstandard_tableaux(shape, k)
-    index = {L: j for j, L in enumerate(basis)}
-    w = np.zeros(len(basis))
-    w[0] = 1.0
-    stack = [0]
-    while stack:
-        j = stack.pop()
-        L = basis[j]
-        for i in range(2, k + 1):
-            s = index.get(swap_adjacent(L, i))
-            if s is not None and w[s] == 0.0:
-                r = content(*find_entry(L, i)) - content(*find_entry(L, i - 1))
-                w[s] = w[j] * (r - 1) / (r + 1)
-                stack.append(s)
-    w.flags.writeable = False
-    return w
-
-
-@cache
-def orthogonal_scales(shape: Shape, n: int) -> np.ndarray:
-    """√E for ``halverson_rep(λ, n)``, read-only: E is the positive diagonal
-    with ρ(t_j)ᵀ = E·ρ(t_j)·E⁻¹ for every j, so that in the basis rescaled
-    by 1/√E every ρ(t_j) is symmetric (Young's orthogonal form).
-
-    A t_j that mixes two tableaux gives ρ(t_j)[r, p]/ρ(t_j)[p, r] =
-    E[p]/E[r], the ratio the invariant form fixes; one that relabels gives
-    1.  So E at a tableau is the invariant form's weight (``invariant_form``)
-    of the standard tableau it relabels, its entries replaced by their
-    ranks.  Restricted to a branch of λ in R_{n-1} (``rook_reps.branch_rn``),
-    E is a multiple of the branch's own E, the invariant form of S_k being
-    chain-adapted too.
-    """
-    k = sum(shape)
-    index = {L: j for j, L in enumerate(nstandard_tableaux(shape, k))}
-    weight = invariant_form(shape)
-    E = []
-    for L in nstandard_tableaux(shape, n):
-        rank = {e: i + 1 for i, e in enumerate(sorted(entries(L)))}
-        E.append(weight[index[tuple(tuple(rank[e] for e in row) for row in L)]])
-    out = np.sqrt(E)
-    out.flags.writeable = False
-    return out
 
 
 def branch_sn(shape: Shape) -> tuple[Shape, ...]:
@@ -296,20 +243,18 @@ def _clausen_column(k: int) -> dict[Perm, int]:
 
 def coset_runs(reps: list[HalversonRep]) -> np.ndarray:
     """(m-1, L, d, d) reals for L reps of R_m of dimension d: entry i-1 holds
-    each rep's run A_i = ρ(t_{i+1})···ρ(t_m) in Young's orthogonal basis
-    (``orthogonal_scales``), where every ρ(t_j) is symmetric.  Each run is
-    built from the one after it, A_m = I and A_i = ρ(t_{i+1})·A_{i+1}, a
-    diagonal plus one partner row per row (``Pairing``), in O(m·L·d²).
+    each rep's run A_i = ρ(t_{i+1})···ρ(t_m).  Each run is built from the
+    one after it, A_m = I and A_i = ρ(t_{i+1})·A_{i+1}, a diagonal plus one
+    partner row per row (``Pairing``), in O(m·L·d²).
     Both FFTs read it: ``transforms._runs`` and ``_coset_images``."""
     m, d = reps[0].n, reps[0].dim
-    scales = [orthogonal_scales(rep.shape, m) for rep in reps]
     runs = np.empty((m - 1, len(reps) * d, d))
     A = np.tile(np.eye(d), (len(reps), 1))
     for j in range(m, 1, -1):
         parts = [rep.pairings[j] for rep in reps]
         partner = np.concatenate([p.partner + l * d for l, p in enumerate(parts)])
         diagonal = np.concatenate([p.diagonal for p in parts])
-        off = np.concatenate([s * p.off / s[p.partner] for s, p in zip(scales, parts)])
+        off = np.concatenate([p.off for p in parts])
         A = runs[j - 2] = diagonal[:, None] * A + off[:, None] * A[partner]
     return runs.reshape(m - 1, len(reps), d, d)
 
@@ -321,20 +266,16 @@ def _coset_images(shape: Shape) -> tuple[tuple[int, int, Shape, np.ndarray, np.n
     i = 0..m−1, the columns of the coset images that meet the μ block, side
     by side; R[i·d_μ + r, :] = (d_λ/(m·d_μ))·ρ_λ(T_{i+1})⁻¹[offset + r, :],
     the rows of their inverses, scaled for Fourier inversion on S_{m−1}.
-    Both are cut from the orthogonal runs (``coset_runs``), R transposed as
-    A_i⁻¹ = A_iᵀ, and scaled back by ρ_λ(T_i) = S⁻¹·A_i·S, S the diagonal
-    of ``orthogonal_scales(λ, m)``."""
+    Both are cut from the runs (``coset_runs``), R transposed as
+    ρ_λ(T_i)⁻¹ = ρ_λ(T_i)ᵀ."""
     rep = seminormal_rep(shape)
     m, d = rep.n, rep.dim
-    s = orthogonal_scales(shape, m)
     runs = np.concatenate([coset_runs([rep])[:, 0], np.eye(d)[None]])
     parts, offset = [], 0
     for mu in branch_sn(shape):
         dm = num_standard(mu)
         A = np.concatenate(runs[:, :, offset : offset + dm], axis=1)
-        col = np.tile(s[offset : offset + dm], m)
-        Q = A * col / s[:, None]
-        R = A.T * (s / col[:, None]) * (d / (m * dm))
+        Q, R = A, A.T * (d / (m * dm))
         Q.flags.writeable = R.flags.writeable = False
         parts.append((offset, dm, mu, Q, R))
         offset += dm
@@ -421,8 +362,8 @@ def sn_ifft_batch(level: Mapping[Shape, np.ndarray], k: int) -> np.ndarray:
     each stack made C-contiguous first to be read as reals.  The
     level-b stacks then take one product with the cached inverse table of
     S_b (``_inverse_codelet``), b!² multiply-adds per real part of a node;
-    that table is the forward one transposed, its entries weighted through
-    the invariant form, not the inverse levels run on point masses.  Like
+    that table is the forward one transposed, its entries weighted by
+    d_λ/b!, not the inverse levels run on point masses.  Like
     every inversion, this charges no counter.
     """
     stacks = {}
@@ -530,15 +471,11 @@ def _codelet(b: int) -> np.ndarray:
 def _inverse_codelet(b: int) -> np.ndarray:
     """The inverse of ``_codelet(b)``, read-only, derived from it without
     running the inverse levels.  Fourier inversion reads f(w) =
-    Σ_λ (d_λ/b!)·tr(ρ_λ(w)⁻¹·F̂_λ), and the seminormal basis is orthogonal
-    for the invariant form W (``invariant_form``), ρ(w)⁻¹ = W⁻¹·ρ(w)ᵀ·W; so
-    f(w) = Σ_{λ,i,j} (d_λ/b!)·(W_i/W_j)·ρ_λ(w)[i, j]·F̂_λ[i, j], the
-    forward table's column w weighted entry by entry."""
-    weights = []
-    for shape, _, d in _entries(b):
-        w = invariant_form(shape)
-        weights.append(np.outer(w, 1.0 / w).ravel() * (d / factorial(b)))
-    out = np.ascontiguousarray((_codelet(b) * np.concatenate(weights)[:, None]).T)
+    Σ_λ (d_λ/b!)·tr(ρ_λ(w)⁻¹·F̂_λ), and ρ(w)⁻¹ = ρ(w)ᵀ; so f(w) =
+    Σ_{λ,i,j} (d_λ/b!)·ρ_λ(w)[i, j]·F̂_λ[i, j], the forward table's
+    column w weighted by d_λ/b! entry by entry."""
+    weights = np.concatenate([np.full(d * d, d / factorial(b)) for _, _, d in _entries(b)])
+    out = np.ascontiguousarray((_codelet(b) * weights[:, None]).T)
     out.flags.writeable = False
     return out
 
@@ -546,7 +483,7 @@ def _inverse_codelet(b: int) -> np.ndarray:
 def sn_fft(
     f: Mapping[Perm, complex], n: int, counter: OpCounter | None = None
 ) -> dict[Shape, np.ndarray]:
-    """Fourier transform of f on S_n over the seminormal representations.
+    """Fourier transform of f on S_n over Young's orthogonal representations.
 
     Recursive over the coset decomposition by w(n): the n subgroup
     transforms are reassembled block-diagonally for free and multiplied by

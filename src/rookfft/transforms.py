@@ -22,20 +22,19 @@ multiply-add counter:
   level a slice is multiplied by one cached run of generator images
   ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one matmul
   (``symmetric.coset_runs``, which the S_k FFT's levels read too);
-  the levels run in Young's orthogonal basis, where T_i and up_i share
-  that run, and the root is rescaled to the halverson basis once.  The
-  cached tables hold 8 bytes per element of R_m (``_embedding``), 8·(m-1)
-  for the runs (``_runs``) and 8·|R_4|² for the codelet: 1.06 MB over the
-  levels of n = 6 (0.59 MB of runs, 0.35 MB of codelet) and 100 MB at
-  n = 8.
+  every ρ(t_j) is a symmetric involution (Young's orthogonal form), so
+  T_i and up_i share that run.  The cached tables hold 8 bytes per
+  element of R_m (``_embedding``), 8·(m-1) for the runs (``_runs``) and
+  8·|R_4|² for the codelet: 1.06 MB over the levels of n = 6 (0.59 MB of
+  runs, 0.35 MB of codelet) and 100 MB at n = 8.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set of either family by running ``stein_fft`` backwards: per rank k
 (``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
 C(n,k)² cells of every λ ⊢ k, scattered through the same cell table; its
 levels above S_5 run backwards on the transposed runs, and one product
-with the inverse of the S_5 table, derived from the forward table through
-the invariant form, finishes each rank.  A halverson block set is first
+with the inverse of the S_5 table, the forward table transposed and
+weighted by d_λ/5!, finishes each rank.  A halverson block set is first
 taken to the stein family block by block; the similarity is a permutation
 of the tableaux, so each block is one gather F̂[p][:, p]
 (``rook_reps.halverson_permutation``), with no multiply-adds, and no
@@ -67,7 +66,7 @@ from .core import (
 from .counting import OpCounter
 from .indexing import cell_index, elements_at, slice_index
 from .rook_reps import branch_rn, dim, halverson_permutation, halverson_rep, labels, stein_rep
-from .symmetric import _coset_costs, coset_runs, orthogonal_scales, sn_fft_batch, sn_ifft_batch
+from .symmetric import _coset_costs, coset_runs, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
 STEIN = "stein"
@@ -232,19 +231,16 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     the 2m subtransforms of every node are reassembled block-diagonally for
     free thanks to chain adaptation and multiplied by the image of the
     slice's coset word ρ(t_{i+1})···ρ(t_m), or of [m] (``_level``).  Only
-    nodes whose part of f holds a nonzero are visited.  The levels run in
-    Young's orthogonal basis, each label's basis rescaled by 1/√E
-    (``symmetric.orthogonal_scales``), where every ρ(t_j) is symmetric, so
-    that a slice T_i and a slice up_i take one cached run (``_runs``), and
-    only the root's blocks are rescaled back, F[a, b]·s[b]/s[a].  The
-    blocks agree with a product by one generator image at a time to within
-    1e-12 of the largest entry.
+    nodes whose part of f holds a nonzero are visited.  Every ρ(t_j) is
+    symmetric (Young's orthogonal form), so that a slice T_i and a slice
+    up_i take one cached run (``_runs``).  The blocks agree with a product
+    by one generator image at a time to within 1e-12 of the largest entry.
 
     The recursion starts from the copies of R_b, b = min(n, ``CODELET``):
     the nodes of level b are transformed by one real product with a cached
-    (|R_b|, |R_b|) table (``_codelet``), which holds, in the orthogonal
-    basis, what the base of R_2 and the levels 3..b give for each point
-    mass of R_b; for n ≤ 2 it is the naive oracle's image table.
+    (|R_b|, |R_b|) table (``_codelet``), which holds what the base of R_2
+    and the levels 3..b give for each point mass of R_b; for n ≤ 2 it is
+    the naive oracle's image table.
 
     Ops are charged from that occupancy, as a recursion over the visited
     nodes alone would spend them: nnz(f)·|R_2| for the base cases of R_2,
@@ -256,8 +252,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     (``_charge_codelet``).  The codelet product does more arithmetic than
     it is charged: |R_4|² = 43,681 multiply-adds per real part of a full
     R_4 node against the 8,487 the recursion charges it, as level 8's dense
-    runs do more than their sparse count.  The root's rescaling is a change
-    of basis and is not charged.
+    runs do more than their sparse count.
     """
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
@@ -280,13 +275,8 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     for m in range(b + 1, n + 1):
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, counter)
-    # the root is the one node left, or none when f = 0; its blocks go back
-    # from the orthogonal basis, F[a, b]·s[b]/s[a] with s = orthogonal_scales
+    # the root is the one node left, or none when f = 0
     root = level.sum(axis=1)
-    for d, shapes, at in _groups(n):
-        s = np.concatenate([orthogonal_scales(shape, n) for shape in shapes]).reshape(-1, 1, d)
-        blocks = root[at : at + len(shapes) * d * d].reshape(-1, d, d)
-        blocks *= s / s.transpose(0, 2, 1)
     return FourierCoefficients(n, HALVERSON, _blocks(n, root), counter)
 
 
@@ -324,8 +314,7 @@ def _charge_codelet(
 @cache
 def _codelet(b: int) -> np.ndarray:
     """(|R_b|, |R_b|) reals for b ≤ ``CODELET``, read-only: column x holds
-    the blocks of the point mass at x ∈ R_b in the orthogonal basis, side by
-    side in the order of ``_columns(b)``, so that the transform of any
+    the blocks of the point mass at x ∈ R_b, side by side in the order of ``_columns(b)``, so that the transform of any
     function on R_b is one product with it.  For b ≤ 2 this is the naive
     oracle's image table of R_b (``_image_table``), transposed.  Above, it
     is the recursion of ``recursive_fft`` run on all |R_b| point masses as
@@ -440,8 +429,7 @@ def _slice_costs(m: int) -> np.ndarray:
 def _runs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per group of ``_groups(m)``, with L labels of dimension d: the
     diagonal of [m] as an (L, d, 1) array, and the (m-1, L, d, d) runs
-    A_i = ρ(t_{i+1})···ρ(t_m) of its labels in the orthogonal basis, built
-    by ``symmetric.coset_runs``, which the S_k FFT reads too.  The runs
+    A_i = ρ(t_{i+1})···ρ(t_m) of its labels, built by ``symmetric.coset_runs``, which the S_k FFT reads too.  The runs
     take 8·|R_m|·(m-1) bytes: 0.53 MB at m = 6, 6.3 MB at m = 7, 81 MB at
     m = 8.  Read-only."""
     out = []
@@ -473,7 +461,7 @@ def _level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One level of recursive_fft: the visited nodes of level m-1 and their
     columns of R_{m-1} blocks → the visited nodes of level m and their
-    columns of R_m blocks, all in the orthogonal basis.  A node id is
+    columns of R_m blocks.  A node id is
     digit·weight + parent, the digit that of its slice (``_digits``), so
     sorted ids list the children slice by slice, each slice in the order of
     its parents.
@@ -486,7 +474,7 @@ def _level(
     side by side, as every coefficient is real; T_m takes none, and the
     link is masked with the image of [m].  A slice up_i, whose blocks are
     multiplied on the right by A_i⁻¹ = A_iᵀ (each ρ(t_j) is a symmetric
-    involution in this basis), is gathered transposed, so that
+    involution), is gathered transposed, so that
     X·A_iᵀ = (A_i·Xᵀ)ᵀ is the same product on the left, and added back
     transposed.  The slices are taken in slice order, so each parent sums
     its children in that order.

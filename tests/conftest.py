@@ -2,7 +2,7 @@ import random
 import re
 import sys
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 from hypothesis import strategies as st
@@ -169,9 +169,10 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
     ``symmetric.transposition_image`` builds.
 
     On a basis vector indexed by L: when both i-1 and i appear in L the
-    action mixes L with the swapped tableau using the inverse content
-    difference 1/(ct(L(i)) - ct(L(i-1))); when exactly one appears it just
-    relabels; when neither appears it fixes the vector.
+    action mixes L with the swapped tableau in Young's orthogonal form, 1/r
+    on the diagonal and √(1 − 1/r²) at the swapped tableau, with r =
+    ct(L(i)) - ct(L(i-1)); when exactly one appears it just relabels; when
+    neither appears it fixes the vector.
     """
     index = {t: j for j, t in enumerate(basis)}
     d = len(basis)
@@ -184,7 +185,7 @@ def transposition_image(basis: tuple[Tableau, ...], i: int) -> np.ndarray:
             M[col, col] += 1.0 / diff
             swapped = swap_adjacent(L, i)
             if is_standard(swapped):
-                M[index[swapped], col] += 1.0 + 1.0 / diff
+                M[index[swapped], col] += sqrt(1.0 - 1.0 / diff**2)
         elif pos_i is not None or pos_prev is not None:
             M[index[swap_adjacent(L, i)], col] = 1.0
         else:

@@ -9,8 +9,8 @@ import orjson
 import pytest
 
 from conftest import rand_elem, reference_block_json
-from rookfft.algebra import GROUPOID, SEMIGROUP, from_dense, from_json_dict, to_json_dict
-from rookfft.core import enumerate_rn, json_complex, size
+from rookfft.algebra import GROUPOID, SEMIGROUP, _term, from_dense, from_json_dict, to_json_dict
+from rookfft.core import ParseError, enumerate_rn, json_complex, size
 from rookfft.indexing import elements_at, flat_forms
 from rookfft.rook_reps import halverson_rep
 from rookfft.transforms import (
@@ -65,6 +65,27 @@ def test_block_writer_matches_the_per_row_writer(n):
         assert all(type(e["re"]) is float and type(e["im"]) is float
                    for block in got["blocks"] for row in block["rows"] for e in row)
         assert any(len(block["rows"]) == 1 for block in got["blocks"])
+
+
+def test_integer_coefficients_read_as_their_float_twins():
+    # JSON integers take the bulk read too: here every im is an int and re
+    # mixes ints and floats; an int too large for a float is refused with
+    # the ParseError of the one-term check
+    f = rand_elem(4, SEMIGROUP, 44)
+    rng = np.random.default_rng(44)
+    ints = [{"elem": t["elem"], "re": int(a) + 0.5 * (i % 2), "im": int(b)}
+            for i, (t, a, b) in enumerate(zip(to_json_dict(f)["terms"],
+                                              *rng.integers(-9, 10, (2, size(4)))))]
+    twin = [{**t, "re": float(t["re"]), "im": float(t["im"])} for t in ints]
+    got = from_json_dict({"n": 4, "basis": SEMIGROUP, "terms": ints})
+    want = from_json_dict({"n": 4, "basis": SEMIGROUP, "terms": twin})
+    assert np.array_equal(got.values, want.values)
+    huge = [*ints[:3], {**ints[3], "re": 2**1024}, *ints[4:]]
+    with pytest.raises(ParseError) as refused:
+        from_json_dict({"n": 4, "basis": SEMIGROUP, "terms": huge})
+    with pytest.raises(ParseError) as alone:
+        _term(4, huge[3])
+    assert str(refused.value) == str(alone.value) and "too large" in str(refused.value)
 
 
 def _per_entry(rows):

@@ -1,5 +1,4 @@
 import io
-import math
 import random
 
 import numpy as np
@@ -25,12 +24,9 @@ from rookfft.spectral import (
     isotypic_project,
     report_to_csv,
     report_to_json_dict,
-    _plancherel_weights,
     spectrum,
     to_function,
 )
-from rookfft.symmetric import invariant_form
-from rookfft.tableaux import num_standard
 from rookfft.transforms import FourierCoefficients, fourier_invert, stein_fft
 
 PP = PartialPermutation
@@ -256,23 +252,6 @@ class TestSpectrum:
         rep = spectrum(g)
         assert rep.parseval_residual <= 1e-9 * inner2(g, g).real
         assert set(rep.energies) == set(labels(7))
-
-    @pytest.mark.parametrize("basis", [GROUPOID, SEMIGROUP])
-    def test_cached_weights_give_the_per_call_energies_bitwise(self, basis):
-        # the weights are cached per (λ, n), read-only, and weigh each block
-        # with the same operations in the same order as building them per call
-        f = rand_elem(5, basis, 65, support="sparse")
-        F = stein_fft(to_groupoid(f) if basis == SEMIGROUP else f)
-        rep = spectrum(f)
-        for sh in labels(5):
-            k = sum(sh)
-            w = np.tile(invariant_form(sh), math.comb(5, k))
-            cached = _plancherel_weights(sh, 5)
-            assert not cached[0].flags.writeable and not cached[1].flags.writeable
-            M = F.blocks[sh]
-            power = M.real**2 + M.imag**2
-            want = num_standard(sh) / math.factorial(k) * float(w @ power @ (1.0 / w))
-            assert rep.energies[sh] == want
 
     def test_association_models_differ_below_full_rank(self):
         d = Dataset(2, [(pp(2, "1->1"), 1.0)])

@@ -17,7 +17,6 @@ from rookfft.symmetric import (
     branch_sn,
     clausen_perms,
     halverson_rep,
-    invariant_form,
     perm_image,
     seminormal_rep,
     sn_fft,
@@ -48,8 +47,9 @@ class TestSeminormalImages:
         rep = seminormal_rep((2, 1))
         assert rep.dim == 2
         assert np.allclose(rep.pairings[2].dense(), np.diag([-1.0, 1.0]))
-        # off-diagonal entries are 1 ± 1/(content difference) on the swap pair
-        assert np.allclose(rep.pairings[3].dense(), [[0.5, 0.5], [1.5, -0.5]])
+        # off-diagonal entries are √(1 − 1/r²), r the content difference
+        h = np.sqrt(3.0) / 2
+        assert np.allclose(rep.pairings[3].dense(), [[0.5, h], [h, -0.5]])
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generator_relations(self, n):
@@ -366,8 +366,13 @@ class TestCosetImages:
 class TestInvariantForm:
     @pytest.mark.parametrize("shape", [sh for k in range(6) for sh in partitions(k)])
     def test_generator_walk_matches_group_sum(self, shape):
-        S = sum(image(shape, w).T @ image(shape, w) for w in all_perms(sum(shape)))
-        assert np.allclose(S, np.diag(np.diag(S)), rtol=0.0, atol=1e-9 * np.abs(S).max())
-        W = invariant_form(shape)
-        assert W[0] == 1.0 and np.all(W > 0)
-        assert np.allclose(np.diag(S) / S[0, 0], W, rtol=1e-12, atol=0.0)
+        # each generator image keeps the form I (ρ(t_j)ᵀ·ρ(t_j) = I), so a
+        # walk over generators keeps it too; the group sum of ρ(w)ᵀρ(w),
+        # each ρ(w) a product along w's generator word, is then k!·I
+        k = sum(shape)
+        rep = seminormal_rep(shape)
+        for pairing in rep.pairings.values():
+            M = pairing.dense()
+            assert np.abs(M.T @ M - np.eye(rep.dim)).max() <= 1e-14
+        S = sum(image(shape, w).T @ image(shape, w) for w in all_perms(k))
+        assert np.abs(S - factorial(k) * np.eye(rep.dim)).max() <= 1e-12 * factorial(k)

@@ -44,7 +44,7 @@ from rookfft.rook_reps import (
     stein_rep,
 )
 from rookfft.spectral import spectrum
-from rookfft.symmetric import _coset_images, orthogonal_scales
+from rookfft.symmetric import _coset_images
 from rookfft.tableaux import num_standard, partitions
 from rookfft.transforms import (
     IMAGE_TABLE_BYTES,
@@ -52,7 +52,6 @@ from rookfft.transforms import (
     CODELET,
     HALVERSON,
     _codelet,
-    _columns,
     _groups,
     _image_table,
     _runs,
@@ -415,35 +414,27 @@ class TestLevelBatchedRecursion:
                 assert np.array_equal(off, M[at, partner] * (partner != at))
 
     @pytest.mark.parametrize("m", range(2, 8))
-    def test_generator_images_are_symmetric_under_one_positive_diagonal(self, m):
-        # ρ(t_j)ᵀ = E·ρ(t_j)·E⁻¹, so the level pass can run in the basis
-        # rescaled by 1/√E; on each branch E is a multiple of the branch's
-        # own, so the children's blocks are gathered as they are
+    def test_generator_images_are_symmetric_involutions(self, m):
+        # Young's orthogonal form: every ρ(t_j) is exactly symmetric and
+        # orthogonal, so a slice up_i reads the run of T_i transposed
         for shape in labels(m):
-            E = orthogonal_scales(shape, m) ** 2
-            assert np.all(E > 0)
-            rep = halverson_rep(shape, m)
-            for M in (p.dense() for p in rep.pairings.values()):
-                assert np.allclose(M.T, E[:, None] * M / E, rtol=0.0, atol=1e-14)
-            on = 0
-            for mu in branch_rn(shape, m):
-                ratio = E[on : on + dim(mu, m - 1)] / orthogonal_scales(mu, m - 1) ** 2
-                assert np.allclose(ratio, ratio[0], rtol=1e-13, atol=0.0)
-                on += dim(mu, m - 1)
+            for M in (p.dense() for p in halverson_rep(shape, m).pairings.values()):
+                assert np.array_equal(M, M.T)
+                assert np.abs(M @ M.T - np.eye(len(M))).max() <= 1e-14
 
     @pytest.mark.parametrize("m", range(2, 7))
-    def test_runs_are_scaled_products_of_generator_images(self, m):
-        # entry i-1 of a group's runs is ρ(t_{i+1})···ρ(t_m) of each label,
-        # conjugated by its scales; the mask is the diagonal of ρ([m])
+    def test_runs_are_products_of_generator_images(self, m):
+        # entry i-1 of a group's runs is ρ(t_{i+1})···ρ(t_m) of each label;
+        # the mask is the diagonal of ρ([m])
         for (d, shapes, _), (keep, runs) in zip(_groups(m), _runs(m)):
             assert runs.shape == (m - 1, len(shapes), d, d)
             for l, shape in enumerate(shapes):
-                rep, s = halverson_rep(shape, m), orthogonal_scales(shape, m)
+                rep = halverson_rep(shape, m)
                 for i in range(1, m):
                     A = np.eye(d)
                     for j in range(i + 1, m + 1):
                         A = A @ rep.pairings[j].dense()
-                    assert np.allclose(runs[i - 1, l], s[:, None] * A / s, rtol=0.0, atol=1e-12)
+                    assert np.allclose(runs[i - 1, l], A, rtol=0.0, atol=1e-12)
                 assert np.array_equal(keep[l, :, 0], rep.link(m))
 
     def test_stein_paths_build_no_runs(self):
@@ -458,13 +449,9 @@ class TestLevelBatchedRecursion:
 
     @pytest.mark.parametrize("b", [3, CODELET])
     def test_codelet_is_the_oracle_table_in_the_orthogonal_basis(self, b):
-        # column x of the codelet is the halverson image of x, each block
-        # conjugated by its label's scales: F[a, c]·s[a]/s[c]
-        factor = np.concatenate([
-            (s[:, None] / s).ravel()
-            for s in (orthogonal_scales(shape, b) for shape in _columns(b))
-        ])
-        want = (_image_table(HALVERSON, b) * factor).T
+        # column x of the codelet is the halverson image of x, with no
+        # scale, as the representations are built in Young's orthogonal form
+        want = _image_table(HALVERSON, b).T
         table = _codelet(b)
         assert table.shape == (size(b), size(b)) and not table.flags.writeable
         assert np.abs(table - want).max() <= 1e-12 * np.abs(want).max()
@@ -667,6 +654,16 @@ class TestFastInversion:
         _, g, S, H = _full_support(n)
         assert np.abs(fourier_invert(S).values - g.values).max() <= 1e-9
         assert np.abs(fourier_invert(H).values - g.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_permutation_takes_recursive_blocks_to_stein(self, n):
+        # beyond the naive oracle's reach: the halverson blocks gathered by
+        # halverson_permutation are the stein blocks of the groupoid image
+        _, _, S, H = _full_support(n)
+        for shape in labels(n):
+            p = halverson_permutation(shape, n)
+            want = S.blocks[shape]
+            assert np.abs(H.blocks[shape][p][:, p] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_similarity_takes_recursive_blocks_to_stein_at_n7(self):
         # block by block, not only traces: U⁻¹·recursive_fft(f)·U = stein_fft_semigroup(f)
