@@ -35,9 +35,13 @@ scaled by the mean of the two, in the reference seconds perfbench reports
 (``run.in_reference_s``), so that two runs minutes apart compare.
 ``from_dense`` is one timed call per element.  Each row also reports the
 process's peak RSS so far (``ru_maxrss``), which the row's own n dominates.
+``recursive_level_seconds`` holds, per level m above the codelet, the
+minimum over MIN_CALLS warm ``recursive_fft`` calls of the time spent in
+that level's ``transforms._level`` call (``_level_seconds`` wraps it).
 ``half_rank`` times ``recursive_fft`` the same way on a seeded n = 5
 semigroup element that holds half of the elements of each rank (a seeded
-choice), the sparse library-caller size.
+choice), the sparse library-caller size, and ``one_term`` on a one-term
+element of R_ONE_TERM_N at a seeded position.
 ``zeta`` holds, for each n in ZETA_NS, two fresh processes
 (``ZETA_PROBE``) that each make one ``to_groupoid`` call on a one-term
 semigroup element: ``cold_seconds`` is the untraced call's wall time, the
@@ -98,7 +102,7 @@ from rookfft.algebra import (
     to_json_dict,
     to_semigroup,
 )
-from rookfft import cli
+from rookfft import cli, transforms
 from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
 from rookfft.indexing import cell_index
@@ -124,6 +128,7 @@ WARM_CALLS = 15
 MIN_CALLS = 3
 CAL_S = 0.2
 HALF_RANK_N = 5
+ONE_TERM_N = 8
 FROM_FLAT_CALLS = 2000
 SEED = 0
 ZETA_NS = (6, 7, 8)
@@ -273,6 +278,27 @@ def _element(n: int, basis: str, seed: int):
     return f, time.perf_counter() - t0
 
 
+def _level_seconds(f) -> dict[int, float]:
+    """Per level m, the minimum over MIN_CALLS warm ``recursive_fft`` calls
+    on f of the seconds its ``transforms._level`` call took."""
+    inner, seconds = transforms._level, {}
+
+    def timed(below, nodes, weight, m, counter):
+        t0 = time.perf_counter()
+        out = inner(below, nodes, weight, m, counter)
+        seconds[m] = min(seconds.get(m, float("inf")), time.perf_counter() - t0)
+        return out
+
+    recursive_fft(f)  # the tables are built outside the timed calls
+    transforms._level = timed
+    try:
+        for _ in range(MIN_CALLS):
+            recursive_fft(f)
+    finally:
+        transforms._level = inner
+    return seconds
+
+
 def _zeta_ops(f) -> int:
     counter = OpCounter()
     to_groupoid(f, counter)
@@ -304,6 +330,7 @@ def _row(n: int) -> dict:
     back = clock.time("fourier_invert_halverson", fourier_invert, F)
     residual = float(np.abs(back.values - g.values).max(initial=0.0))
     del F, back, g
+    recursive_level_seconds = _level_seconds(f)
     recursive_peak_mb = _traced_peak_mb(recursive_fft, f)
     recursive_kept_mb = _recursive_kept_mb(n, SEED + n)
     clock.time("convolve_semigroup", convolve_semigroup, f, f)
@@ -328,6 +355,7 @@ def _row(n: int) -> dict:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"n": n, "size": size(n), **clock.fields(),
             "multiply_adds": multiply_adds, "round_trip_residual": residual,
+            "recursive_level_seconds": recursive_level_seconds,
             "recursive_peak_mb": recursive_peak_mb, "recursive_kept_mb": recursive_kept_mb,
             "parse_peak_mb": parse_peak_mb,
             "read_flat_peak_mb": read_flat_peak_mb, "from_flat_seconds": from_flat_seconds,
@@ -350,6 +378,18 @@ def _half_rank_row() -> dict:
     F = clock.time("recursive_fft", recursive_fft, f)
     return {"n": n, "support": f.support(), **clock.fields(),
             "multiply_adds": {"recursive_fft": F.ops.multiply_adds}}
+
+
+def _one_term_row() -> dict:
+    """recursive_fft on a one-term semigroup element of R_ONE_TERM_N, its
+    term at a seeded position with a seeded coefficient."""
+    n = ONE_TERM_N
+    rng = np.random.default_rng(SEED + 300 + n)
+    values = np.zeros(size(n), dtype=complex)
+    values[rng.integers(size(n))] = complex(*rng.uniform(-1, 1, 2))
+    clock = _Clock()
+    F = clock.time("recursive_fft", recursive_fft, from_dense(n, SEMIGROUP, values))
+    return {"n": n, **clock.fields(), "multiply_adds": {"recursive_fft": F.ops.multiply_adds}}
 
 
 def _naive_row(n: int) -> dict:
@@ -417,6 +457,7 @@ def _cli_row(n: int, tmp: Path) -> dict:
 def main() -> None:
     rows = [_row(n) for n in range(1, MAX_N + 1)]
     half_rank = _half_rank_row()
+    one_term = _one_term_row()
     naive = [_naive_row(n) for n in range(1, NAIVE_MAX_N + 1)]
     with tempfile.TemporaryDirectory() as tmp:
         cli_rows = [_cli_row(n, Path(tmp)) for n in CLI_NS]
@@ -429,6 +470,7 @@ def main() -> None:
     timing = {"warm_s": WARM_S, "warm_calls": WARM_CALLS, "min_calls": MIN_CALLS}
     print(json.dumps({"timing": timing, "seed": SEED, "machine": machine, "rows": rows,
                       "zeta": [_zeta_row(n) for n in ZETA_NS], "half_rank": half_rank,
+                      "one_term": one_term,
                       "naive": naive, "cli": cli_rows}, indent=2))
 
 

@@ -459,6 +459,7 @@ def check_n(n: int) -> None:
         raise DimensionMismatch(f"n = {n} refused: {why} (limit: 0 <= n <= {MAX_N})")
 
 
+@cache
 def size(n: int) -> int:
     """|R_n| = sum_k C(n,k)^2 k!."""
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))

@@ -246,7 +246,7 @@ def coset_runs(reps: list[HalversonRep]) -> np.ndarray:
     each rep's run A_i = ρ(t_{i+1})···ρ(t_m).  Each run is built from the
     one after it, A_m = I and A_i = ρ(t_{i+1})·A_{i+1}, a diagonal plus one
     partner row per row (``Pairing``), in O(m·L·d²).
-    Both FFTs read it: ``transforms._runs`` and ``_coset_images``."""
+    Both FFTs read it: ``transforms._branches`` and ``_coset_images``."""
     m, d = reps[0].n, reps[0].dim
     runs = np.empty((m - 1, len(reps) * d, d))
     A = np.tile(np.eye(d), (len(reps), 1))

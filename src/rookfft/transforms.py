@@ -18,15 +18,15 @@ multiply-add counter:
   level by level over a dense coefficient vector, every visited node of a
   level at once, and is charged from which nodes the support occupies.
   It starts from copies of R_4, each transformed by one product with a
-  cached table of R_4's point masses (``_codelet``).  Above R_4, within a
-  level a slice is multiplied by one cached run of generator images
-  ρ(t_{i+1})···ρ(t_m) per group of labels of one dimension, in one matmul
-  (``symmetric.coset_runs``, which the S_k FFT's levels read too);
-  every ρ(t_j) is a symmetric involution (Young's orthogonal form), so
-  T_i and up_i share that run.  The cached tables hold 8 bytes per
-  element of R_m (``_embedding``), 8·(m-1) for the runs (``_runs``) and
-  8·|R_4|² for the codelet: 1.06 MB over the levels of n = 6 (0.59 MB of
-  runs, 0.35 MB of codelet) and 100 MB at n = 8.
+  cached table of R_4's point masses (``_codelet``).  Above R_4, a level
+  is one real product per branch label μ ∈ Λ_{m-1} and side, over all its
+  slices and nodes: a child's transform sits block-diagonally in ρ_λ, so
+  the runs ρ(t_{i+1})···ρ(t_m) (``symmetric.coset_runs``, which the S_k
+  FFT reads too) only meet the μ-columns of λ's block; every ρ(t_j) is a
+  symmetric involution (Young's orthogonal form), so T_i and up_i share
+  them.  The tables (``_branches``) take 8·(m-1) bytes per element of R_m
+  for those columns, about 8 more for where the products go, and 8·|R_4|²
+  for the codelet: 1.07 MB over the levels of n = 6 and 100 MB at n = 8.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set of either family by running ``stein_fft`` backwards: per rank k
@@ -225,16 +225,15 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     x(m) = i, x = s·T^i when x sends i to m without using m itself, and
     x = [m]·s when m touches neither side; each slice is a translated copy
     of R_{m-1} (``indexing.slice_index``).  The recursion runs level by
-    level over all its nodes at once.  A level is one (|R_m| + 1, nodes)
+    level over all its nodes at once.  A level is one (|R_m|, nodes)
     array: a column holds every block of one node, flattened side by side
-    in the order of ``_groups(m)``, and a zero last.  At each level m ≥ 3
-    the 2m subtransforms of every node are reassembled block-diagonally for
-    free thanks to chain adaptation and multiplied by the image of the
-    slice's coset word ρ(t_{i+1})···ρ(t_m), or of [m] (``_level``).  Only
-    nodes whose part of f holds a nonzero are visited.  Every ρ(t_j) is
-    symmetric (Young's orthogonal form), so that a slice T_i and a slice
-    up_i take one cached run (``_runs``).  The blocks agree with a product
-    by one generator image at a time to within 1e-12 of the largest entry.
+    in the order of ``_columns(m)``.  At each level m ≥ 3 the 2m
+    subtransforms of every node are reassembled block-diagonally for free
+    thanks to chain adaptation and multiplied by the image of the slice's
+    coset word ρ(t_{i+1})···ρ(t_m), or of [m], one nonzero branch block at
+    a time (``_level``).  Only nodes whose part of f holds a nonzero are
+    visited.  The blocks agree with a product by one generator image at a
+    time to within 1e-12 of the largest entry.
 
     The recursion starts from the copies of R_b, b = min(n, ``CODELET``):
     the nodes of level b are transformed by one real product with a cached
@@ -247,12 +246,12 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     nnz × columns for every sparse generator product of a visited slice
     (whatever dense kernel carries it out, ``counting``), and one addition
     per block entry for every visited slice after a node's first; on full
-    support T(n) ≤ 2n·T(n-1) + 2n²|R_n|.  The walk still goes down to R_2
-    so that the levels below R_b are charged from their nodes' ids alone
-    (``_charge_codelet``).  The codelet product does more arithmetic than
-    it is charged: |R_4|² = 43,681 multiply-adds per real part of a full
-    R_4 node against the 8,487 the recursion charges it, as level 8's dense
-    runs do more than their sparse count.
+    support T(n) ≤ 2n·T(n-1) + 2n²|R_n|.  The levels below R_b are
+    charged from a cached table of R_b (``_charge_codelet``).  The codelet
+    product does more arithmetic than it is charged: |R_4|² = 43,681
+    multiply-adds per real part of a full R_4 node against the 8,487 the
+    recursion charges it, as level 8's dense products do more than their
+    sparse count.
     """
     _require_basis(f, SEMIGROUP, "recursive_fft")
     counter = OpCounter()
@@ -264,19 +263,18 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     # node id, the top level's lowest, and its point of R_b
     nodes = np.zeros(len(support), dtype=np.int64)
     nodes, points, weight = _walk(nodes, support, 1, n, b)
-    _charge_codelet(nodes, points, weight, b, counter)
     nodes, row = np.unique(nodes, return_inverse=True)
+    _charge_codelet(row, len(nodes), points, b, counter)
     functions = np.zeros((size(b), len(nodes)), dtype=complex)
     functions[points, row] = values[support]
-    level = np.empty((size(b) + 1, len(nodes)), dtype=complex)
-    level[-1] = 0
-    np.matmul(_codelet(b), functions.view(float), out=level[:-1].view(float))
+    level = np.empty((size(b), len(nodes)), dtype=complex)
+    np.matmul(_codelet(b), functions.view(float), out=level.view(float))
     del functions
     for m in range(b + 1, n + 1):
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, counter)
     # the root is the one node left, or none when f = 0
-    root = level.sum(axis=1)
+    root = level[:, 0] if len(nodes) else np.zeros(size(n), dtype=complex)
     return FourierCoefficients(n, HALVERSON, _blocks(n, root), counter)
 
 
@@ -296,19 +294,31 @@ def _walk(
 
 
 def _charge_codelet(
-    nodes: np.ndarray, points: np.ndarray, weight: int, b: int, counter: OpCounter
+    row: np.ndarray, nodes: int, points: np.ndarray, b: int, counter: OpCounter
 ) -> None:
-    """Charge what the recursion below the R_b nodes would spend, from node
-    ids alone: the walk goes on down to R_2, each term pays |R_2| at the
-    base, and each level m = 3..b pays as ``_level`` charges it
-    (``_visit``)."""
-    nodes, _, weight = _walk(nodes, points, weight, b, 2)
-    counter.add(len(nodes) * size(min(b, 2)))
-    # a bare np.unique imports numpy.ma, which the process would keep
-    nodes = np.unique(nodes, return_inverse=True)[0]
+    """Charge what the recursion below the R_b nodes would spend: each term
+    pays |R_2| at the base, and each level m = 3..b pays as ``_level``
+    charges it, from the nodes below its node (its ``row`` among ``nodes``)
+    that the terms' points of R_b occupy (``_below_codelet``)."""
+    counter.add(len(points) * size(min(b, 2)))
+    below, width = _below_codelet(b)
+    occupied = np.zeros((nodes, width), dtype=bool)
+    occupied[row, below[points]] = True
     for m in range(3, b + 1):
-        weight //= 2 * m
-        _, nodes, _ = _visit(nodes, weight, m, counter)
+        # (nodes, level-m digit, level-m node below the codelet's)
+        occupied = occupied.reshape(nodes, 2 * m, occupied.shape[1] // (2 * m))
+        visits = np.count_nonzero(occupied, axis=(0, 2))
+        occupied = occupied.any(axis=1)
+        counter.add(int(_slice_costs(m) @ visits + (visits.sum() - occupied.sum()) * size(m)))
+
+
+@cache
+def _below_codelet(b: int) -> tuple[np.ndarray, int]:
+    """Per point of R_b, its node at level 2 below the codelet's node, read-only
+    (``_walk`` from a weight of 1); and how many such nodes there are."""
+    below, _, width = _walk(np.zeros(size(b), dtype=np.int64), np.arange(size(b)), 1, b, 2)
+    below.flags.writeable = False
+    return below, width
 
 
 @cache
@@ -327,22 +337,19 @@ def _codelet(b: int) -> np.ndarray:
     base = min(b, 2)
     functions = np.zeros((len(nodes), size(base)))
     functions[row, points] = 1.0
-    level = np.zeros((size(base) + 1, len(nodes)), dtype=complex)
-    level[:-1] = (functions @ _image_table(HALVERSON, base)).T
+    level = (functions @ _image_table(HALVERSON, base)).T.astype(complex)
     for m in range(3, b + 1):
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, OpCounter())
-    out = np.ascontiguousarray(level[:-1].real)
+    out = np.ascontiguousarray(level.real)
     out.flags.writeable = False
     return out
 
 
 @cache
 def _digits(m: int) -> np.ndarray:
-    """The digit of each slice of level m in a node id, in the order T_1,
-    …, T_m, the link, up_1, …, up_{m-1}.  A node in a slice up_i holds no
-    element in a slice T_j of the level below, so with the up slices last,
-    the parents of each slice's children are a run on full support."""
+    """The digit of each slice of level m in a node id: T_1, …, T_m, the
+    link, up_1, …, up_{m-1}, so that the slices of each side are a run."""
     out = np.empty(2 * m, dtype=np.int64)
     out[0::2], out[-1], out[1:-1:2] = np.arange(m), m, m + 1 + np.arange(m - 1)
     out.flags.writeable = False
@@ -351,159 +358,151 @@ def _digits(m: int) -> np.ndarray:
 
 @cache
 def _groups(m: int) -> tuple[tuple[int, tuple[Shape, ...], int], ...]:
-    """The labels of Λ_m grouped by dimension: (d, labels, first column)
-    per group, in order of first appearance in ``labels(m)``.  The blocks
-    of a group lie side by side in a node's column, so that the group's
-    part of a slice is one (L·d, d·children) array, L its number of labels.
-    Λ_5 falls into 7 groups, Λ_6 into 13, Λ_7 into 14 and Λ_8 into 25."""
-    by_dim: dict[int, list[Shape]] = {}
-    for shape in labels(m):
-        by_dim.setdefault(dim(shape, m), []).append(shape)
+    """The labels of Λ_m grouped by dimension, (d, labels, first entry) per
+    group in order of first appearance in ``labels(m)``, their blocks side
+    by side in a column: Λ_5 falls into 7 groups, Λ_6 into 13, Λ_8 into 25."""
     out, at = [], 0
-    for d, shapes in by_dim.items():
-        out.append((d, tuple(shapes), at))
-        at += len(shapes) * d * d
+    for d in dict.fromkeys(dim(shape, m) for shape in labels(m)):
+        out.append((d, tuple(shape for shape in labels(m) if dim(shape, m) == d), at))
+        at += len(out[-1][1]) * d * d
     return tuple(out)
 
 
 @cache
 def _columns(m: int) -> dict[Shape, int]:
-    """Where each label's block starts in a node's column at level m, in
-    column order."""
-    out = {}
-    for d, shapes, at in _groups(m):
-        for shape in shapes:
-            out[shape] = at
-            at += d * d
-    return out
+    """Where each label's block starts in a column of Λ_m, in column order."""
+    return {shape: at + l * d * d for d, shapes, at in _groups(m) for l, shape in enumerate(shapes)}
 
 
 def _blocks(m: int, column: np.ndarray) -> dict[Shape, np.ndarray]:
     """The blocks held in one column of Λ_m (``_columns``), as views, in the
     order of ``labels(m)``."""
-    blocks = {}
-    for d, shapes, at in _groups(m):
-        blocks.update(zip(shapes, column[at : at + len(shapes) * d * d].reshape(-1, d, d)))
-    return {shape: blocks[shape] for shape in labels(m)}
-
-
-@cache
-def _embedding(m: int) -> np.ndarray:
-    """(2, |R_m|) int32 for m ≥ 3, indexed by the entries of a level-m
-    column: the entry of a level m-1 column each is read from.  Row 0
-    places the branches of every λ ∈ Λ_m (``branch_rn`` order) on the
-    diagonal of its block and reads every other entry from the zero at the
-    end of the column; row 1 does the same for the transposed blocks."""
-    below = _columns(m - 1)
-    out = np.empty((2, size(m)), dtype=np.int32)
-    for shape, at in _columns(m).items():
-        d = dim(shape, m)
-        block = np.full((d, d), size(m - 1), dtype=np.int32)
-        on = 0
-        for mu in branch_rn(shape, m):
-            dm = dim(mu, m - 1)
-            block[on : on + dm, on : on + dm] = below[mu] + np.arange(dm * dm).reshape(dm, dm)
-            on += dm
-        out[0, at : at + d * d], out[1, at : at + d * d] = block.ravel(), block.T.ravel()
-    out.flags.writeable = False
-    return out
+    at, d = _columns(m), {shape: dim(shape, m) for shape in labels(m)}
+    return {s: column[at[s] : at[s] + d[s] ** 2].reshape(d[s], -1) for s in d}
 
 
 @cache
 def _slice_costs(m: int) -> np.ndarray:
-    """Multiply-adds of one visited slice at level m, summed over λ ∈ Λ_m:
-    T_i and up_i (entries 2i-2 and 2i-1) pay what ρ_λ(T_i) does
-    (``symmetric._coset_costs``); the link (entry 2m-1) pays nnz·d_λ for [m]."""
+    """Multiply-adds of one visited slice at level m, summed over λ ∈ Λ_m,
+    per slice digit (``_digits``): T_i and up_i pay what ρ_λ(T_i) does
+    (``symmetric._coset_costs``); the link pays nnz·d_λ for [m]."""
     cosets = _coset_costs(labels(m), m)
     costs = np.zeros(2 * m, dtype=np.int64)
-    costs[::2] = cosets
-    costs[1:-1:2] = cosets[:-1]  # up_i takes the generators of T_i
+    costs[:m] = cosets
+    costs[m + 1 :] = cosets[:-1]  # up_i takes the generators of T_i
     for shape in labels(m):
         rep = halverson_rep(shape, m)
-        costs[-1] += rep.dim * np.count_nonzero(rep.link(m))
+        costs[m] += rep.dim * np.count_nonzero(rep.link(m))
     costs.flags.writeable = False
     return costs
 
 
 @cache
-def _runs(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per group of ``_groups(m)``, with L labels of dimension d: the
-    diagonal of [m] as an (L, d, 1) array, and the (m-1, L, d, d) runs
-    A_i = ρ(t_{i+1})···ρ(t_m) of its labels, built by ``symmetric.coset_runs``, which the S_k FFT reads too.  The runs
-    take 8·|R_m|·(m-1) bytes: 0.53 MB at m = 6, 6.3 MB at m = 7, 81 MB at
-    m = 8.  Read-only."""
-    out = []
-    for d, shapes, _ in _groups(m):
-        reps = [halverson_rep(shape, m) for shape in shapes]
-        keep = np.concatenate([rep.link(m) for rep in reps]).reshape(-1, d, 1)
-        runs = coset_runs(reps)
-        keep.flags.writeable = runs.flags.writeable = False
-        out.append((keep, runs))
-    return tuple(out)
-
-
-def _visit(
-    nodes: np.ndarray, weight: int, m: int, counter: OpCounter
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The visited nodes of level m-1 → their slice digits, the visited
-    nodes of level m and each child's column among them, charging the
-    level: each visited slice its ``_slice_costs``, and one addition per
-    block entry for every visited slice after a node's first."""
-    digits, parent = np.divmod(nodes, weight)
-    nodes, column = np.unique(parent, return_inverse=True)
-    slices = np.argsort(_digits(m))[digits]
-    counter.add(int(_slice_costs(m)[slices].sum()) + (len(slices) - len(nodes)) * size(m))
-    return digits, nodes, column
+def _branches(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The tables of level m ≥ 3, read-only.  Per μ ∈ Λ_{m-1}: its block's
+    entries in a level m-1 column and their transpose, (2, d_μ, d_μ);
+    Q_μ, stacking for each λ ∈ Λ_m that branches to μ (``branch_rn``) the
+    μ-columns of the runs A_i = ρ(t_{i+1})···ρ(t_m), i = 1..m-1, side by
+    side, (m-1)·|R_m| reals over all μ; and the rows start..stop of the
+    (|R_m|, nodes) products that Q_μ times the μ-blocks fills, row (λ, a)
+    and column c for entry (a, c) of λ's μ-columns.  Then the product row
+    each entry of a level-m column reads; and the diagonal μ-blocks of
+    every λ in a level-m and a level m-1 column, the |R_{m-1}| entries
+    with μ = λ, where the image of [m] is the identity, first."""
+    below = _columns(m - 1)
+    height = dict.fromkeys(below, 0)
+    places = {}  # (λ, μ) → (offset of μ's block in λ's, first row of λ in Q_μ)
+    for shape in labels(m):
+        on = 0
+        for mu in branch_rn(shape, m):
+            places[shape, mu] = on, height[mu]
+            height[mu] += dim(shape, m)
+            on += dim(mu, m - 1)
+    parts, start = {}, 0
+    for mu, at in below.items():
+        rows = np.arange(at, at + dim(mu, m - 1) ** 2, dtype=np.int32).reshape(dim(mu, m - 1), -1)
+        Q = np.empty((height[mu], (m - 1) * len(rows)))
+        parts[mu] = np.stack([rows, rows.T]), Q, start, start + Q.size // (m - 1)
+        start += Q.size // (m - 1)
+    scatter = np.empty(size(m), dtype=np.int32)
+    same, other = [], []  # (level-m entries, level m-1 entries) of each diagonal μ-block
+    for d, shapes, at in _groups(m):
+        # per label, (d_λ, m-1, d_λ): row a of every run A_i
+        group = coset_runs([halverson_rep(shape, m) for shape in shapes]).transpose(1, 2, 0, 3)
+        for shape, runs in zip(shapes, group):
+            for mu in branch_rn(shape, m):
+                (on, row), (rows, Q, first, _) = places[shape, mu], parts[mu]
+                a, c = np.arange(d)[:, None], np.arange(rows.shape[-1])
+                Q[row : row + d] = runs[:, :, on : on + len(c)].reshape(d, -1)
+                scatter[at + a * d + on + c] = first + (row + a) * len(c) + c
+                (same if shape == mu else other).append((at + (on + c[:, None]) * d + on + c, rows[0]))
+            at += d * d
+    diagonal = np.array([np.concatenate([pair[j].ravel() for pair in same + other]) for j in (0, 1)],
+                        dtype=np.int32)
+    for a in (*chain(*(part[:2] for part in parts.values())), scatter, diagonal):
+        a.flags.writeable = False
+    return tuple(parts.values()), scatter, diagonal
 
 
 def _level(
     below: np.ndarray, nodes: np.ndarray, weight: int, m: int, counter: OpCounter
 ) -> tuple[np.ndarray, np.ndarray]:
     """One level of recursive_fft: the visited nodes of level m-1 and their
-    columns of R_{m-1} blocks → the visited nodes of level m and their
-    columns of R_m blocks.  A node id is
-    digit·weight + parent, the digit that of its slice (``_digits``), so
-    sorted ids list the children slice by slice, each slice in the order of
-    its parents.
+    columns of R_{m-1} blocks → the visited nodes of level m and theirs.  A
+    node id is digit·weight + parent, the digit that of its slice
+    (``_digits``).  Each visited slice is charged its ``_slice_costs``, and
+    one addition per block entry after a node's first.
 
-    A slice and a group of labels of one dimension d (``_groups``) at a
-    time: one gather (``_embedding``) places the subtransforms of all the
-    slice's children on the block diagonals of the group's L labels, as an
-    (L, d, d·children) array.  A slice T_i (i < m) is then one product by
-    the run A_i of every label (``_runs``), on the real and imaginary parts
-    side by side, as every coefficient is real; T_m takes none, and the
-    link is masked with the image of [m].  A slice up_i, whose blocks are
+    A child's transform sits block-diagonally in ρ_λ, so the run A_i of a
+    slice T_i only meets λ's μ-columns for each branch μ.  A side is one
+    real product per μ ∈ Λ_{m-1} over every slice and parent (``_branches``):
+    Q_μ, cut to the occupied slices (a view for a run of them), times the
+    children's μ-blocks stacked slice above slice, a missing child read as
+    zeros; one gather puts the products in place.  A slice up_i,
     multiplied on the right by A_i⁻¹ = A_iᵀ (each ρ(t_j) is a symmetric
-    involution), is gathered transposed, so that
-    X·A_iᵀ = (A_i·Xᵀ)ᵀ is the same product on the left, and added back
-    transposed.  The slices are taken in slice order, so each parent sums
-    its children in that order.
+    involution), is gathered transposed, X·A_iᵀ = (A_i·Xᵀ)ᵀ, and added
+    back transposed, a group of one dimension at a time (``_groups``).  T_m
+    and the link add their μ-blocks onto the diagonals, the link's where
+    μ = λ only.
     """
-    digits, nodes, column = _visit(nodes, weight, m, counter)
-    starts = np.searchsorted(digits, np.arange(2 * m + 1))
-    embedding = _embedding(m)
-    out = np.zeros((size(m) + 1, len(nodes)), dtype=complex)
-    for k, digit in enumerate(_digits(m)):
-        span = slice(starts[digit], starts[digit + 1])
-        parents = column[span]
-        if not len(parents):
+    digits, parent = np.divmod(nodes, weight)
+    nodes, column = np.unique(parent, return_inverse=True)
+    counter.add(int(_slice_costs(m)[digits].sum()) + (len(digits) - len(nodes)) * size(m))
+    parts, scatter, diagonal = _branches(m)
+    kids = np.full((2 * m, len(nodes)), -1)  # the child in each slice of each parent
+    kids[digits, column] = np.arange(len(digits))
+    out, products = None, np.empty((len(scatter), len(nodes)), dtype=complex)
+    for side, first in enumerate((0, m + 1)):  # the digits of T_1 and up_1
+        runs = np.flatnonzero((kids[first : first + m - 1] >= 0).any(axis=1))
+        if not len(runs):
             continue
-        if parents[-1] - parents[0] == len(parents) - 1:  # ascending: a run is a slice
-            parents = slice(parents[0], parents[-1] + 1)
-        right = k % 2 == 1 and k < 2 * m - 1
-        i = k // 2 + 1  # T_i or up_i
-        children = np.ascontiguousarray(below[:, span])  # else each take copies it
-        for (d, shapes, at), (keep, runs) in zip(_groups(m), _runs(m)):
-            width = len(shapes) * d * d
-            part = children.take(embedding[int(right), at : at + width], axis=0)
-            part = part.reshape(len(shapes), d, -1)
-            if k == 2 * m - 1:
-                part *= keep
-            elif i < m:
-                part = np.matmul(runs[i - 1], part.view(float)).view(complex)
-            part = part.reshape(len(shapes), d, d, -1)
-            sums = out[at : at + width].reshape(len(shapes), d, d, -1)
-            sums[..., parents] += part.transpose(0, 2, 1, 3) if right else part
+        grid = kids[first + runs]
+        missing = np.nonzero(grid < 0)
+        for rows, Q, start, stop in parts:
+            d = rows.shape[-1]
+            part = below[rows[side, None, :, :, None], grid[:, None, None, :]]
+            if len(missing[0]):
+                part[missing[0], :, :, missing[1]] = 0
+            if runs[-1] - runs[0] == len(runs) - 1:
+                Q = Q[:, runs[0] * d : (runs[-1] + 1) * d]
+            else:
+                Q = Q.reshape(len(Q), m - 1, d)[:, runs].reshape(len(Q), -1)
+            np.matmul(Q, part.reshape(len(runs) * d, -1).view(float),
+                      out=products[start:stop].reshape(len(Q), -1).view(float))
+        if not side:
+            out = products.take(scatter, axis=0)
+            continue
+        out = np.zeros_like(products) if out is None else out
+        for d, shapes, at in _groups(m):
+            span = slice(at, at + len(shapes) * d * d)
+            sums = out[span].reshape(len(shapes), d, d, -1)
+            sums += products.take(scatter[span], axis=0).reshape(sums.shape).swapaxes(1, 2)
+    del products
+    out = np.zeros((len(scatter), len(nodes)), dtype=complex) if out is None else out
+    for digit, count in ((m - 1, None), (m, len(below))):  # T_m, then the link
+        parents = np.flatnonzero(kids[digit] >= 0)
+        dst, src = diagonal[:, :count]
+        out[dst[:, None], parents] += below[src[:, None], kids[digit, parents]]
     return nodes, out
 
 

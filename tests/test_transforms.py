@@ -51,10 +51,10 @@ from rookfft.transforms import (
     FourierCoefficients,
     CODELET,
     HALVERSON,
+    _branches,
     _codelet,
-    _groups,
+    _columns,
     _image_table,
-    _runs,
     blockwise_product,
     clausen_bound,
     fourier_invert,
@@ -386,6 +386,15 @@ class TestLevelBatchedRecursion:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("support", ["full", "half", "few"])
     def test_matches_per_node_recursion(self, n, support):
+        self._check_against_per_node(n, support)
+
+    @pytest.mark.parametrize("support", ["half", "few"])
+    def test_sparse_r6_matches_per_node_recursion(self, support):
+        # two levels above the R_4 codelet, where parents miss children
+        self._check_against_per_node(6, support)
+
+    @staticmethod
+    def _check_against_per_node(n, support):
         if support == "few":
             f = sparse_element(n, max(1, size(n) // 50), 300 + n, SEMIGROUP)
         else:
@@ -424,28 +433,40 @@ class TestLevelBatchedRecursion:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_runs_are_products_of_generator_images(self, m):
-        # entry i-1 of a group's runs is ρ(t_{i+1})···ρ(t_m) of each label;
-        # the mask is the diagonal of ρ([m])
-        for (d, shapes, _), (keep, runs) in zip(_groups(m), _runs(m)):
-            assert runs.shape == (m - 1, len(shapes), d, d)
-            for l, shape in enumerate(shapes):
-                rep = halverson_rep(shape, m)
+        # Q_μ stacks, for each λ that branches to μ, the μ-columns of
+        # ρ(t_{i+1})···ρ(t_m), i = 1..m-1, side by side; together the tables
+        # hold (m-1)·|R_m| reals, as many as the runs themselves
+        parts = _branches(m)[0]
+        assert sum(Q.size for _, Q, _, _ in parts) == (m - 1) * size(m)
+        tables = dict(zip(_columns(m - 1), parts))
+        rows = dict.fromkeys(tables, 0)
+        for shape in labels(m):
+            rep, on = halverson_rep(shape, m), 0
+            for mu in branch_rn(shape, m):
+                entries, Q, _, _ = tables[mu]
+                dm = dim(mu, m - 1)
+                assert np.array_equal(entries[0].ravel(), _columns(m - 1)[mu] + np.arange(dm * dm))
+                assert np.array_equal(entries[1], entries[0].T)
+                got = Q[rows[mu] : rows[mu] + rep.dim].reshape(rep.dim, m - 1, dm)
                 for i in range(1, m):
-                    A = np.eye(d)
+                    A = np.eye(rep.dim)
                     for j in range(i + 1, m + 1):
                         A = A @ rep.pairings[j].dense()
-                    assert np.allclose(runs[i - 1, l], A, rtol=0.0, atol=1e-12)
-                assert np.array_equal(keep[l, :, 0], rep.link(m))
+                    assert np.abs(got[:, i - 1] - A[:, on : on + dm]).max() <= 1e-12
+                assert not Q.flags.writeable
+                rows[mu] += rep.dim
+                on += dm
+        assert all(rows[mu] == len(Q) for mu, (_, Q, _, _) in tables.items())
 
     def test_stein_paths_build_no_runs(self):
-        # the runs hold 81 MB at m = 8: the S_k FFT builds its own tables
+        # the tables hold 81 MB at m = 8: the S_k FFT builds its own tables
         # (symmetric._coset_images) without filling recursive_fft's cache
-        _runs.cache_clear()
+        _branches.cache_clear()
         _coset_images.cache_clear()
         f = random_element(6, GROUPOID, random.Random(66))
         fourier_invert(stein_fft(f))
         spectrum(f)
-        assert _runs.cache_info().currsize == 0
+        assert _branches.cache_info().currsize == 0
 
     @pytest.mark.parametrize("b", [3, CODELET])
     def test_codelet_is_the_oracle_table_in_the_orthogonal_basis(self, b):
@@ -484,17 +505,25 @@ class TestLevelBatchedRecursion:
                 assert abs(got - want) <= 1e-9 * abs(want)
 
 
-def slice_kinds(n):
-    """(|R_n|, n-2) kinds of the slice each x ∈ R_n falls in at the levels
-    m = n, …, 3 of recursive_fft: "T" (T_i, i < m), "Tm", "up" or "link"."""
+def slice_paths(n):
+    """(|R_n|, n-2) slices (``indexing.slice_index``) that each x ∈ R_n
+    falls in at the levels m = n, …, 3 of recursive_fft."""
     points = np.arange(size(n))
     columns = []
     for m in range(n, 2, -1):
         slices, points = slice_index(m)[points].T
-        kind = np.where(slices % 2 == 0, "T", "up").astype(object)
-        kind[slices == 2 * m - 2], kind[slices == 2 * m - 1] = "Tm", "link"
-        columns.append(kind)
-    return np.stack(columns, axis=1) if columns else np.empty((size(n), 0), dtype=object)
+        columns.append(slices)
+    return np.stack(columns, axis=1) if columns else np.empty((size(n), 0), dtype=np.int32)
+
+
+def slice_kinds(n):
+    """(|R_n|, n-2) kinds of the slice each x ∈ R_n falls in at the levels
+    m = n, …, 3 of recursive_fft: "T" (T_i, i < m), "Tm", "up" or "link"."""
+    paths = slice_paths(n)
+    kind = np.where(paths % 2 == 0, "T", "up").astype(object)
+    top = 2 * np.arange(n, 2, -1)  # 2m at each column
+    kind[paths == top - 2], kind[paths == top - 1] = "Tm", "link"
+    return kind
 
 
 def element_on(n, positions, seed):
@@ -506,17 +535,38 @@ def element_on(n, positions, seed):
 
 class TestEmptySlices:
     """Supports that leave whole slices empty at every level, which the
-    level pass skips, against the naive oracle and the per-node counts."""
+    level pass skips, against the per-node recursion's blocks and counts
+    and, up to n = 5, the naive oracle."""
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("kinds", [{"link"}, {"Tm"}, {"up"}, {"T", "Tm"}, {"up", "link"}])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kinds", [{"link"}, {"Tm"}, {"up"}, {"T", "Tm"}, {"up", "link"},
+                                       {"Tm", "link"}])
     def test_supports_within_slice_kinds(self, n, kinds):
         # {"link"} keeps the zero map and R_2; {"T", "Tm"} holds every
-        # permutation and more
+        # permutation and more; {"Tm", "link"} takes no product at any level
         inside = np.isin(slice_kinds(n), list(kinds)).all(axis=1)
         f = element_on(n, np.flatnonzero(inside), 500 + n)
         assert f.support() > 0
         self._check(f)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("slot", [0, 2, 1, 3])  # T_1, T_2, up_1, up_2
+    def test_one_slot_of_one_side_at_every_level(self, n, slot):
+        # each level multiplies the children of one slice alone, through a
+        # view of Q_μ's columns for it; the other side is empty
+        inside = (slice_paths(n) == slot).all(axis=1)
+        f = element_on(n, np.flatnonzero(inside), 530 + n + slot)
+        assert f.support() > 0
+        self._check(f)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_term_in_each_slice(self, n):
+        # the top level has every slice, each with one child; below it, each
+        # parent has one child and every other slice of its side is missing
+        top = slice_paths(n)[:, 0]
+        rng = np.random.default_rng(540 + n)
+        terms = [rng.choice(np.flatnonzero(top == s)) for s in range(2 * n)]
+        self._check(element_on(n, np.sort(terms), 540 + n))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_only_permutations(self, n):
@@ -539,10 +589,13 @@ class TestEmptySlices:
     @staticmethod
     def _check(f):
         F = recursive_fft(f)
-        assert F.allclose(naive_transform(f, "halverson"), 1e-9)
         counter = OpCounter()
-        per_node_recursive(dict(f.coeffs), f.n, counter)
+        expected = per_node_recursive(dict(f.coeffs), f.n, counter)
         assert F.ops.multiply_adds == counter.multiply_adds
+        for sh, M in expected.items():
+            assert np.allclose(F.blocks[sh], M, rtol=0.0, atol=1e-12)
+        if f.n <= 5:
+            assert F.allclose(naive_transform(f, "halverson"), 1e-9)
 
 
 MEMORY_PROBE = """
