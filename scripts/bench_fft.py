@@ -7,10 +7,10 @@ For each n ≤ MAX_N, two seeded full-support coefficient vectors become
 elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
 ``enumerate_rn``.  The semigroup element goes through ``to_groupoid``
 (whose image goes back through ``to_semigroup``), ``stein_fft_semigroup``
-and ``recursive_fft``, whose halverson block set ``fourier_invert`` then
+and ``recursive_fft``, whose block set ``fourier_invert`` then
 inverts (``round_trip_residual`` is the largest
 modulus of that inverse minus ``to_groupoid`` of the element);
-the groupoid element goes through ``stein_fft``, whose stein block set
+the groupoid element goes through ``stein_fft``, whose block set
 ``fourier_invert`` inverts too, and through ``spectrum``.
 Each element is also convolved with itself (``convolve_semigroup``,
 ``convolve_groupoid``).  Last, the groupoid element becomes its element JSON
@@ -47,8 +47,8 @@ element of R_ONE_TERM_N at a seeded position.
 semigroup element: ``cold_seconds`` is the untraced call's wall time, the
 tables built, and ``kept_mb`` the tracemalloc memory the traced call keeps,
 the tables it caches (the zeta steps and the cell layout they index).
-Last, ``naive_transform`` runs in both families for each n ≤ NAIVE_MAX_N,
-halverson on the semigroup element and stein on the groupoid one, timed
+Last, ``naive_transform`` runs in both bases for each n ≤ NAIVE_MAX_N,
+on the semigroup element and on the groupoid one, timed
 like the rest (the cold call builds the image tables) with its
 multiply-adds and the tracemalloc peak of one more call.  Up to n = 5 the
 elements have full support; from n = 6 on each keeps NAIVE_SPARSE_TERMS[n]
@@ -108,8 +108,6 @@ from rookfft.counting import OpCounter
 from rookfft.indexing import cell_index
 from rookfft.spectral import spectrum
 from rookfft.transforms import (
-    HALVERSON,
-    STEIN,
     fourier_invert,
     naive_transform,
     recursive_fft,
@@ -326,8 +324,8 @@ def _row(n: int) -> dict:
                      ("recursive_fft", recursive_fft)]:
         F = clock.time(name, fn, f)
         multiply_adds[name] = F.ops.multiply_adds
-    # F is recursive_fft's halverson block set
-    back = clock.time("fourier_invert_halverson", fourier_invert, F)
+    # F is recursive_fft's block set
+    back = clock.time("fourier_invert_recursive", fourier_invert, F)
     residual = float(np.abs(back.values - g.values).max(initial=0.0))
     del F, back, g
     recursive_level_seconds = _level_seconds(f)
@@ -394,16 +392,16 @@ def _one_term_row() -> dict:
 
 def _naive_row(n: int) -> dict:
     clock, multiply_adds, peak_mb = _Clock(), {}, {}
-    for family, basis, seed in [(HALVERSON, SEMIGROUP, SEED + n), (STEIN, GROUPOID, SEED + 100 + n)]:
+    for basis, seed in [(SEMIGROUP, SEED + n), (GROUPOID, SEED + 100 + n)]:
         f, _ = _element(n, basis, seed)
         if n in NAIVE_SPARSE_TERMS:
             keep = np.random.default_rng(seed).choice(size(n), NAIVE_SPARSE_TERMS[n], replace=False)
             values = np.zeros(size(n), dtype=complex)
             values[keep] = f.values[keep]
             f = from_dense(n, basis, values)
-        F = clock.time(family, naive_transform, f, family)
-        multiply_adds[family] = F.ops.multiply_adds
-        peak_mb[family] = _traced_peak_mb(naive_transform, f, family)
+        F = clock.time(basis, naive_transform, f)
+        multiply_adds[basis] = F.ops.multiply_adds
+        peak_mb[basis] = _traced_peak_mb(naive_transform, f)
     return {"n": n, "support": f.support(), **clock.fields(),
             "multiply_adds": multiply_adds, "peak_mb": peak_mb}
 

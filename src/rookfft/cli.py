@@ -52,8 +52,6 @@ from .core import (
 )
 from .spectral import Dataset, analyze, ingest, report_to_csv, report_to_json_dict, to_function
 from .transforms import (
-    HALVERSON,
-    STEIN,
     fourier_invert,
     from_json_dict as fc_from_json,
     naive_transform,
@@ -233,8 +231,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             raise CliError(5, "RESOURCE", f"naive transform needs {ops} multiply-adds, over "
                            f"|R_{BENCH_GUARD}|² = {naive_bound(BENCH_GUARD)}; use --algorithm "
                            "stein --convert or --algorithm recursive --convert")
-        family = HALVERSON if f.basis == SEMIGROUP else STEIN
-        F = naive_transform(f, family)
+        F = naive_transform(f)
         bound = naive_bound(f.n)
         bound_name = "naive"
     elif algorithm == "stein":
@@ -311,16 +308,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     all_agree = True
     for n in range(1, top + 1):
         f = random_element(n, SEMIGROUP, rng)
-        naive_h = naive_transform(f, HALVERSON)
+        naive = naive_transform(f)
         rec = recursive_fft(f)
         stein_pipe = stein_fft_semigroup(f)
-        naive_s = naive_transform(to_groupoid(f), STEIN)
-        agree = rec.allclose(naive_h, 1e-9) and stein_pipe.allclose(naive_s, 1e-9)
+        naive_g = naive_transform(to_groupoid(f))
+        agree = rec.allclose(naive, 1e-9) and stein_pipe.allclose(naive_g, 1e-9)
         all_agree = all_agree and agree
         rows.append({
             "n": n,
             "size": size(n),
-            "ops_naive": naive_h.ops.multiply_adds,
+            "ops_naive": naive.ops.multiply_adds,
             "ops_stein": stein_pipe.ops.multiply_adds,
             "ops_recursive": rec.ops.multiply_adds,
             "bound_naive": naive_bound(n),

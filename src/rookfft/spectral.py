@@ -191,7 +191,7 @@ def isotypic_project(f: AlgebraElement, shape: Shape) -> AlgebraElement:
     kept = {sh: np.zeros_like(F.blocks[sh]) for sh in partitions(k)}
     kept[shape] = F.blocks[shape]
     values = np.zeros(size(f.n), dtype=complex)
-    values[cell_index(f.n, k)] = invert_rank(FourierCoefficients(f.n, F.family, kept), k)
+    values[cell_index(f.n, k)] = invert_rank(FourierCoefficients(f.n, kept), k)
     return from_dense(f.n, GROUPOID, values)
 
 

@@ -29,16 +29,16 @@ multiply-add counter:
   for the codelet: 1.07 MB over the levels of n = 6 and 100 MB at n = 8.
 
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
-block set of either family by running ``stein_fft`` backwards: per rank k
-(``invert_rank``), one batched inverse S_k FFT (``sn_ifft_batch``) over the
-C(n,k)² cells of every λ ⊢ k, scattered through the same cell table; its
-levels above S_5 run backwards on the transposed runs, and one product
-with the inverse of the S_5 table, the forward table transposed and
-weighted by d_λ/5!, finishes each rank.  A halverson block set is first
-taken to the stein family block by block; the similarity is a permutation
-of the tableaux, so each block is one gather F̂[p][:, p]
-(``rook_reps.halverson_permutation``), with no multiply-adds, and no
-element of R_n is evaluated.
+block set by running ``stein_fft`` backwards: per rank k (``invert_rank``),
+one batched inverse S_k FFT (``sn_ifft_batch``) over the C(n,k)² cells of
+every λ ⊢ k, scattered through the same cell table; its levels above S_5
+run backwards on the transposed runs, and one product with the inverse of
+the S_5 table, the forward table transposed and weighted by d_λ/5!,
+finishes each rank.  Every transform lists its blocks in the stein order,
+which inversion reads.  ``recursive_fft`` and the oracle's semigroup rows
+work in the halverson representations, which list the same basis in
+another order: their stein block is F̂[p][:, p] for a permutation p of the
+tableaux (``rook_reps.halverson_permutation``).
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ from .rook_reps import branch_rn, dim, halverson_permutation, halverson_rep, lab
 from .symmetric import _coset_costs, coset_runs, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
 
-STEIN = "stein"
-HALVERSON = "halverson"
-FAMILIES = (STEIN, HALVERSON)
+# the block JSON's "format" mark: the reader refuses any other value
+BLOCK_FORMAT = "rookfft-blocks-1"
 
-# a family's image table is cached whole while its reals fit (|R_5|²: 19 MB;
+# a basis's image table is cached whole while its reals fit (|R_5|²: 19 MB;
 # |R_6|²: 1.4 GB); above that it is built per call, this much at a time
 IMAGE_TABLE_BYTES = 32 << 20
 
@@ -87,7 +86,6 @@ class FourierCoefficients:
     """Block-diagonal image of an algebra element: one matrix per label."""
 
     n: int
-    family: str
     blocks: dict[Shape, np.ndarray]
     ops: OpCounter = field(default_factory=OpCounter)
 
@@ -101,8 +99,8 @@ class FourierCoefficients:
 
     def __repr__(self) -> str:
         return (
-            f"FourierCoefficients(n={self.n}, family={self.family!r}, "
-            f"blocks={len(self.blocks)}, ops={self.ops.multiply_adds})"
+            f"FourierCoefficients(n={self.n}, blocks={len(self.blocks)}, "
+            f"ops={self.ops.multiply_adds})"
         )
 
 
@@ -116,46 +114,43 @@ def _require_basis(f: AlgebraElement, basis: str, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def naive_transform(f: AlgebraElement, family: str) -> FourierCoefficients:
+def naive_transform(f: AlgebraElement) -> FourierCoefficients:
     """Direct evaluation of every block; the oracle the fast paths must match.
 
     Σ_s f(s)·ρ_λ(s) for every λ at once: the coefficients times the image
-    table of R_n (``_image_rows``), charged support × |R_n| multiply-adds.
-
-    The halverson family is defined on the semigroup basis, the stein
-    family on the groupoid basis; convert first for a cross pairing.
+    table of R_n in f's basis (``_image_rows``), charged support × |R_n|
+    multiply-adds.  Semigroup-basis blocks are taken to the stein order.
     """
-    if family == HALVERSON:
-        _require_basis(f, SEMIGROUP, "naive_transform[halverson]")
-    elif family == STEIN:
-        _require_basis(f, GROUPOID, "naive_transform[stein]")
-    else:
-        raise ValueError(f"unknown family {family!r}")
     n, values = f.n, f.values
     support = np.flatnonzero(values)
     rows = IMAGE_TABLE_BYTES // (8 * size(n))
     if rows >= size(n):  # zero coefficients add nothing: take the whole table
-        parts = [(values, _image_table(family, n))]
+        parts = [(values, _image_table(f.basis, n))]
     else:  # a chunk of the support's rows at a time
         parts = (
-            (values[at], _image_rows(family, n, elements_at(n, at)))
+            (values[at], _image_rows(f.basis, n, elements_at(n, at)))
             for at in np.split(support, range(rows, len(support), rows))
         )
     flat = np.zeros(size(n), dtype=complex)
     for c, table in parts:  # real and imaginary parts apart: no complex table
         flat += c.real @ table + 1j * (c.imag @ table)
         del table  # before the next chunk is built
-    return FourierCoefficients(n, family, _blocks(n, flat), OpCounter(len(support) * size(n)))
+    blocks = _blocks(n, flat)
+    if f.basis == SEMIGROUP:  # halverson rows: each block gathered by p
+        for shape, M in blocks.items():
+            p = halverson_permutation(shape, n)
+            blocks[shape] = M.take(p, axis=0).take(p, axis=1)
+    return FourierCoefficients(n, blocks, OpCounter(len(support) * size(n)))
 
 
-def _image_rows(family: str, n: int, elements) -> np.ndarray:
+def _image_rows(basis: str, n: int, elements) -> np.ndarray:
     """(len(elements), |R_n|) reals: row i holds ρ_λ(elements[i]) for every
     λ ∈ Λ_n, flattened side by side in the order of ``_columns(n)``
-    (Σ_λ d_λ² = |R_n|).  Halverson rows are images of the semigroup basis
-    (``HalversonRep.evaluate_word``, one generator word per element for all
-    labels), stein rows images of the groupoid basis
+    (Σ_λ d_λ² = |R_n|).  Semigroup-basis rows are halverson images, in the
+    halverson order (``HalversonRep.evaluate_word``, one generator word per
+    element for all labels), groupoid-basis rows stein images
     (``SteinRep.eval_groupoid``, a canonical factorization)."""
-    if family == HALVERSON:
+    if basis == SEMIGROUP:
         reps = [halverson_rep(shape, n) for shape in _columns(n)]
         images = ([rep.evaluate_word(w) for rep in reps] for w in map(generator_word, elements))
     else:
@@ -168,9 +163,9 @@ def _image_rows(family: str, n: int, elements) -> np.ndarray:
 
 
 @cache
-def _image_table(family: str, n: int) -> np.ndarray:
+def _image_table(basis: str, n: int) -> np.ndarray:
     """``_image_rows`` of all of R_n, read-only."""
-    out = _image_rows(family, n, enumerate_rn(n))
+    out = _image_rows(basis, n, enumerate_rn(n))
     out.flags.writeable = False
     return out
 
@@ -198,7 +193,7 @@ def stein_fft(f: AlgebraElement, counter: OpCounter | None = None) -> FourierCoe
         for shape, cells in sn_fft_batch(f.values[cell_index(n, k)], k, counter).items():
             d = cells.shape[-1]
             blocks[shape] = cells.reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(c * d, c * d)
-    return FourierCoefficients(n, STEIN, blocks, counter)
+    return FourierCoefficients(n, blocks, counter)
 
 
 def stein_fft_semigroup(f: AlgebraElement) -> FourierCoefficients:
@@ -219,7 +214,7 @@ def stein_fft_semigroup(f: AlgebraElement) -> FourierCoefficients:
 
 
 def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
-    """Divide-and-conquer FFT on the semigroup basis, halverson family.
+    """Divide-and-conquer FFT on the semigroup basis.
 
     Every x in R_m falls in exactly one of 2m slices: x = T_i·s when
     x(m) = i, x = s·T^i when x sends i to m without using m itself, and
@@ -233,7 +228,8 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     coset word ρ(t_{i+1})···ρ(t_m), or of [m], one nonzero branch block at
     a time (``_level``).  Only nodes whose part of f holds a nonzero are
     visited.  The blocks agree with a product by one generator image at a
-    time to within 1e-12 of the largest entry.
+    time to within 1e-12 of the largest entry.  Every level holds them in
+    the stein order, which its tables read and write (``_branches``).
 
     The recursion starts from the copies of R_b, b = min(n, ``CODELET``):
     the nodes of level b are transformed by one real product with a cached
@@ -257,7 +253,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
     counter = OpCounter()
     n = f.n
     values = f.values
-    support = np.flatnonzero(values)
+    support = np.flatnonzero((values.real != 0) | (values.imag != 0))
     b = min(n, CODELET)
     # walk each term down to R_b: its slice at every level as a digit of its
     # node id, the top level's lowest, and its point of R_b
@@ -275,7 +271,7 @@ def recursive_fft(f: AlgebraElement) -> FourierCoefficients:
         nodes, level = _level(level, nodes, weight, m, counter)
     # the root is the one node left, or none when f = 0
     root = level[:, 0] if len(nodes) else np.zeros(size(n), dtype=complex)
-    return FourierCoefficients(n, HALVERSON, _blocks(n, root), counter)
+    return FourierCoefficients(n, _blocks(n, root), counter)
 
 
 def _walk(
@@ -326,7 +322,8 @@ def _codelet(b: int) -> np.ndarray:
     """(|R_b|, |R_b|) reals for b ≤ ``CODELET``, read-only: column x holds
     the blocks of the point mass at x ∈ R_b, side by side in the order of ``_columns(b)``, so that the transform of any
     function on R_b is one product with it.  For b ≤ 2 this is the naive
-    oracle's image table of R_b (``_image_table``), transposed.  Above, it
+    oracle's image table of R_b (``_image_table``), transposed: there the
+    halverson and stein orders agree.  Above, it
     is the recursion of ``recursive_fft`` run on all |R_b| point masses as
     one batch, each point mass's index the lowest digit of its node ids:
     the walk down to R_2, the image table of R_2 and ``_level`` for
@@ -337,7 +334,7 @@ def _codelet(b: int) -> np.ndarray:
     base = min(b, 2)
     functions = np.zeros((len(nodes), size(base)))
     functions[row, points] = 1.0
-    level = (functions @ _image_table(HALVERSON, base)).T.astype(complex)
+    level = (functions @ _image_table(SEMIGROUP, base)).T.astype(complex)
     for m in range(3, b + 1):
         weight //= 2 * m
         nodes, level = _level(level, nodes, weight, m, OpCounter())
@@ -408,7 +405,12 @@ def _branches(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     and column c for entry (a, c) of λ's μ-columns.  Then the product row
     each entry of a level-m column reads; and the diagonal μ-blocks of
     every λ in a level-m and a level m-1 column, the |R_{m-1}| entries
-    with μ = λ, where the image of [m] is the identity, first."""
+    with μ = λ, where the image of [m] is the identity, first.
+
+    Columns hold their blocks in the stein order: entry (a, c) of a
+    halverson block sits at (q[a], q[c]), q the inverse of p =
+    ``halverson_permutation``, so the entries read and the rows filled go
+    through q, and no level gathers its blocks."""
     below = _columns(m - 1)
     height = dict.fromkeys(below, 0)
     places = {}  # (λ, μ) → (offset of μ's block in λ's, first row of λ in Q_μ)
@@ -420,7 +422,8 @@ def _branches(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
             on += dim(mu, m - 1)
     parts, start = {}, 0
     for mu, at in below.items():
-        rows = np.arange(at, at + dim(mu, m - 1) ** 2, dtype=np.int32).reshape(dim(mu, m - 1), -1)
+        q = np.argsort(halverson_permutation(mu, m - 1))
+        rows = (at + q[:, None] * len(q) + q).astype(np.int32)
         Q = np.empty((height[mu], (m - 1) * len(rows)))
         parts[mu] = np.stack([rows, rows.T]), Q, start, start + Q.size // (m - 1)
         start += Q.size // (m - 1)
@@ -430,12 +433,13 @@ def _branches(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
         # per label, (d_λ, m-1, d_λ): row a of every run A_i
         group = coset_runs([halverson_rep(shape, m) for shape in shapes]).transpose(1, 2, 0, 3)
         for shape, runs in zip(shapes, group):
+            q = np.argsort(halverson_permutation(shape, m))
             for mu in branch_rn(shape, m):
                 (on, row), (rows, Q, first, _) = places[shape, mu], parts[mu]
                 a, c = np.arange(d)[:, None], np.arange(rows.shape[-1])
                 Q[row : row + d] = runs[:, :, on : on + len(c)].reshape(d, -1)
-                scatter[at + a * d + on + c] = first + (row + a) * len(c) + c
-                (same if shape == mu else other).append((at + (on + c[:, None]) * d + on + c, rows[0]))
+                scatter[at + q[a] * d + q[on + c]] = first + (row + a) * len(c) + c
+                (same if shape == mu else other).append((at + q[on + c[:, None]] * d + q[on + c], rows[0]))
             at += d * d
     diagonal = np.array([np.concatenate([pair[j].ravel() for pair in same + other]) for j in (0, 1)],
                         dtype=np.int32)
@@ -517,8 +521,6 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
     The inverse of ``stein_fft``, rank by rank (``invert_rank``).
     """
     n = F.n
-    if F.family not in FAMILIES:
-        raise ValueError(f"unknown family {F.family!r}")
     for shape in labels(n):
         if shape not in F.blocks:
             raise ValueError(f"missing block for label {shape}")
@@ -536,18 +538,12 @@ def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
     ``cell_index(n, k)`` order, from the blocks of the labels λ ⊢ k alone.
 
     Each λ-block is cut into its C(n,k)² cells of d_λ×d_λ, and
-    ``sn_ifft_batch`` inverts them all as one batch of S_k transforms.  A
-    halverson block F̂ is first taken to its stein block U⁻¹·F̂·U =
-    F̂[p][:, p], for U the permutation matrix of p =
-    ``halverson_permutation(λ, n)``.
+    ``sn_ifft_batch`` inverts them all as one batch of S_k transforms.
     """
-    n, c = F.n, comb(F.n, k)
+    c = comb(F.n, k)
     cells = {}
     for shape in partitions(k):
         block = np.asarray(F.blocks[shape], dtype=complex)
-        if F.family == HALVERSON:
-            p = halverson_permutation(shape, n)
-            block = block[p][:, p]
         d = num_standard(shape)
         cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
     return sn_ifft_batch(cells, k)
@@ -556,14 +552,12 @@ def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
 def blockwise_product(F: FourierCoefficients, G: FourierCoefficients) -> FourierCoefficients:
     """f̂·ĝ per block, the transform-side image of convolution.  Both operands
     hold the same labels."""
-    if F.n != G.n or F.family != G.family:
-        raise ValueError("operands disagree in n or family")
+    if F.n != G.n:
+        raise ValueError("operands disagree in n")
     for shape in [*F.blocks, *G.blocks]:
         if shape not in F.blocks or shape not in G.blocks:
             raise ValueError(f"missing block for label {shape}")
-    return FourierCoefficients(
-        F.n, F.family, {sh: F.blocks[sh] @ G.blocks[sh] for sh in F.blocks}
-    )
+    return FourierCoefficients(F.n, {sh: F.blocks[sh] @ G.blocks[sh] for sh in F.blocks})
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +611,7 @@ def to_json_dict(F: FourierCoefficients) -> dict:
     blocks = [np.asarray(F.blocks[shape], dtype=complex) for shape in shapes]
     flat = np.concatenate([M.ravel() for M in blocks])
     entries = [{"re": re, "im": im} for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
-    data: dict = {"n": F.n, "family": F.family, "ops": F.ops.multiply_adds, "blocks": []}
+    data: dict = {"n": F.n, "format": BLOCK_FORMAT, "ops": F.ops.multiply_adds, "blocks": []}
     at = 0
     for shape, M in zip(shapes, blocks):
         dim, width = M.shape
@@ -632,15 +626,17 @@ def to_json_dict(F: FourierCoefficients) -> dict:
 
 
 def from_json_dict(data: dict) -> FourierCoefficients:
-    """Block JSON → FourierCoefficients.  Every ``lambda`` part and ``ops``
+    """Block JSON → FourierCoefficients.  The ``format`` mark must be
+    ``BLOCK_FORMAT``, so that a file of another layout or basis order is
+    refused rather than inverted wrongly.  Every ``lambda`` part and ``ops``
     must be a JSON integer, and every label a member of Λ_n, given once;
     whether each label of Λ_n is present is ``fourier_invert``'s check."""
     try:
+        mark = data.get("format")
+        if mark != BLOCK_FORMAT:
+            raise ParseError(f"block JSON format must be {BLOCK_FORMAT!r}, got {mark!r}")
         n = json_int(data["n"], "n")
         check_n(n)
-        family = data["family"]
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
         known = set(labels(n))
         blocks: dict[Shape, np.ndarray] = {}
         for entry in data["blocks"]:
@@ -655,7 +651,7 @@ def from_json_dict(data: dict) -> FourierCoefficients:
         raise ParseError(f"bad block JSON: {exc!r}") from None
     if ops < 0:
         raise ParseError(f"ops must be nonnegative, got {ops}")
-    return FourierCoefficients(n, family, blocks, OpCounter(ops))
+    return FourierCoefficients(n, blocks, OpCounter(ops))
 
 
 def _json_block(rows) -> np.ndarray:

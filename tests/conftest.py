@@ -330,7 +330,7 @@ def reference_from_json_dict(data: dict) -> np.ndarray:
 def reference_block_json(F) -> dict:
     """The block JSON written block by block and row by row, one
     ``tolist`` per block: the oracle for ``transforms.to_json_dict``."""
-    data: dict = {"n": F.n, "family": F.family, "ops": F.ops.multiply_adds, "blocks": []}
+    data: dict = {"n": F.n, "format": "rookfft-blocks-1", "ops": F.ops.multiply_adds, "blocks": []}
     for shape in labels(F.n):
         M = np.asarray(F.blocks[shape], dtype=complex)
         data["blocks"].append({

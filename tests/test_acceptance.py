@@ -82,12 +82,12 @@ def test_03_oracle_equivalence():
             for _ in range(trials):
                 f = random_element(n, SEMIGROUP, rng)
                 g = random_element(n, GROUPOID, rng)
-                naive_s = naive_transform(g, "stein")
+                naive_s = naive_transform(g)
                 assert stein_fft(g).allclose(naive_s, 1e-9)
                 assert stein_fft_semigroup(f).allclose(
-                    naive_transform(to_groupoid(f), "stein"), 1e-9
+                    naive_transform(to_groupoid(f)), 1e-9
                 )
-                assert recursive_fft(f).allclose(naive_transform(f, "halverson"), 1e-9)
+                assert recursive_fft(f).allclose(naive_transform(f), 1e-9)
 
 
 def test_04_convolution_theorem():
@@ -197,7 +197,7 @@ def _fourier_basis(n):
                     for other in labels(n)
                 }
                 blocks[sh][i, j] = 1.0
-                vec = fourier_invert(FourierCoefficients(n, "stein", blocks))
+                vec = fourier_invert(FourierCoefficients(n, blocks))
                 out.append((sh, vec))
     return out
 

@@ -25,6 +25,7 @@ from rookfft.cli import main
 from rookfft.core import PartialPermutation, size
 from rookfft.rook_reps import dim, labels
 from rookfft.transforms import (
+    BLOCK_FORMAT,
     fourier_invert,
     from_json_dict as fc_from_json,
     naive_transform,
@@ -110,7 +111,7 @@ class TestTransform:
             capsys, "transform", "--input", path, "--algorithm", "stein", "--convert"
         )
         assert code == 0
-        expected = naive_transform(to_groupoid(f), "stein")
+        expected = naive_transform(to_groupoid(f))
         assert fc_from_json(json.loads(out)).allclose(expected, 1e-9)
 
     def test_naive_refuses_past_a_full_r6_before_any_image(self, capsys, tmp_path, monkeypatch):
@@ -142,7 +143,7 @@ class TestTransform:
                            "--association", GROUPOID, "--algorithm", "stein")
         data = json.loads(out)
         assert code == 0
-        assert data["n"] == 2 and data["family"] == "stein"
+        assert data["n"] == 2 and data["format"] == BLOCK_FORMAT
 
     def test_ballot_csv_suffix_in_capitals(self, capsys, tmp_path):
         path = tmp_path / "votes.CSV"
@@ -338,7 +339,7 @@ class TestNonFiniteInput:
 
     def test_invert_refuses_block_json_without_blocks(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
-        path.write_text('{"n": 1, "family": "stein"}', encoding="utf-8")
+        path.write_text(json.dumps({"n": 1, "format": BLOCK_FORMAT}), encoding="utf-8")
         code, out, err = run(capsys, "invert", "--input", str(path))
         assert_one_parse_error(code, err)
         assert out == ""
@@ -592,6 +593,17 @@ class TestStrictBlockJson:
         assert_one_parse_error(code, err)
         assert "twice" in err and out == ""
 
+    # a file without the mark holds another basis order (halverson blocks) or
+    # the values of another basis, so it would invert wrongly
+    @pytest.mark.parametrize("mark", [{}, {"family": "halverson"}, {"format": "rookfft-blocks-0"}],
+                             ids=["missing", "halverson_family", "wrong"])
+    def test_refuses_a_file_without_the_format_mark(self, capsys, tmp_path, mark):
+        data = self.block_json(capsys, tmp_path)
+        del data["format"]
+        code, out, err = self.invert(capsys, tmp_path, {**data, **mark})
+        assert_one_parse_error(code, err)
+        assert "format" in err and out == ""
+
 
 class TestOutOfMemory:
     """MemoryError anywhere in a command is exit 5 and one ERR:RESOURCE line."""
@@ -664,7 +676,7 @@ class TestSizeGuard:
 
     def test_invert_refuses_n9_block_set(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
-        path.write_text('{"n": 9, "family": "stein", "blocks": []}', encoding="utf-8")
+        path.write_text(json.dumps({"n": 9, "format": BLOCK_FORMAT, "blocks": []}))
         self.refused_at_once(capsys, "invert", "--input", str(path))
 
     @pytest.mark.parametrize("argv", [
@@ -681,7 +693,7 @@ class TestSizeGuard:
 
     def test_invert_refuses_negative_n_block_set(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
-        path.write_text('{"n": -1, "family": "stein", "blocks": []}', encoding="utf-8")
+        path.write_text(json.dumps({"n": -1, "format": BLOCK_FORMAT, "blocks": []}))
         self.refused_at_once(capsys, "invert", "--input", str(path))
 
     def test_analyze_refuses_given_negative_n(self, capsys, tmp_path):
@@ -816,7 +828,7 @@ def _block_json(draw):
         blocks.append(draw(_mostly(st.just(block), st.sampled_from([None, [], "rows", {}]))))
     fields = {
         "n": _mostly(st.just(m), st.sampled_from([-1, 3, 9, 10**9, 1.5, True, "2", None])),
-        "family": _mostly(st.sampled_from(["stein", "halverson"]), st.sampled_from(["", None, 1])),
+        "format": _mostly(st.just(BLOCK_FORMAT), st.sampled_from(["", None, 1, "rows"])),
         "blocks": _mostly(st.permutations(blocks), st.sampled_from([None, {}, "x", 3])),
         "ops": _mostly(st.integers(0, 10**6), st.sampled_from([12.7, -1, "5", None, True])),
     }
@@ -825,7 +837,7 @@ def _block_json(draw):
 
 @given(data=_block_json())
 @example(data={
-    "n": 0, "family": "stein", "blocks": [{"lambda": [], "rows": [[{"re": "2.5", "im": False}]]}],
+    "n": 0, "format": BLOCK_FORMAT, "blocks": [{"lambda": [], "rows": [[{"re": "2.5", "im": False}]]}],
 })
 @settings(max_examples=300, deadline=None)
 def test_invert_on_fuzzed_block_json_exits_cleanly(tmp_path_factory, data):

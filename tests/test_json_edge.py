@@ -14,7 +14,6 @@ from rookfft.core import ParseError, enumerate_rn, json_complex, size
 from rookfft.indexing import elements_at, flat_forms
 from rookfft.rook_reps import halverson_rep
 from rookfft.transforms import (
-    HALVERSON,
     FourierCoefficients,
     _columns,
     _image_rows,
@@ -49,7 +48,7 @@ def test_element_json_matches_the_term_by_term_writer(n, basis, seed):
 
 @pytest.mark.parametrize("n", range(6))
 def test_block_writer_matches_the_per_row_writer(n):
-    """Bit for bit, signed zeros included, in both families: n = 0 is one
+    """Bit for bit, signed zeros included, from both FFTs: n = 0 is one
     1×1 block, and every n has 1×1 blocks."""
     for F in (stein_fft(rand_elem(n, GROUPOID, n)), recursive_fft(rand_elem(n, SEMIGROUP, n))):
         blocks = {}
@@ -58,7 +57,7 @@ def test_block_writer_matches_the_per_row_writer(n):
             M.flat[i % M.size] = complex(-0.0, 0.5) if i % 2 else complex(0.25, -0.0)
             M.flat[-1] = -0.0
             blocks[shape] = M
-        G = FourierCoefficients(n, F.family, blocks, F.ops)
+        G = FourierCoefficients(n, blocks, F.ops)
         got, want = blocks_to_json(G), reference_block_json(G)
         assert repr(got) == repr(want)  # -0.0 too
         assert orjson.dumps(got) == orjson.dumps(want)
@@ -142,4 +141,4 @@ def test_halverson_rows_match_per_label_evaluation(n):
         np.concatenate([halverson_rep(shape, n).evaluate(x).ravel() for shape in _columns(n)])
         for x in elems
     ]).reshape(len(elems), size(n))
-    assert np.array_equal(_image_rows(HALVERSON, n, elems), expected)
+    assert np.array_equal(_image_rows(SEMIGROUP, n, elems), expected)

@@ -45,7 +45,7 @@ def projection_energy(f, shape):
     g = f if f.basis == GROUPOID else to_groupoid(f)
     F = stein_fft(g)
     kept = {sh: (M if sh == shape else np.zeros_like(M)) for sh, M in F.blocks.items()}
-    p = fourier_invert(FourierCoefficients(f.n, F.family, kept))
+    p = fourier_invert(FourierCoefficients(f.n, kept))
     return inner2(p, p).real
 
 
@@ -202,7 +202,7 @@ class TestProjection:
         F = stein_fft(f if basis == GROUPOID else to_groupoid(f))
         for sh in labels(n):
             kept = {s: (M if s == sh else np.zeros_like(M)) for s, M in F.blocks.items()}
-            whole = fourier_invert(FourierCoefficients(n, F.family, kept))
+            whole = fourier_invert(FourierCoefficients(n, kept))
             assert np.array_equal(isotypic_project(f, sh).values, whole.values)
 
 
