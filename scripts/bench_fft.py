@@ -5,7 +5,10 @@ Fourier inversion on full-support inputs, and of the naive oracle.
 
 For each n ≤ MAX_N, two seeded full-support coefficient vectors become
 elements through ``from_dense`` (semigroup and groupoid basis), so no n needs
-``enumerate_rn``.  The semigroup element goes through ``to_groupoid``
+``enumerate_rn``.  Every seeded draw is made over the elements in canonical
+order (sorted image tuples) and placed at their rows through
+``element_index`` (``_canonical``), so that two checkouts that order the
+vector differently transform the same elements.  The semigroup element goes through ``to_groupoid``
 (whose image goes back through ``to_semigroup``), ``stein_fft_semigroup``
 and ``recursive_fft``, whose block set ``fourier_invert`` then
 inverts (``round_trip_residual`` is the largest
@@ -41,12 +44,15 @@ that level's ``transforms._level`` call (``_level_seconds`` wraps it).
 ``half_rank`` times ``recursive_fft`` the same way on a seeded n = 5
 semigroup element that holds half of the elements of each rank (a seeded
 choice), the sparse library-caller size, and ``one_term`` on a one-term
-element of R_ONE_TERM_N at a seeded position.
+element of R_ONE_TERM_N, a seeded element.
 ``zeta`` holds, for each n in ZETA_NS, two fresh processes
-(``ZETA_PROBE``) that each make one ``to_groupoid`` call on a one-term
-semigroup element: ``cold_seconds`` is the untraced call's wall time, the
-tables built, and ``kept_mb`` the tracemalloc memory the traced call keeps,
-the tables it caches (the zeta steps and the cell layout they index).
+(``ZETA_PROBE``) that each build a one-term semigroup element and make one
+``to_groupoid`` call on it: ``cold_seconds`` is the untraced call's wall
+time, the tables built, ``kept_mb`` the tracemalloc memory the traced call
+keeps, the tables it caches (the zeta steps), and ``import_rss_mb`` and
+``peak_rss_mb`` the untraced process's ``ru_maxrss`` after its imports and
+at its end, which holds the build of the index tables the element's
+lookup reads.
 Last, ``naive_transform`` runs in both bases for each n ≤ NAIVE_MAX_N,
 on the semigroup element and on the groupoid one, timed
 like the rest (the cold call builds the image tables) with its
@@ -105,7 +111,7 @@ from rookfft.algebra import (
 from rookfft import cli, transforms
 from rookfft.core import PartialPermutation, read_flat, size
 from rookfft.counting import OpCounter
-from rookfft.indexing import cell_index
+from rookfft.indexing import element_index, image_codes
 from rookfft.spectral import spectrum
 from rookfft.transforms import (
     fourier_invert,
@@ -153,12 +159,14 @@ print(tracemalloc.get_traced_memory()[0])
 
 # run as ``python -c ZETA_PROBE n trace``: one to_groupoid call on a one-term
 # semigroup element of R_n, in a process that has built no table; prints its
-# seconds and, with trace 1, the bytes tracemalloc still holds after it
+# seconds, the peak RSS after the imports and at the end, and, with trace 1,
+# the bytes tracemalloc still holds after it
 ZETA_PROBE = """
-import gc, json, sys, time, tracemalloc
+import gc, json, resource, sys, time, tracemalloc
 from rookfft.algebra import SEMIGROUP, AlgebraElement, to_groupoid
 from rookfft.core import PartialPermutation
 n, trace = int(sys.argv[1]), sys.argv[2] == "1"
+imported = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 f = AlgebraElement(n, SEMIGROUP, {PartialPermutation.from_pairs(n, [(1, 3), (2, 5), (n, n)]): 1.0})
 gc.collect()
 if trace:
@@ -168,7 +176,9 @@ g = to_groupoid(f)
 seconds = time.perf_counter() - t0
 del g
 gc.collect()
-print(json.dumps({"seconds": seconds, "kept": tracemalloc.get_traced_memory()[0]}))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "kept": tracemalloc.get_traced_memory()[0],
+                  "import_rss_mb": imported, "peak_rss_mb": peak}))
 """
 
 
@@ -241,7 +251,8 @@ def _zeta_row(n: int) -> dict:
                                   capture_output=True, text=True).stdout)
         for trace in ("0", "1")
     )
-    return {"n": n, "cold_seconds": cold["seconds"], "kept_mb": round(kept["kept"] / 2**20, 2)}
+    return {"n": n, "cold_seconds": cold["seconds"], "kept_mb": round(kept["kept"] / 2**20, 2),
+            "import_rss_mb": round(cold["import_rss_mb"], 1), "peak_rss_mb": round(cold["peak_rss_mb"], 1)}
 
 
 def _fresh_cli(argv: list[str]) -> dict:
@@ -266,11 +277,25 @@ def _from_flat_seconds(n: int, text: str) -> float:
     return best / FROM_FLAT_CALLS
 
 
+def _canonical(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of R_n in canonical order: their rows in a coefficient
+    vector (``element_index``) and their ranks, decoded from the sorted
+    image codes a block of codes at a time."""
+    codes, powers = image_codes(n), (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows, ranks = [], []
+    for at in range(0, len(codes), 1 << 16):
+        digits = codes[at : at + (1 << 16), None] // powers % (n + 1)
+        rows.append(element_index(n, digits))
+        ranks.append(np.count_nonzero(digits, axis=1))
+    return np.concatenate(rows), np.concatenate(ranks)
+
+
 def _element(n: int, basis: str, seed: int):
-    """A full-support element with seeded uniform coefficients, and the
-    seconds its from_dense call took."""
+    """A full-support element with seeded uniform coefficients, drawn in
+    canonical order, and the seconds its from_dense call took."""
     rng = np.random.default_rng(seed)
-    values = rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n))
+    values = np.empty(size(n), dtype=complex)
+    values[_canonical(n)[0]] = rng.uniform(-1, 1, size(n)) + 1j * rng.uniform(-1, 1, size(n))
     t0 = time.perf_counter()
     f = from_dense(n, basis, values)
     return f, time.perf_counter() - t0
@@ -362,14 +387,16 @@ def _row(n: int) -> dict:
 
 def _half_rank_row() -> dict:
     """recursive_fft on a seeded semigroup element of R_HALF_RANK_N holding
-    half of the elements of each rank, rounded down."""
+    half of the elements of each rank, rounded down, chosen among the rank's
+    elements in canonical order."""
     n = HALF_RANK_N
     full, _ = _element(n, SEMIGROUP, SEED + 200 + n)
     rng = np.random.default_rng(SEED + 200 + n)
+    rows, ranks = _canonical(n)
     values = np.zeros(size(n), dtype=complex)
     for k in range(n + 1):
-        at = np.sort(cell_index(n, k).ravel())
-        keep = rng.choice(at, len(at) // 2, replace=False)
+        at = np.flatnonzero(ranks == k)
+        keep = rows[rng.choice(at, len(at) // 2, replace=False)]
         values[keep] = full.values[keep]
     f = from_dense(n, SEMIGROUP, values)
     clock = _Clock()
@@ -380,11 +407,12 @@ def _half_rank_row() -> dict:
 
 def _one_term_row() -> dict:
     """recursive_fft on a one-term semigroup element of R_ONE_TERM_N, its
-    term at a seeded position with a seeded coefficient."""
+    term a seeded element (its position in canonical order) with a seeded
+    coefficient."""
     n = ONE_TERM_N
     rng = np.random.default_rng(SEED + 300 + n)
     values = np.zeros(size(n), dtype=complex)
-    values[rng.integers(size(n))] = complex(*rng.uniform(-1, 1, 2))
+    values[_canonical(n)[0][rng.integers(size(n))]] = complex(*rng.uniform(-1, 1, 2))
     clock = _Clock()
     F = clock.time("recursive_fft", recursive_fft, from_dense(n, SEMIGROUP, values))
     return {"n": n, **clock.fields(), "multiply_adds": {"recursive_fft": F.ops.multiply_adds}}
@@ -396,6 +424,7 @@ def _naive_row(n: int) -> dict:
         f, _ = _element(n, basis, seed)
         if n in NAIVE_SPARSE_TERMS:
             keep = np.random.default_rng(seed).choice(size(n), NAIVE_SPARSE_TERMS[n], replace=False)
+            keep = _canonical(n)[0][keep]
             values = np.zeros(size(n), dtype=complex)
             values[keep] = f.values[keep]
             f = from_dense(n, basis, values)

@@ -7,10 +7,10 @@ composition), different inner products, and are exchanged by the zeta and
 Möbius transforms of the natural partial order.  The basis tag is data:
 mixing bases is an error, never a silent coercion.
 
-An element stores one read-only complex vector of length |R_n| indexed
-like ``enumerate_rn(n)``; the fast paths read it as it is.  The terms as
+An element stores one read-only complex vector of length |R_n| in the
+rank-major cell layout of ``indexing``, each rank one slice.  The terms as
 ``PartialPermutation`` keys (``coeffs``, ``items()``) are decoded from the
-nonzero slots on demand, through the image codes of ``indexing``.
+nonzero rows on demand, in canonical order (``canonical_order``).
 
 The element JSON parser goes through the term dicts once per field:
 ``elem``, ``re`` and ``im`` each come out in one C-level pass
@@ -24,15 +24,16 @@ checks of one term only word the error of the first term refused.
 
 Both convolutions run through the convolution theorem (``stein_fft``, a
 product per block, ``fourier_invert``), so they cost the transforms' time
-whatever the support: on a 2-CPU Xeon, 0.37–0.45 s (groupoid) and
-0.56–0.65 s (semigroup) warm for two deltas at n=8, against 0.05 s for a
-loop over pairs of terms.  Terms of modulus ≤ DROP_EPS·‖f‖₁·‖g‖₁, the
+whatever the support: on a 2-CPU Xeon, 0.27–0.30 s (groupoid) and
+0.43–0.49 s (semigroup) warm for two deltas at n=8 (``BENCH_29.json``),
+against 0.05 s for a loop over pairs of terms.  Terms of modulus ≤ DROP_EPS·‖f‖₁·‖g‖₁, the
 rounding floor of the direct sum, are zeroed.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import pairwise
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -51,7 +52,8 @@ from .core import (
     size,
 )
 from .counting import OpCounter
-from .indexing import cell_index, element_index, elements_at, flat_forms, flat_positions, zeta_steps
+from .indexing import (canonical_order, element_index, elements_at, flat_forms, flat_positions,
+                       rank_starts, zeta_steps)
 
 SEMIGROUP = "semigroup"
 GROUPOID = "groupoid"
@@ -67,7 +69,7 @@ class BasisMismatch(ValueError):
 
 class AlgebraElement:
     """A function on R_n tagged with its basis: ``values[i]`` is the
-    coefficient of ``enumerate_rn(n)[i]``."""
+    coefficient of the element in layout row i (``indexing``)."""
 
     __slots__ = ("n", "basis", "values")
 
@@ -97,7 +99,7 @@ class AlgebraElement:
 
     def items(self) -> Iterator[tuple[PartialPermutation, complex]]:
         """Terms in canonical element order (sorted image tuples)."""
-        at = np.flatnonzero(self.values)
+        at = canonical_order(self.n, np.flatnonzero(self.values))
         return zip(elements_at(self.n, at), self.values[at].tolist())
 
     def support(self) -> int:
@@ -129,7 +131,7 @@ class AlgebraElement:
 
 
 def terms_vector(n: int, images, coeffs) -> np.ndarray:
-    """A vector of R_n (enumerate_rn(n) order) holding coeffs[i] at the
+    """A vector of R_n (layout order) holding coeffs[i] at the
     element with image row images[i] (tuples, or a (T, n) array of checked
     rows); terms naming one element add up."""
     check_n(n)
@@ -145,10 +147,10 @@ def terms_vector(n: int, images, coeffs) -> np.ndarray:
 
 
 def from_dense(n: int, basis: str, values: np.ndarray) -> AlgebraElement:
-    """The element with coefficient vector ``values`` (enumerate_rn(n)
-    order).  A writable vector is taken over, not copied: entries below
-    DROP_EPS in modulus are zeroed in place, as by the constructor, and it
-    is made read-only."""
+    """The element with coefficient vector ``values``, in layout order (see
+    ``AlgebraElement``).  A writable vector is taken over, not copied:
+    entries below DROP_EPS in modulus are zeroed in place, as by the
+    constructor, and it is made read-only."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     values = np.asarray(values, dtype=complex)
@@ -199,18 +201,18 @@ def _spread(f: AlgebraElement, signed: bool) -> np.ndarray:
     j-th smallest domain point (subtracts it, when signed).  Dropping the
     j-th point leaves points 1..j−1 where they were, so each t ≤ x is
     reached from x by one path of steps, and μ is −1 per pair removed.
-    Each step is a gather and an ``ufunc.at`` over the same dense tail
-    whatever the support, at most 2^18 sources at a time: sources are read,
-    lowest layout rows first, before any step writes to them, as a target's
-    row lies below its source's.  The work is Σ_k k·|R_{n,k}| ≤ n·|R_n|
-    additions, the tables hold as many int32 positions, and no table over
+    Each step is an ``ufunc.at`` from the same dense tail whatever the
+    support, a copied chunk of 2^18 contiguous sources at a time: sources
+    are read, lowest rows first, before any step writes to them, as a
+    target's row lies below its source's.  The work is Σ_k k·|R_{n,k}| ≤ n·|R_n|
+    additions, the tables hold as many int32 rows, and no table over
     the pairs t ≤ x is built.
     """
     out = f.values.copy()
     add = np.subtract if signed else np.add
-    for sources, targets in zeta_steps(f.n):
+    for first, targets in zeta_steps(f.n):
         for at in range(0, len(targets), STEP_SLICE):
-            add.at(out, targets[at : at + STEP_SLICE], out[sources[at : at + STEP_SLICE]])
+            add.at(out, targets[at : at + STEP_SLICE], out[first + at : first + at + STEP_SLICE].copy())
     return out
 
 
@@ -221,11 +223,12 @@ def to_groupoid(f: AlgebraElement, counter: OpCounter | None = None) -> AlgebraE
     full-support input costs Σ_k C(n,k)² k! 2^k ≤ 2^n |R_n| additions.  Runs
     as the n steps of ``_spread``, at the same cost for any support.  The
     counter, when given, is charged the terms the direct sum adds,
-    Σ_{x ∈ support} 2^rk(x), counted from the nonzeros of each rank's cells.
+    Σ_{x ∈ support} 2^rk(x), counted from the nonzeros of each rank's slice.
     """
     _require(f, SEMIGROUP)
     if counter is not None:
-        counter.add(sum(int(np.count_nonzero(f.values[cell_index(f.n, k)])) << k for k in range(f.n + 1)))
+        ranks = pairwise(rank_starts(f.n))
+        counter.add(sum(int(np.count_nonzero(f.values[a:b])) << k for k, (a, b) in enumerate(ranks)))
     return from_dense(f.n, GROUPOID, _spread(f, signed=False))
 
 
@@ -260,9 +263,9 @@ def _require(f: AlgebraElement, basis: str) -> None:
 def random_element(
     n: int, basis: str, rng: random.Random, support: str = "full"
 ) -> AlgebraElement:
-    """Seeded random element; "full" support or "sparse" (about half)."""
+    """Seeded random element drawn in canonical order; "full" support or "sparse" (about half)."""
     values = np.zeros(size(n), dtype=complex)
-    for i in range(size(n)):  # enumerate_rn(n) order
+    for i in canonical_order(n, np.arange(size(n))).tolist():
         if support == "sparse" and rng.random() < 0.5:
             continue
         values[i] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -278,7 +281,7 @@ def to_json_dict(f: AlgebraElement) -> dict:
     """The JSON form, terms in canonical element order.  The flat forms are
     spelled from the image digits of the support (``flat_forms``), so no
     term is decoded to a ``PartialPermutation``."""
-    at = np.flatnonzero(f.values)
+    at = canonical_order(f.n, np.flatnonzero(f.values))
     c = f.values[at]
     terms = zip(flat_forms(f.n, at), c.real.tolist(), c.imag.tolist())
     return {

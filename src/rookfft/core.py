@@ -478,10 +478,10 @@ def size_recursive(n: int) -> int:
 @cache
 def enumerate_rn(n: int) -> tuple[PartialPermutation, ...]:
     """All elements of R_n, sorted by image tuple (the canonical order):
-    every position decoded from its image code (``indexing.elements_at``)."""
-    from .indexing import elements_at  # indexing imports this module
+    every layout row decoded from its image code (``indexing.elements_at``)."""
+    from .indexing import canonical_order, elements_at  # indexing imports this module
 
-    return tuple(elements_at(n, np.arange(size(n))))
+    return tuple(elements_at(n, canonical_order(n, np.arange(size(n)))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,14 @@ Young's orthogonal form, where ρ(w)⁻¹ = ρ(w)ᵀ.  The projections themselve
 (``isotypic_project``) still go transform → keep one block → invert, the
 inversion over the block's rank alone.
 
-A dataset (``Dataset``) holds one read-only float vector of counts in
-``enumerate_rn(n)`` order, which ``to_function`` takes as the coefficients
-of an element.  A ballot CSV is read as one batch of flat forms
-(``core.read_flat``, one numpy pass over the joined ballots for grammar and
-points, and ``indexing.flat_positions``, which computes each ballot's image
-code from its points; points are ASCII digits only), its counts as one
-float array: n is inferred from the parsed points, and the counts go to
-the ballots' positions in
-``enumerate_rn(n)`` with one ``np.add.at`` in file order, so repeated
+A dataset (``Dataset``) holds one read-only float vector of counts in the
+layout order of ``AlgebraElement.values``, which ``to_function`` takes as
+the coefficients of an element.  A ballot CSV is read as one batch of flat
+forms (``core.read_flat``, one numpy pass over the joined ballots for
+grammar and points, and ``indexing.flat_positions``, which computes each
+ballot's row from its points; points are ASCII digits only), its counts as
+one float array: n is inferred from the parsed points, and the counts go
+to the ballots' rows with one ``np.add.at`` in file order, so repeated
 ballots merge.  No ballot is decoded to a ``PartialPermutation`` unless
 ``Dataset.records`` is read.
 """
@@ -52,7 +51,7 @@ from .core import (
     refuse_flat,
     size,
 )
-from .indexing import cell_index, elements_at, flat_positions
+from .indexing import canonical_order, elements_at, flat_positions, rank_starts
 from .rook_reps import labels
 from .tableaux import Shape, num_standard, partitions
 from .transforms import FourierCoefficients, invert_rank, stein_fft
@@ -60,7 +59,7 @@ from .transforms import FourierCoefficients, invert_rank, stein_fft
 
 class Dataset:
     """Ballots with multiplicities over R_n: ``counts[i]`` is the total count
-    of ballot ``enumerate_rn(n)[i]``, one read-only float vector.  Built from
+    of the ballot in layout row i, one read-only float vector.  Built from
     (ballot, count) records, whose counts add up per ballot."""
 
     __slots__ = ("n", "counts")
@@ -74,8 +73,8 @@ class Dataset:
     @property
     def records(self) -> list[tuple[PartialPermutation, float]]:
         """The ballots counted a nonzero number of times with their totals, in
-        ``enumerate_rn(n)`` order, decoded anew on each access."""
-        at = np.flatnonzero(self.counts)
+        canonical order, decoded anew on each access."""
+        at = canonical_order(self.n, np.flatnonzero(self.counts))
         return list(zip(elements_at(self.n, at), self.counts[at].tolist()))
 
     def __repr__(self) -> str:
@@ -180,8 +179,8 @@ def isotypic_project(f: AlgebraElement, shape: Shape) -> AlgebraElement:
 
     Computed by transform → keep the one block → invert; the projection
     lives on the rank-k elements, so only rank k is inverted
-    (``invert_rank``).  The projections over all labels sum back to the
-    groupoid image of f.
+    (``invert_rank``), into its slice of the vector.  The projections over
+    all labels sum back to the groupoid image of f.
     """
     shape = tuple(shape)
     if shape not in labels(f.n):
@@ -191,7 +190,7 @@ def isotypic_project(f: AlgebraElement, shape: Shape) -> AlgebraElement:
     kept = {sh: np.zeros_like(F.blocks[sh]) for sh in partitions(k)}
     kept[shape] = F.blocks[shape]
     values = np.zeros(size(f.n), dtype=complex)
-    values[cell_index(f.n, k)] = invert_rank(FourierCoefficients(f.n, kept), k)
+    values[slice(*rank_starts(f.n)[k : k + 2])] = invert_rank(FourierCoefficients(f.n, kept), k)
     return from_dense(f.n, GROUPOID, values)
 
 

@@ -6,8 +6,8 @@ multiply-add counter:
 * ``naive_transform`` evaluates Σ f(s)ρ(s) directly and costs exactly
   support × Σ_λ dim(λ)² operations (≤ |R_n|² on full support);
 * ``stein_fft`` consumes the groupoid basis and runs one symmetric-group
-  FFT per (range, domain) cell, batched per rank over a dense coefficient
-  vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops; each rank's batch
+  FFT per (range, domain) cell, batched per rank over its slice of the
+  coefficient vector, at most Σ_k C(n,k)²·(2/3)k(k+1)²k! ops; each batch
   starts with one product by a cached table of S_5's point masses, or of
   S_k's for k < 5, which is the whole S_k FFT for k ≤ 5
   (``symmetric.sn_fft_batch``), charged the recursion's count though the
@@ -31,7 +31,7 @@ multiply-add counter:
 ``fourier_invert`` recovers groupoid-basis coefficients from a complete
 block set by running ``stein_fft`` backwards: per rank k (``invert_rank``),
 one batched inverse S_k FFT (``sn_ifft_batch``) over the C(n,k)² cells of
-every λ ⊢ k, scattered through the same cell table; its levels above S_5
+every λ ⊢ k, which fills the rank's slice; its levels above S_5
 run backwards on the transposed runs, and one product with the inverse of
 the S_5 table, the forward table transposed and weighted by d_λ/5!,
 finishes each rank.  Every transform lists its blocks in the stein order,
@@ -55,7 +55,6 @@ from .algebra import GROUPOID, SEMIGROUP, AlgebraElement, BasisMismatch, from_de
 from .core import (
     ParseError,
     check_n,
-    enumerate_rn,
     generator_word,
     json_complex,
     json_fields,
@@ -64,7 +63,7 @@ from .core import (
     size,
 )
 from .counting import OpCounter
-from .indexing import cell_index, elements_at, slice_index
+from .indexing import elements_at, rank_starts, slice_index
 from .rook_reps import branch_rn, dim, halverson_permutation, halverson_rep, labels, stein_rep
 from .symmetric import _coset_costs, coset_runs, sn_fft_batch, sn_ifft_batch
 from .tableaux import Shape, num_standard, partitions
@@ -164,8 +163,8 @@ def _image_rows(basis: str, n: int, elements) -> np.ndarray:
 
 @cache
 def _image_table(basis: str, n: int) -> np.ndarray:
-    """``_image_rows`` of all of R_n, read-only."""
-    out = _image_rows(basis, n, enumerate_rn(n))
+    """``_image_rows`` of all of R_n in layout order, read-only."""
+    out = _image_rows(basis, n, elements_at(n, np.arange(size(n))))
     out.flags.writeable = False
     return out
 
@@ -181,16 +180,17 @@ def stein_fft(f: AlgebraElement, counter: OpCounter | None = None) -> FourierCoe
     The (A,B) cell of the λ-block (λ ⊢ k) is the S_k transform of
     s ↦ f(p_({1..k}→A)·s·p_(B→{1..k})), so the whole transform is
     C(n,k)² independent symmetric-group FFTs for each k, run together as the
-    rows of one batch gathered from the dense coefficient vector.
+    rows of one batch, the rank's slice of the coefficient vector.
     """
     _require_basis(f, GROUPOID, "stein_fft")
     if counter is None:
         counter = OpCounter()
-    n = f.n
+    n, starts = f.n, rank_starts(f.n)
     blocks: dict[Shape, np.ndarray] = {}
     for k in range(n + 1):
         c = comb(n, k)
-        for shape, cells in sn_fft_batch(f.values[cell_index(n, k)], k, counter).items():
+        batch = f.values[starts[k] : starts[k + 1]].reshape(c * c, factorial(k))
+        for shape, cells in sn_fft_batch(batch, k, counter).items():
             d = cells.shape[-1]
             blocks[shape] = cells.reshape(c, c, d, d).transpose(0, 2, 1, 3).reshape(c * d, c * d)
     return FourierCoefficients(n, blocks, counter)
@@ -521,21 +521,20 @@ def fourier_invert(F: FourierCoefficients) -> AlgebraElement:
     The inverse of ``stein_fft``, rank by rank (``invert_rank``).
     """
     n = F.n
+    if stray := set(F.blocks) - set(labels(n)):
+        raise ValueError(f"block for {min(stray)}, which is not a label of R_{n}")
     for shape in labels(n):
         if shape not in F.blocks:
             raise ValueError(f"missing block for label {shape}")
         d = dim(shape, n)
         if np.shape(F.blocks[shape]) != (d, d):
             raise ValueError(f"block {shape} should be {d}x{d}")
-    values = np.zeros(size(n), dtype=complex)
-    for k in range(n + 1):
-        values[cell_index(n, k)] = invert_rank(F, k)
-    return from_dense(n, GROUPOID, values)
+    return from_dense(n, GROUPOID, np.concatenate([invert_rank(F, k) for k in range(n + 1)]))
 
 
 def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
-    """The groupoid-basis coefficients of the rank-k elements of R_n, in
-    ``cell_index(n, k)`` order, from the blocks of the labels λ ⊢ k alone.
+    """The groupoid-basis coefficients of the rank-k elements of R_n, their
+    slice of the vector, from the blocks of the labels λ ⊢ k alone.
 
     Each λ-block is cut into its C(n,k)² cells of d_λ×d_λ, and
     ``sn_ifft_batch`` inverts them all as one batch of S_k transforms.
@@ -546,17 +545,19 @@ def invert_rank(F: FourierCoefficients, k: int) -> np.ndarray:
         block = np.asarray(F.blocks[shape], dtype=complex)
         d = num_standard(shape)
         cells[shape] = block.reshape(c, d, c, d).transpose(0, 2, 1, 3).reshape(c * c, d, d)
-    return sn_ifft_batch(cells, k)
+    return sn_ifft_batch(cells, k).ravel()
 
 
 def blockwise_product(F: FourierCoefficients, G: FourierCoefficients) -> FourierCoefficients:
     """f̂·ĝ per block, the transform-side image of convolution.  Both operands
-    hold the same labels."""
+    hold the same labels, each one of Λ_n."""
     if F.n != G.n:
         raise ValueError("operands disagree in n")
     for shape in [*F.blocks, *G.blocks]:
         if shape not in F.blocks or shape not in G.blocks:
             raise ValueError(f"missing block for label {shape}")
+        if shape not in labels(F.n):
+            raise ValueError(f"block for {shape}, which is not a label of R_{F.n}")
     return FourierCoefficients(F.n, {sh: F.blocks[sh] @ G.blocks[sh] for sh in F.blocks})
 
 

@@ -34,7 +34,7 @@ from rookfft.core import (
     size,
 )
 from rookfft.counting import OpCounter
-from rookfft.indexing import element_index, flat_positions, image_codes
+from rookfft.indexing import element_index, elements_at, flat_positions
 from rookfft.rook_reps import SteinRep, halverson_rep, labels
 from rookfft.symmetric import (
     Perm,
@@ -121,11 +121,10 @@ def reassemble(fact: CanonicalFactorization, n: int) -> PartialPermutation:
     return compose(compose(p_out, extended(fact.y, n)), p_in)
 
 
-def image_rows(n: int, positions: np.ndarray) -> np.ndarray:
-    """(T, n) int64 image rows of the elements at these positions of
-    enumerate_rn(n), decoded from their image codes."""
-    powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return image_codes(n)[positions][:, None] // powers % (n + 1)
+def image_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """(T, n) int64 image rows of the elements in these layout rows of a
+    coefficient vector (``elements_at``)."""
+    return np.array([s.image for s in elements_at(n, rows)], dtype=np.int64).reshape(len(rows), n)
 
 
 def flat_images(n: int, texts: list) -> np.ndarray:
@@ -343,15 +342,16 @@ def reference_block_json(F) -> dict:
     return data
 
 
-def reference_without_point(n: int, positions: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Of these positions, the ones whose element has p in its domain
-    (p counted from 0), and the positions of those elements with the pair at
-    p removed, found by one searchsorted over the image codes each."""
-    codes = image_codes(n)
-    weight = (n + 1) ** (n - 1 - p)
-    digit = codes[positions] // weight % (n + 1)
-    kept = np.flatnonzero(digit)
-    return positions[kept], np.searchsorted(codes, codes[positions[kept]] - digit[kept] * weight)
+def reference_without_point(n: int, rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of these layout rows, the ones whose element has p in its domain
+    (p counted from 0), and the rows of those elements with the pair at p
+    removed, decoded and looked up again (``image_rows``,
+    ``element_index``)."""
+    images = image_rows(n, rows)
+    kept = np.flatnonzero(images[:, p])
+    images = images[kept]
+    images[:, p] = 0
+    return rows[kept], element_index(n, images)
 
 
 def reference_spread(f: AlgebraElement, signed: bool) -> np.ndarray:

@@ -48,6 +48,7 @@ from rookfft.core import (
     size,
 )
 from rookfft.counting import OpCounter
+from rookfft.indexing import element_index, elements_at
 
 PP = PartialPermutation
 
@@ -258,9 +259,10 @@ class TestDenseBasisChange:
     def test_dense_round_trip(self, n):
         f = rand_elem(n, GROUPOID, 320 + n, support="sparse")
         values = f.values
-        assert [values[i] for i, s in enumerate(enumerate_rn(n))] == [
-            f[s] for s in enumerate_rn(n)
-        ]
+        assert values.tolist() == [f[s] for s in elements_at(n, np.arange(len(values)))]
+        images = np.array([s.image for s in enumerate_rn(n)], dtype=np.int64)
+        rows = element_index(n, images.reshape(len(values), n))
+        assert [values[i] for i in rows] == [f[s] for s in enumerate_rn(n)]
         back = from_dense(n, GROUPOID, values)
         assert back.basis == GROUPOID and back.coeffs == f.coeffs
 

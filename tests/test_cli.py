@@ -22,14 +22,17 @@ from rookfft.algebra import (
     to_json_dict as element_to_json,
 )
 from rookfft.cli import main
-from rookfft.core import PartialPermutation, size
+from rookfft.core import PartialPermutation, enumerate_rn, size
+from rookfft.indexing import elements_at
 from rookfft.rook_reps import dim, labels
+from rookfft.spectral import Dataset
 from rookfft.transforms import (
     BLOCK_FORMAT,
     fourier_invert,
     from_json_dict as fc_from_json,
     naive_transform,
     stein_fft,
+    to_json_dict as blocks_to_json,
 )
 
 
@@ -204,6 +207,29 @@ class TestInvertAndConvolve:
         code, _, err = run(capsys, "convolve", "--input", pf)
         assert code == 2
         assert err.startswith("ERR:USAGE:") and "exactly two --input" in err
+
+    def test_terms_listed_in_canonical_order_at_n4(self, capsys, tmp_path):
+        # the vector's rows follow the rank-major cell layout, which is not
+        # the canonical order (sorted image tuples) at n = 4; every listing
+        # of terms is canonical all the same
+        n = 4
+        layout = [x.image for x in elements_at(n, np.arange(size(n)))]
+        assert layout != sorted(layout)
+        f = rand_elem(n, GROUPOID, 8, "sparse")
+        d = Dataset(n, [(x, i + 1.0) for i, x in enumerate(reversed(list(f.coeffs)))])
+        listings = [[x.image for x, _ in f.items()], [x.image for x in f.coeffs],
+                    [x.image for x, _ in d.records], [x.image for x in enumerate_rn(n)]]
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps(blocks_to_json(stein_fft(f))), encoding="utf-8")
+        element = write_element(tmp_path, "f.json", f)
+        for argv in (["invert", "--input", str(blocks)],
+                     ["convolve", "--input", element, "--input", element]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            terms = json.loads(out)["terms"]
+            listings.append([PartialPermutation.from_flat(n, t["elem"]).image for t in terms])
+        for images in listings:
+            assert len(images) > 100 and images == sorted(images)
 
     @pytest.mark.parametrize("command", ["transform", "invert", "analyze"])
     def test_single_input_commands_refuse_two(self, capsys, tmp_path, command):

@@ -15,6 +15,7 @@ from rookfft.algebra import (
     to_groupoid,
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn
+from rookfft.indexing import element_index
 from rookfft.rook_reps import labels
 from rookfft.spectral import (
     Dataset,
@@ -109,10 +110,11 @@ class TestCountVector:
         want = np.zeros(len(enumerate_rn(2)))
         for s, c in [(pp(2, "2->1"), 0.1), (PP.zero(2), 4.0), (pp(2, "2->1"), 0.2),
                      (pp(2, "1->2"), 1e-20), (pp(2, "2->1"), 0.3)]:
-            want[enumerate_rn(2).index(s)] += c
+            want[element_index(2, np.array([s.image]))] += c
         assert d.counts.dtype == float and not d.counts.flags.writeable
         assert d.counts.tobytes() == want.tobytes()
-        assert d.records == [(s, c) for s, c in zip(enumerate_rn(2), want.tolist()) if c]
+        rows = element_index(2, np.array([s.image for s in enumerate_rn(2)]))
+        assert d.records == [(s, c) for s, c in zip(enumerate_rn(2), want[rows].tolist()) if c]
 
     def test_records_leave_out_ballots_counted_zero_times(self):
         d = ingest_text("ballot,count\n1->1,0\n2->2,3\n", n=2)

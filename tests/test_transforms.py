@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from rookfft.algebra import (
 )
 from rookfft.core import ParseError, PartialPermutation, enumerate_rn, ksubset_index, size
 from rookfft.counting import OpCounter
-from rookfft.indexing import cell_index, slice_index
+from rookfft.indexing import element_index, elements_at, slice_index
 from rookfft.rook_reps import (
     branch_rn,
     dim,
@@ -588,7 +589,8 @@ class TestEmptySlices:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_only_permutations(self, n):
-        self._check(element_on(n, np.sort(cell_index(n, n).ravel()), 510 + n))
+        perms = np.array(sorted(permutations(range(1, n + 1))), dtype=np.int64)
+        self._check(element_on(n, element_index(n, perms), 510 + n))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_zero_map_and_top_link_slice(self, n):
@@ -669,6 +671,12 @@ class TestInversion:
         del F.blocks[(1,)]
         with pytest.raises(ValueError):
             fourier_invert(F)
+        # a block whose label lies outside Λ_n is refused, not ignored
+        G = stein_fft(rand_elem(3, GROUPOID, 11))
+        G.blocks[(5,)] = np.eye(1)
+        for refuse in (fourier_invert, lambda G: blockwise_product(G, G)):
+            with pytest.raises(ValueError, match=r"\(5,\), which is not a label of R_3"):
+                refuse(G)
 
     def test_wrong_shape_is_error(self):
         F = stein_fft(rand_elem(2, GROUPOID, 12))
@@ -677,14 +685,12 @@ class TestInversion:
             fourier_invert(F)
 
 
-def _invert_per_element(F, positions):
+def _invert_per_element(F, rows):
     """The per-element inversion formula, the oracle for fourier_invert:
     f(x) = (1/k!) Σ_{λ⊢k} f^λ·tr(F̂(λ)·ρ_λ(⌊x⁻¹⌋)) with k = rk(x), at the
-    elements of R_n at these positions."""
-    elements = enumerate_rn(F.n)
+    elements of R_n in these layout rows."""
     out = []
-    for i in positions:
-        x = elements[i]
+    for x in elements_at(F.n, rows):
         x_inv = x.inverse()
         total = sum(
             num_standard(shape)
@@ -713,10 +719,12 @@ class TestFastInversion:
         # formula takes seconds over all of R_5
         _, _, S, H = _full_support(n)
         positions = range(size(n)) if n <= 4 else sorted(random.Random(5).sample(range(size(n)), 200))
-        positions = np.array(positions, dtype=np.int64)
+        elements = enumerate_rn(n)
+        images = np.array([elements[i].image for i in positions], dtype=np.int64)
+        rows = element_index(n, images.reshape(len(positions), n))
         for F in (S, H):
-            want = _invert_per_element(F, positions)
-            assert np.abs(fourier_invert(F).values[positions] - want).max() <= 1e-9
+            want = _invert_per_element(F, rows)
+            assert np.abs(fourier_invert(F).values[rows] - want).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_round_trip_full_support_both_families(self, n):
